@@ -8,8 +8,6 @@ import time.  Graphs enter as a sequence of adjacency bitmask rows
 (row v = OR of 1<<u over neighbors u of v).
 """
 
-from itertools import combinations
-
 
 def clique_counts(masks, n, kmax=-1):
     """Count cliques by size: result[k] = number of k-vertex cliques.

@@ -8,9 +8,10 @@ counterexample worth human eyes), 2 for usage and parse errors.
 import argparse
 import json
 import sys
+from fractions import Fraction
 
 from .bounds import verify_theorem_instance
-from .errors import FlagstoneError, ParseError
+from .errors import FlagstoneError
 from .formats import dump_edge_list, dump_graph6, load_instances
 from .generators import (
     gen_complete_multipartite,
@@ -131,6 +132,13 @@ def _cmd_bounds(args):
     return code
 
 
+def _fraction(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a fraction p/q, got {text!r}") from None
+
+
 def _parse_range(text):
     lo, sep, hi = text.partition("..")
     if not sep:
@@ -152,7 +160,6 @@ def _cmd_search(args):
         s=args.s,
         seed=args.seed,
         workers=args.workers,
-        out=args.out,
         budget=args.budget,
         allow_huge=args.i_know_this_is_huge,
     )
@@ -196,7 +203,7 @@ def build_parser():
     p_bounds = sub.add_parser("bounds", help="bound report for one instance file")
     p_bounds.add_argument("file")
     p_bounds.add_argument("--s", type=int, required=True, help="half of d+1 for the level test")
-    p_bounds.add_argument("--C", default=None, help="clique hypothesis constant, as p/q")
+    p_bounds.add_argument("--C", type=_fraction, help="clique hypothesis constant, as p/q")
     p_bounds.set_defaults(fn=_cmd_bounds)
 
     p_search = sub.add_parser("search", help="exhaustive or random search")
@@ -218,9 +225,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except FlagstoneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,9 +19,17 @@ from fractions import Fraction
 from math import comb
 
 from . import kernels
-from .errors import DimensionMismatch, InvalidComplex, InvalidParameter, NotPalindromic
+from .errors import BudgetExceeded, DimensionMismatch, InvalidComplex, InvalidParameter, NotPalindromic
 
 DIMENSION_CAP = 24
+FACE_BUDGET = 1 << 17  # caps sum(2^|F|) over facets; a 16-simplex facet fits
+
+
+def require_face_budget(k):
+    """Raise BudgetExceeded when the facets of k could span more than FACE_BUDGET faces."""
+    total = sum(1 << len(f) for f in k.facets)
+    if total > FACE_BUDGET:
+        raise BudgetExceeded(f"facets span up to {total} faces, over the face budget {FACE_BUDGET}")
 
 
 @dataclass(frozen=True)
@@ -42,10 +50,15 @@ class SimplicialComplex:
             if len(fs) - 1 > DIMENSION_CAP:
                 raise InvalidComplex(f"facet of dimension {len(fs) - 1} exceeds cap {DIMENSION_CAP}")
             cleaned.add(fs)
+        containing = {}
+        for fs in cleaned:
+            for v in fs:
+                containing.setdefault(v, []).append(set(fs))
         maximal = []
         for fs in cleaned:
             s = set(fs)
-            if not any(s < set(other) for other in cleaned):
+            # a facet containing fs contains its lowest vertex; () lies in every facet
+            if not any(s < other for other in (containing[fs[0]] if fs else map(set, cleaned))):
                 maximal.append(fs)
         return cls(n, tuple(sorted(maximal)))
 
@@ -57,7 +70,8 @@ class SimplicialComplex:
         return max(len(f) for f in self.facets) - 1
 
     def faces_by_size(self):
-        """Dict size -> set of faces, materialized level by level from facets."""
+        """Dict size -> set of faces, built level by level once require_face_budget passes."""
+        require_face_budget(self)
         by_size = {}
         for facet in self.facets:
             by_size.setdefault(len(facet), set()).add(facet)

@@ -20,6 +20,7 @@ from . import kernels
 from .bounds import (
     edge_bound_even_conjecture,
     edge_bound_odd,
+    even_entry,
     verify_theorem_instance,
 )
 from .complexes import (
@@ -32,7 +33,7 @@ from .complexes import (
     h_vector,
 )
 from .errors import BudgetExceeded, InvalidParameter, NotPalindromic, ParseError
-from .formats import dump_edge_list, load_instances
+from .formats import load_instances
 from .generators import gen_join_of_cycles
 from .graphs import Graph
 from .structure import LeveledVerdict, is_d_leveled, is_flag, is_weak_pseudomanifold
@@ -61,8 +62,6 @@ class SearchConfig:
     s: int = None
     seed: int = None
     workers: int = 1
-    out: str = None
-    dedup: bool = True
     budget: int = 1000
     allow_huge: bool = False
 
@@ -87,8 +86,8 @@ class SearchConfig:
 class SearchResult:
     """Per-n summaries plus full reports for the extremal instances.
 
-    Serialization excludes the worker count and output path on purpose:
-    results must be byte-identical however the work was split.
+    Serialization excludes the worker count on purpose: results must be
+    byte-identical however the work was split.
     """
 
     mode: str
@@ -327,13 +326,8 @@ def detect_level(g):
     return d, LeveledVerdict(False, d, (("maximal-clique", bad),))
 
 
-def _graph_entry(instance, g, flag_info=None):
-    entry = {"instance": instance, "kind": "graph", "n": g.n, "edges": g.edge_count}
-    if flag_info is not None:
-        entry["flag"] = flag_info
-    else:
-        entry["flag"] = {"verdict": True, "note": "clique complex of the graph; flag by construction"}
-    f = graph_f_vector(g)
+def _add_face_algebra(entry, f):
+    """Set f, h, chi and the Dehn-Sommerville and Klee verdicts of an f-vector."""
     d = len(f) - 2
     h = h_vector(f, d)
     chi = euler_characteristic(f)
@@ -344,8 +338,14 @@ def _graph_entry(instance, g, flag_info=None):
     entry["chi"] = chi
     entry["dehn_sommerville"] = {"all": ds_all, "per_index": list(ds_per)}
     entry["klee"] = {"all": klee_all, "per_index": list(klee_per)}
+
+
+def _graph_entry(instance, g):
+    entry = {"instance": instance, "kind": "graph", "n": g.n, "edges": g.edge_count}
+    entry["flag"] = {"verdict": True, "note": "clique complex of the graph; flag by construction"}
+    _add_face_algebra(entry, graph_f_vector(g))
     try:
-        entry["gamma"] = list(gamma_vector(h))
+        entry["gamma"] = list(gamma_vector(entry["h"]))
     except NotPalindromic:
         entry["gamma"] = None
     level_d, verdict = detect_level(g)
@@ -359,24 +359,15 @@ def _graph_entry(instance, g, flag_info=None):
         entry["potential_counterexample"] = report.potential_counterexample
     elif verdict.is_leveled and level_d >= 2:
         s = level_d // 2
-        bound = edge_bound_even_conjecture(g.n, s)
-        holds = g.edge_count <= bound
         note = None
-        if not ds_all:
+        if not entry["dehn_sommerville"]["all"]:
             note = "conjectured bound targets sphere-like instances; this one fails the palindromy test"
         entry["report"] = {
             "instance": instance,
             "n": g.n,
             "s": s,
             "edges": g.edge_count,
-            "bounds": {
-                "conj_even": {
-                    "value": str(bound),
-                    "holds": holds,
-                    "equality": g.edge_count == bound,
-                    "status": "conjecture",
-                }
-            },
+            "bounds": {"conj_even": even_entry(g.n, s, g.edge_count).to_json_dict()},
             "leveled": {"d": level_d, "verdict": True},
             "notes": [note] if note else [],
         }
@@ -387,34 +378,22 @@ def check_instance(instance, obj):
     """Full pipeline for one parsed graph or complex."""
     if isinstance(obj, Graph):
         return _graph_entry(instance, obj)
-    entry = {"instance": instance, "kind": "complex", "n": obj.n, "facets": len(obj.facets)}
     flag_ok, witness = is_flag(obj)
-    dim = obj.dimension
-    pm_ok, pm_witness = is_weak_pseudomanifold(obj, dim)
+    if flag_ok:
+        entry = _graph_entry(instance, obj.one_skeleton())
+        entry["flag"] = {"verdict": True}
+    else:
+        # a non-face clique needs an edge, so the complex is not void
+        entry = {"instance": instance, "flag": {"verdict": False, "witness": list(witness)}}
+        _add_face_algebra(entry, f_vector(obj))
+        entry["leveled"] = None
+        entry["notes"] = ["not flag: level and bound checks apply to clique complexes only"]
+        entry["potential_counterexample"] = False
+    entry.update(kind="complex", n=obj.n, facets=len(obj.facets))
+    pm_ok, pm_witness = is_weak_pseudomanifold(obj, obj.dimension)
     entry["pseudomanifold"] = pm_ok
     if not pm_ok:
         entry["pseudomanifold_witness"] = list(map(str, pm_witness))
-    if flag_ok:
-        sub = _graph_entry(instance, obj.one_skeleton(), flag_info={"verdict": True})
-        sub.update({"kind": "complex", "facets": len(obj.facets), "pseudomanifold": pm_ok})
-        if not pm_ok:
-            sub["pseudomanifold_witness"] = list(map(str, pm_witness))
-        return sub
-    entry["flag"] = {"verdict": False, "witness": list(witness)}
-    f = f_vector(obj)
-    entry["f"] = list(f)
-    if len(f) == dim + 2:
-        h = h_vector(f, dim)
-        chi = euler_characteristic(f)
-        ds_all, ds_per = check_dehn_sommerville(h)
-        entry["h"] = list(h)
-        entry["chi"] = chi
-        entry["dehn_sommerville"] = {"all": ds_all, "per_index": list(ds_per)}
-        klee_all, klee_per = check_klee(h, chi, dim)
-        entry["klee"] = {"all": klee_all, "per_index": list(klee_per)}
-    entry["leveled"] = None
-    entry["notes"] = ["not flag: level and bound checks apply to clique complexes only"]
-    entry["potential_counterexample"] = False
     return entry
 
 

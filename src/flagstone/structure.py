@@ -8,17 +8,16 @@ no tolerance parameters because every inequality is sharp at fixed n.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 
 from . import kernels
-from .complexes import clique_complex
+from .complexes import require_face_budget
 from .errors import (
     InvalidParameter,
     InvalidPartition,
     NotAClique,
     PreconditionFailed,
 )
-from .graphs import Graph
 
 
 # -- flagness and pseudomanifolds ---------------------------------------
@@ -27,23 +26,26 @@ from .graphs import Graph
 def is_flag(k):
     """Is every clique of the 1-skeleton a face?
 
-    Returns (True, None) or (False, witness) with witness a minimal
-    non-face: a clique of size >= 3 whose proper subsets are all faces.
-    Vertices and edges of the skeleton are faces by construction, and
-    ambient vertices that appear in no facet are ignored.
+    Yes exactly when every maximal clique of size >= 3 is a facet: vertices
+    and edges of the skeleton are faces by construction, and ambient
+    vertices that appear in no facet are ignored.  Returns (True, None) or
+    (False, witness) with witness the lexicographically first non-face
+    clique of the smallest size, a minimal non-face.  The witness search
+    may visit every face, so it runs only within require_face_budget.
     """
     g = k.one_skeleton()
-    by_size = k.faces_by_size()
-    size = 3
-    while True:
-        cliques = kernels.k_cliques(g.masks, g.n, size)
-        if not cliques:
-            return True, None
-        level = by_size.get(size, set())
-        for c in cliques:
-            if c not in level:
+    facets = set(k.facets)
+    if all(len(c) < 3 or c in facets for c in g.maximal_cliques()):
+        return True, None
+    require_face_budget(k)
+    containing = {}
+    for facet in facets:
+        for v in facet:
+            containing.setdefault(v, []).append(set(facet))
+    for size in count(3):
+        for c in kernels.k_cliques(g.masks, g.n, size):
+            if not any(facet.issuperset(c) for facet in containing[c[0]]):
                 return False, c
-        size += 1
 
 
 def is_weak_pseudomanifold(k, d):

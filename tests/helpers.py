@@ -107,9 +107,10 @@ def brute_faces(k):
     return faces
 
 
-def brute_is_flag(k):
-    """No empty minimal non-face of size >= 3: every set of pairwise
-    connected vertices of the 1-skeleton must be a face."""
+def brute_flag_witness(k):
+    """The lexicographically first non-face of the smallest size >= 3 among
+    the sets of pairwise connected vertices of the 1-skeleton, or None when
+    every such set is a face (the complex is flag)."""
     faces = brute_faces(k)
     verts = sorted({v for f in k.facets for v in f})
     edges = {f for f in faces if len(f) == 2}
@@ -117,8 +118,14 @@ def brute_is_flag(k):
         for sub in itertools.combinations(verts, r):
             if all(pair in edges for pair in itertools.combinations(sub, 2)):
                 if sub not in faces:
-                    return False
-    return True
+                    return sub
+    return None
+
+
+def brute_maximal_facets(facets):
+    """Sorted, deduplicated facets not strictly contained in another one."""
+    cleaned = {tuple(sorted(set(f))) for f in facets}
+    return tuple(sorted(f for f in cleaned if not any(set(f) < set(g) for g in cleaned)))
 
 
 def brute_is_weak_pseudomanifold(k, d):

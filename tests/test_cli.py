@@ -1,6 +1,7 @@
 """End-to-end runs of the command line entry point."""
 
 import json
+import time
 
 import pytest
 
@@ -77,6 +78,26 @@ def test_bounds_report(tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         main(["bounds", str(f)])  # --s is required
     assert ei.value.code == 2
+
+
+def test_bounds_malformed_cap(tmp_path, capsys):
+    f = tmp_path / "j.txt"
+    f.write_text(dump_edge_list(gen_join_of_cycles(2, 10)))
+    for cap in ("abc", "1/0"):
+        with pytest.raises(SystemExit) as ei:
+            main(["bounds", str(f), "--s", "2", "--C", cap])
+        assert ei.value.code == 2
+        assert f"argument --C: expected a fraction p/q, got {cap!r}" in capsys.readouterr().err
+
+
+def test_check_over_face_budget_exit(tmp_path, capsys):
+    # a 20-vertex facet next to a hollow triangle: not flag, and 2^20 faces
+    f = tmp_path / "big.facets"
+    f.write_text("23 4\n" + " ".join(map(str, range(20))) + "\n20 21\n21 22\n20 22\n")
+    start = time.perf_counter()
+    assert main(["check", str(f)]) == 2
+    assert time.perf_counter() - start < 5
+    assert "face budget" in capsys.readouterr().err
 
 
 def test_bounds_missing_file(tmp_path, capsys):

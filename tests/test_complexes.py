@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from flagstone import (
+    BudgetExceeded,
     DimensionMismatch,
     InvalidComplex,
     InvalidParameter,
@@ -35,7 +36,7 @@ from flagstone import (
     middle_ds_coefficients,
     sphere_euler_characteristic,
 )
-from helpers import brute_faces, random_graph
+from helpers import brute_faces, brute_maximal_facets, random_graph
 
 
 def test_from_facets_normalizes():
@@ -46,6 +47,16 @@ def test_from_facets_normalizes():
         SimplicialComplex.from_facets(2, [(0, 5)])
     # repeats inside a facet are dropped, not rejected
     assert SimplicialComplex.from_facets(2, [(0, 0)]).facets == ((0,),)
+
+
+def test_from_facets_matches_brute():
+    rng = random.Random(41)
+    for _ in range(200):
+        n = rng.randrange(1, 8)
+        facets = [
+            rng.sample(range(n), rng.randrange(0, n + 1)) for _ in range(rng.randrange(0, 12))
+        ]
+        assert SimplicialComplex.from_facets(n, facets).facets == brute_maximal_facets(facets)
 
 
 def test_void_and_empty_complexes():
@@ -212,6 +223,15 @@ def test_dimension_cap():
         SimplicialComplex.from_facets(26, [tuple(range(26))])
     k = SimplicialComplex.from_facets(25, [tuple(range(25))])
     assert k.dimension == 24
+
+
+def test_face_budget():
+    # an 18-vertex facet spans 2^18 faces, over the 2^17 budget
+    k = SimplicialComplex.from_facets(18, [tuple(range(18))])
+    with pytest.raises(BudgetExceeded):
+        k.faces_by_size()
+    with pytest.raises(BudgetExceeded):
+        f_vector(k)
 
 
 def test_flag_complex_of_triangle_free_graph_is_graph():

@@ -37,7 +37,7 @@ from flagstone import (
     verify_type_partition,
     witness_link,
 )
-from helpers import brute_is_d_leveled, brute_is_flag, brute_is_weak_pseudomanifold, random_graph
+from helpers import brute_flag_witness, brute_is_d_leveled, brute_is_weak_pseudomanifold, random_graph
 
 
 # -- flagness -----------------------------------------------------------
@@ -59,6 +59,18 @@ def test_clique_complexes_are_flag():
 
 def test_flag_matches_brute():
     rng = random.Random(32)
+    complexes = [
+        SimplicialComplex.from_facets(0, []),  # void
+        SimplicialComplex.from_facets(2, [()]),  # {()}
+        SimplicialComplex.from_facets(7, [(1, 2), (2, 3), (1, 3)]),  # unused ambient vertices
+        SimplicialComplex.from_facets(6, [(0, 1, 2), (4,)]),
+        SimplicialComplex.from_facets(4, [(0,), (1,), (2, 3)]),  # single-vertex facets
+        SimplicialComplex.from_facets(6, [tuple(range(6))]),  # lone simplex facet
+        SimplicialComplex.from_facets(5, itertools.combinations(range(5), 4)),  # bd4
+        # two hollow triangles, and a hollow tetrahedron before a hollow triangle
+        SimplicialComplex.from_facets(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        SimplicialComplex.from_facets(7, [*itertools.combinations(range(4), 3), (4, 5), (5, 6), (4, 6)]),
+    ]
     for _ in range(60):
         g = random_graph(rng.randrange(1, 7), rng.random(), rng)
         # drop some top faces to create non-flag complexes
@@ -68,8 +80,14 @@ def test_flag_matches_brute():
             if len(big) >= 3:
                 facets.remove(big)
                 facets.extend(itertools.combinations(big, len(big) - 1))
-        k = SimplicialComplex.from_facets(g.n, facets)
-        assert is_flag(k)[0] == brute_is_flag(k)
+        complexes.append(SimplicialComplex.from_facets(g.n, facets))
+    for k in complexes:
+        witness = brute_flag_witness(k)
+        assert is_flag(k) == (witness is None, witness), k
+    assert is_flag(complexes[5]) == (True, None)
+    assert is_flag(complexes[6]) == (False, (0, 1, 2, 3, 4))
+    assert is_flag(complexes[7]) == (False, (0, 1, 2))
+    assert is_flag(complexes[8]) == (False, (4, 5, 6))
 
 
 # -- weak pseudomanifolds ----------------------------------------------
