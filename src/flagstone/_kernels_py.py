@@ -162,6 +162,45 @@ def leveled_violation(masks, n, d):
     return found
 
 
+def crowded_link(masks, n, d, within):
+    """First d-clique inside `within` with more than two common neighbors,
+    or with two adjacent ones; None when there is none.
+
+    This is the part of the level test that every induced subgraph of a
+    leveled graph passes too.  A prefix whose common neighborhood is already
+    at most two nonadjacent vertices cannot grow into a violation, so its
+    branch is cut.
+    """
+    found = None
+
+    def crowded(common):
+        if common.bit_count() <= 1:
+            return False
+        rest = common & (common - 1)
+        if rest & (rest - 1):
+            return True
+        u = (common & -common).bit_length() - 1
+        return (masks[u] & rest) != 0
+
+    def rec(chosen, cand, common, need):
+        nonlocal found
+        if not crowded(common):
+            return
+        if need == 0:
+            found = _bits(chosen)
+            return
+        while cand and found is None:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            sub = cand & masks[v]
+            if sub.bit_count() >= need - 1:
+                rec(chosen | low, sub, common & masks[v], need - 1)
+
+    rec(0, within, (1 << n) - 1, d)
+    return found
+
+
 def leveled_violations_all(masks, n, d):
     """Every violating d-clique, with its link vertex list (exhaustive mode)."""
     out = []

@@ -98,8 +98,9 @@ class Graph:
     def clique_count(self, k):
         if k < 0:
             raise InvalidParameter("clique size must be nonnegative")
-        counts = kernels.clique_counts(self.masks, self.n, k)
-        return counts[k] if k < len(counts) else 0
+        if k > self.n:
+            return 0
+        return kernels.clique_counts(self.masks, self.n, k)[k]
 
     def maximal_cliques(self):
         return kernels.maximal_cliques(self.masks, self.n)

@@ -29,9 +29,12 @@ _CY_CANON_MAX_N = 11
 
 
 def clique_counts(masks, n, kmax=-1):
+    # no clique has more than n vertices, and the compiled kernel's count
+    # array has room for 65 sizes only: count to n and pad with zeros
+    pad = [0] * (kmax - n)
     if _cy is not None and n <= _CY_MAX_N:
-        return _cy.clique_counts(list(masks), n, kmax)
-    return _kernels_py.clique_counts(masks, n, kmax)
+        return _cy.clique_counts(list(masks), n, min(kmax, n)) + pad
+    return _kernels_py.clique_counts(masks, n, min(kmax, n)) + pad
 
 
 def maximal_cliques(masks, n):
@@ -56,6 +59,10 @@ def leveled_violation(masks, n, d):
     if _cy is not None and n <= _CY_MAX_N:
         return _cy.leveled_violation(list(masks), n, d)
     return _kernels_py.leveled_violation(masks, n, d)
+
+
+def crowded_link(masks, n, d, within):
+    return _kernels_py.crowded_link(masks, n, d, within)
 
 
 def leveled_violations_all(masks, n, d):

@@ -5,9 +5,36 @@ extension: every class on k+1 vertices arises by attaching a new vertex to
 the canonical representative of one of its (k-vertex) deleted subgraphs,
 so extending every class on k vertices by every neighborhood mask and
 deduplicating on the canonical key visits every class exactly once per
-key.  A clique-size cap prunes during generation (induced subgraphs never
-gain cliques, so capped classes cannot reappear later).  Search output is
-deterministic and byte-identical regardless of worker count.
+key.  The argument needs only that the kept classes are closed under
+deleting a vertex, so any hereditary property can prune during
+generation.  A clique-size cap is one (induced subgraphs never gain
+cliques).
+
+Given a level d and the largest size n_max, two more prunes apply, both
+read off the level test (every maximal clique has d+1 vertices and every
+d-clique has exactly two common neighbors, which are nonadjacent):
+
+(a) No d-clique has more than two common neighbors, or two adjacent ones.
+    Deleting a vertex only shrinks common neighborhoods and keeps the
+    edges among the survivors, so every induced subgraph passes too.  When
+    a vertex w joins a passing graph with neighborhood N, only the d-cliques
+    inside N + w can have gained a common neighbor, so only those are
+    checked.  It also caps the clique number at d+1: in a (d+2)-clique,
+    any d of the vertices have the other two as adjacent common neighbors.
+(b) On m vertices the minimum degree is at least 2d - (n_max - m).  A
+    d-leveled graph has minimum degree at least 2d: a vertex v of a
+    maximal clique K lies in d of K's d-subsets, and each one's second
+    common neighbor is a neighbor of v outside K; two equal ones would
+    extend K to a (d+2)-clique.  Deleting n - m vertices of a graph on
+    n <= n_max vertices costs each survivor at most n - m neighbors, and
+    deleting one vertex from a graph that meets the bound on m vertices
+    gives one that meets it on m - 1.
+
+So every d-leveled graph on at most n_max vertices passes both prunes, as
+do all its induced subgraphs, and each class kept on k+1 vertices is still
+reached from a kept class on k vertices.  Prune (b) also fixes part of the
+new neighborhood: a vertex one short of the bound must be in it.  Search
+output is deterministic and byte-identical regardless of worker count.
 """
 
 import json
@@ -120,11 +147,20 @@ class SearchResult:
 
 
 def _extend_chunk(args):
-    keys, k, clique_cap = args
+    keys, k, clique_cap, level, n_max = args
+    # prune (b): on k+1 vertices every degree must reach 2d - (n_max - (k+1))
+    min_degree = 0 if level is None else 2 * level - (n_max - k - 1)
     out = set()
     for key in keys:
         base = kernels.key_to_masks(key, k)
+        degrees = [row.bit_count() for row in base]
+        if min(degrees) < min_degree - 1:
+            continue
+        # a vertex one short of the bound must take the new vertex as neighbor
+        forced = sum(1 << v for v in range(k) if degrees[v] < min_degree)
         for new_mask in range(1 << k):
+            if new_mask & forced != forced or new_mask.bit_count() < min_degree:
+                continue
             if clique_cap is not None and new_mask:
                 nbr_rows = [base[v] & new_mask if (new_mask >> v) & 1 else 0 for v in range(k)]
                 if 1 + kernels.clique_number(nbr_rows, k, stop_at=clique_cap) > clique_cap:
@@ -133,27 +169,34 @@ def _extend_chunk(args):
             for v in range(k):
                 if (new_mask >> v) & 1:
                     rows[v] |= 1 << k
+            # prune (a): only d-cliques through the new vertex or inside its
+            # neighborhood can have gained a common neighbor
+            within = new_mask | 1 << k
+            if level is not None and kernels.crowded_link(rows, k + 1, level, within) is not None:
+                continue
             out.add(kernels.canonical_key(rows, k + 1))
     return out
 
 
-def enumerate_classes(n_max, clique_cap=None, workers=1):
+def enumerate_classes(n_max, clique_cap=None, workers=1, level=None):
     """Canonical keys of all isomorphism classes, per vertex count.
 
     Returns {n: sorted key list} for 1 <= n <= n_max, restricted to graphs
-    with clique number <= clique_cap when a cap is given.
+    with clique number <= clique_cap when a cap is given.  With a level d,
+    only classes that pass prunes (a) and (b) of the module docstring are
+    kept; every d-leveled class on at most n_max vertices is among them.
     """
     levels = {1: [0]}
     for k in range(1, n_max):
         keys = levels[k]
         if workers > 1 and len(keys) > workers:
-            chunks = [(keys[i::workers], k, clique_cap) for i in range(workers)]
+            chunks = [(keys[i::workers], k, clique_cap, level, n_max) for i in range(workers)]
             merged = set()
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for part in pool.map(_extend_chunk, chunks):
                     merged |= part
         else:
-            merged = _extend_chunk((keys, k, clique_cap))
+            merged = _extend_chunk((keys, k, clique_cap, level, n_max))
         levels[k + 1] = sorted(merged)
     return levels
 
@@ -167,9 +210,10 @@ def _bound_for(n, d, s):
 
 
 def exhaustive_search(cfg):
-    """Enumerate all classes up to n_max, filter by the level test, report
-    extremes per n.  Raises BudgetExceeded when n_max is over the cap and
-    the config does not acknowledge the blowup."""
+    """Enumerate the classes that pass the level prunes up to n_max, filter
+    them by the level test, report extremes per n.  Raises BudgetExceeded
+    when n_max is over the cap and the config does not acknowledge the
+    blowup."""
     if cfg.mode != "exhaustive":
         raise InvalidParameter("config is not in exhaustive mode")
     cap = exhaustive_cap(cfg.d)
@@ -179,7 +223,7 @@ def exhaustive_search(cfg):
             "pass the explicit acknowledgment flag or set FLAGSTONE_CAP to proceed"
         )
     s = cfg.s_effective
-    levels = enumerate_classes(cfg.n_max, clique_cap=cfg.d + 1, workers=max(1, cfg.workers))
+    levels = enumerate_classes(cfg.n_max, workers=max(1, cfg.workers), level=cfg.d)
     per_n = []
     reports = []
     for n in range(cfg.n_min, cfg.n_max + 1):
@@ -191,7 +235,7 @@ def exhaustive_search(cfg):
         bound = _bound_for(n, cfg.d, s)
         entry = {
             "n": n,
-            "classes_enumerated": len(levels[n]),
+            "classes_visited": len(levels[n]),
             "leveled_classes": len(found),
             "max_edges": None,
             "argmax_edges": None,
@@ -327,7 +371,13 @@ def detect_level(g):
 
 
 def _add_face_algebra(entry, f):
-    """Set f, h, chi and the Dehn-Sommerville and Klee verdicts of an f-vector."""
+    """Set f, h, chi and the Dehn-Sommerville and Klee verdicts of an f-vector.
+
+    The void complex (no vertices, f = ()) has none of the derived values.
+    """
+    if not f:
+        entry.update(f=[], h=None, chi=None, dehn_sommerville=None, klee=None)
+        return
     d = len(f) - 2
     h = h_vector(f, d)
     chi = euler_characteristic(f)
@@ -345,7 +395,7 @@ def _graph_entry(instance, g):
     entry["flag"] = {"verdict": True, "note": "clique complex of the graph; flag by construction"}
     _add_face_algebra(entry, graph_f_vector(g))
     try:
-        entry["gamma"] = list(gamma_vector(entry["h"]))
+        entry["gamma"] = None if entry["h"] is None else list(gamma_vector(entry["h"]))
     except NotPalindromic:
         entry["gamma"] = None
     level_d, verdict = detect_level(g)

@@ -80,6 +80,19 @@ def brute_is_d_leveled(g, d):
     return True
 
 
+def brute_crowded_link(g, d, within):
+    """First d-clique inside `within` (lexicographically) with more than two
+    common neighbors or two adjacent ones, or None."""
+    inside = [v for v in range(g.n) if (within >> v) & 1]
+    for sigma in itertools.combinations(inside, d):
+        if not g.is_clique(sigma):
+            continue
+        common = brute_common_neighbors(g, sigma)
+        if len(common) > 2 or (len(common) == 2 and g.has_edge(*common)):
+            return sigma
+    return None
+
+
 def brute_canonical_key(g):
     """Minimum upper-triangle bitstring over all n! relabelings.
 

@@ -188,24 +188,30 @@ def test_criterion_6_no_forbidden_multipartite():
 def test_criterion_7_exhaustive_oracle(monkeypatch):
     monkeypatch.delenv("FLAGSTONE_CAP", raising=False)
     t0 = time.monotonic()
-    res = exhaustive_search(SearchConfig(mode="exhaustive", d=3, n_min=4, n_max=8))
+    res = exhaustive_search(
+        SearchConfig(mode="exhaustive", d=3, n_min=4, n_max=10, allow_huge=True)
+    )
     got = {e["n"]: e for e in res.per_n}
     assert all(got[n]["leveled_classes"] == 0 for n in range(4, 8))
-    top = got[8]
-    assert top["leveled_classes"] == 1 and top["max_edges"] == 24
-    assert top["bound"] == "24" and top["bound_holds"] is True
-    best = Graph.from_edges(8, [tuple(e) for e in top["argmax_edges"]])
-    reference = join(gen_cycle(4), gen_cycle(4))
-    assert kernels.canonical_key(list(best.masks), 8) == kernels.canonical_key(
-        list(reference.masks), 8
-    )
+    expected = {8: (1, 24, "24"), 9: (1, 29, "117/4"), 10: (3, 35, "35")}
+    for n, (classes, edges, bound) in expected.items():
+        top = got[n]
+        assert (top["leveled_classes"], top["max_edges"], top["bound"]) == (classes, edges, bound)
+        assert top["bound_holds"] is True
+    for n in (8, 10):
+        best = Graph.from_edges(n, [tuple(e) for e in got[n]["argmax_edges"]])
+        reference = join(gen_cycle(n // 2), gen_cycle(n // 2))
+        assert kernels.canonical_key(list(best.masks), n) == kernels.canonical_key(
+            list(reference.masks), n
+        )
     res1 = exhaustive_search(SearchConfig(mode="exhaustive", d=1, n_min=4, n_max=9))
     for entry in res1.per_n:
         assert entry["max_edges"] == entry["n"]
     elapsed = time.monotonic() - t0
     assert elapsed < 600.0, f"took {elapsed:.1f}s"
-    print(f"[criterion-7] PASS: level-3 space empty through n=7, unique extremal "
-          f"class at n=8 is the 24-edge double-square join; level-1 maxima equal n "
+    print(f"[criterion-7] PASS: level-3 space empty through n=7; 1, 1 and 3 classes "
+          f"at n=8, 9, 10 with 24, 29 and 35 edges, extremal at n=8 the double-square "
+          f"join and at n=10 the double-pentagon join; level-1 maxima equal n "
           f"({elapsed:.1f}s)")
 
 

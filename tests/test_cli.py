@@ -100,6 +100,23 @@ def test_check_over_face_budget_exit(tmp_path, capsys):
     assert "face budget" in capsys.readouterr().err
 
 
+def test_check_zero_vertex_instances(tmp_path, capsys):
+    files = {"void.txt": "0 0\n", "void.facets": "0 0\n", "void.g6": "?\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out_json = tmp_path / "report.json"
+    paths = [str(tmp_path / name) for name in files]
+    assert main(["check", *paths, "--json", str(out_json)]) == 0
+    assert "3 ok" in capsys.readouterr().out
+    entries = json.loads(out_json.read_text())["entries"]
+    assert [e["kind"] for e in entries] == ["graph", "complex", "graph"]
+    for entry in entries:
+        assert entry["n"] == 0 and entry["f"] == []
+        assert entry["h"] is None and entry["chi"] is None and entry["gamma"] is None
+        assert entry["dehn_sommerville"] is None and entry["klee"] is None
+        assert entry["leveled"] == {"d": 0, "verdict": False}
+
+
 def test_bounds_missing_file(tmp_path, capsys):
     assert main(["bounds", str(tmp_path / "absent.txt"), "--s", "1"]) == 2
     assert "cannot read" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from flagstone import _kernels_py
+from flagstone import gen_cycle
 from flagstone import kernels
 
 try:
@@ -16,7 +17,13 @@ except ImportError:
 BACKENDS = [_kernels_py] + ([_kernels_cy] if _kernels_cy else [])
 IDS = ["py"] + (["cy"] if _kernels_cy else [])
 
-from helpers import brute_canonical_key, brute_clique_counts, brute_maximal_cliques, random_graph
+from helpers import (
+    brute_canonical_key,
+    brute_clique_counts,
+    brute_crowded_link,
+    brute_maximal_cliques,
+    random_graph,
+)
 
 
 @pytest.fixture(params=BACKENDS, ids=IDS)
@@ -90,6 +97,24 @@ def test_backends_agree_randomized():
             assert _kernels_cy.leveled_violation(m, n, d) == _kernels_py.leveled_violation(m, n, d)
         if n <= 11:
             assert _kernels_cy.canonical_key(m, n) == _kernels_py.canonical_key(m, n)
+
+
+def test_crowded_link_matches_brute():
+    rng = random.Random(707)
+    for _ in range(300):
+        g = random_graph(rng.randrange(0, 9), rng.choice([0.3, 0.5, 0.7, 0.9]), rng)
+        within = rng.randrange(1 << g.n) if rng.random() < 0.7 else (1 << g.n) - 1
+        for d in (0, 1, 2, 3):
+            got = kernels.crowded_link(list(g.masks), g.n, d, within)
+            assert got == brute_crowded_link(g, d, within)
+
+
+def test_clique_counts_past_n():
+    c5 = gen_cycle(5)
+    assert c5.clique_count(500) == 0
+    counts = kernels.clique_counts(list(c5.masks), 5, 500)
+    assert len(counts) == 501
+    assert counts[:3] == [1, 5, 5] and not any(counts[3:])
 
 
 def test_key_roundtrip():

@@ -53,6 +53,22 @@ def test_enumerate_classes_clique_cap():
 
 def test_enumerate_workers_byte_identical():
     assert enumerate_classes(5, workers=2) == enumerate_classes(5, workers=1)
+    assert enumerate_classes(7, workers=2, level=2) == enumerate_classes(7, level=2)
+
+
+@pytest.mark.parametrize("d,n_max", [(1, 8), (2, 7), (3, 7)])
+def test_pruned_enumeration_keeps_leveled_classes(d, n_max):
+    # the unpruned enumerator is the oracle: pruning only drops classes
+    # that cannot be d-leveled, and prune (a) implies the clique cap
+    pruned = enumerate_classes(n_max, level=d)
+    full = enumerate_classes(n_max, clique_cap=d + 1)
+
+    def leveled(keys, n):
+        return [key for key in keys if is_d_leveled(graph_from_key(key, n), d).is_leveled]
+
+    for n in range(1, n_max + 1):
+        assert set(pruned[n]) <= set(full[n])
+        assert leveled(pruned[n], n) == leveled(full[n], n)
 
 
 def test_exhaustive_cap_env(monkeypatch):
@@ -81,6 +97,8 @@ def test_exhaustive_search_level_one(monkeypatch):
     cfg = SearchConfig(mode="exhaustive", d=1, n_min=4, n_max=8)
     res = exhaustive_search(cfg)
     assert res.s == 1
+    # the pruned space: a weaker prune keeps more classes
+    assert [entry["classes_visited"] for entry in res.per_n] == [6, 9, 15, 7, 2]
     # leveled classes at level 1 are disjoint unions of cycles of length >= 4
     for entry in res.per_n:
         n = entry["n"]
@@ -97,7 +115,8 @@ def test_exhaustive_search_level_three_small(monkeypatch):
     cfg = SearchConfig(mode="exhaustive", d=3, n_min=4, n_max=6)
     res = exhaustive_search(cfg)
     got = {e["n"]: e for e in res.per_n}
-    assert [got[n]["classes_enumerated"] for n in (4, 5, 6)] == [11, 33, 150]
+    # prune (b) alone empties n = 4..6: on 4 vertices it asks for degree 4
+    assert [got[n]["classes_visited"] for n in (4, 5, 6)] == [0, 0, 0]
     # no 3-leveled graph exists below n = 8
     assert all(got[n]["leveled_classes"] == 0 for n in (4, 5, 6))
     assert all(got[n]["max_edges"] is None for n in (4, 5, 6))
