@@ -40,7 +40,6 @@ output is deterministic and byte-identical regardless of worker count.
 import json
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import kernels
@@ -190,6 +189,8 @@ def enumerate_classes(n_max, clique_cap=None, workers=1, level=None):
     for k in range(1, n_max):
         keys = levels[k]
         if workers > 1 and len(keys) > workers:
+            from concurrent.futures import ProcessPoolExecutor
+
             chunks = [(keys[i::workers], k, clique_cap, level, n_max) for i in range(workers)]
             merged = set()
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -272,26 +273,48 @@ def exhaustive_search(cfg):
     )
 
 
+def _move_lists(g):
+    """Edges and non-edges of g, each as sorted (u, v) pairs with u < v."""
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    return g.edges(), non_edges
+
+
+def _swap(g, drop, add, d):
+    """g with the edge `drop` replaced by the non-edge `add` when the result
+    passes the level test at d, else None.
+
+    A d-clique whose common neighborhood is not two nonadjacent vertices
+    fails the level test wherever it sits, so the link kernel rejects most
+    swaps on the edited rows; only a swap it lets through becomes a Graph
+    and goes through the full test.
+    """
+    rows = list(g.masks)
+    (a, b), (u, v) = drop, add
+    rows[a] &= ~(1 << b)
+    rows[b] &= ~(1 << a)
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+    if kernels.leveled_violation(rows, g.n, d) is not None:
+        return None
+    candidate = Graph(g.n, tuple(rows))
+    return candidate if is_d_leveled(candidate, d).is_leveled else None
+
+
 def _random_moves(g, rng, d, budget):
     """Walk by single edge swaps, staying on graphs that pass the level test."""
     found = []
     current = g
+    edges, non_edges = _move_lists(current)
     for _ in range(budget):
-        edges = current.edges()
-        non_edges = [
-            (u, v)
-            for u in range(current.n)
-            for v in range(u + 1, current.n)
-            if not current.has_edge(u, v)
-        ]
         if not edges or not non_edges:
             break
         drop = edges[rng.randrange(len(edges))]
         add = non_edges[rng.randrange(len(non_edges))]
-        candidate = current.without_edge(*drop).with_edge(*add)
-        if is_d_leveled(candidate, d).is_leveled:
+        candidate = _swap(current, drop, add, d)
+        if candidate is not None:
             found.append(candidate)
             current = candidate
+            edges, non_edges = _move_lists(current)
     return found
 
 
@@ -447,27 +470,33 @@ def check_instance(instance, obj):
     return entry
 
 
-def run_corpus_checks(paths):
-    """Check every file, isolating failures per file.
+def _error_entry(instance, message, path, line):
+    return {
+        "instance": instance,
+        "kind": "error",
+        "error": {"message": message, "path": path, "line": line},
+    }
 
-    Returns a list of entry dicts; parse failures become entries with kind
-    "error" carrying the message and position, and never abort the batch.
+
+def run_corpus_checks(paths):
+    """Check every file, isolating failures per file and per instance.
+
+    Returns a list of entry dicts; parse failures, and complexes whose faces
+    would pass the face budget, become entries with kind "error" carrying
+    the message and position, and never abort the batch.
     """
     entries = []
     for path in paths:
         try:
             instances = load_instances(path)
         except ParseError as exc:
-            entries.append(
-                {
-                    "instance": str(path),
-                    "kind": "error",
-                    "error": {"message": str(exc), "path": exc.path, "line": exc.line},
-                }
-            )
+            entries.append(_error_entry(str(path), str(exc), exc.path, exc.line))
             continue
         for instance, obj in instances:
-            entries.append(check_instance(instance, obj))
+            try:
+                entries.append(check_instance(instance, obj))
+            except BudgetExceeded as exc:
+                entries.append(_error_entry(instance, str(exc), str(path), None))
     return entries
 
 

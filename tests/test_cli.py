@@ -94,10 +94,21 @@ def test_check_over_face_budget_exit(tmp_path, capsys):
     # a 20-vertex facet next to a hollow triangle: not flag, and 2^20 faces
     f = tmp_path / "big.facets"
     f.write_text("23 4\n" + " ".join(map(str, range(20))) + "\n20 21\n21 22\n20 22\n")
+    good = tmp_path / "ok.txt"
+    good.write_text(dump_edge_list(gen_cycle(5)))
+    out_json = tmp_path / "report.json"
     start = time.perf_counter()
-    assert main(["check", str(f)]) == 2
+    assert main(["check", str(good), str(f), str(good), "--json", str(out_json)]) == 2
     assert time.perf_counter() - start < 5
-    assert "face budget" in capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert "face budget" in out and "checked 3 instance(s): 2 ok, 1 parse error(s)" in out
+    payload = json.loads(out_json.read_text())
+    assert [e["kind"] for e in payload["entries"]] == ["graph", "error", "graph"]
+    err = payload["entries"][1]
+    assert err["instance"] == str(f)
+    assert err["error"]["path"] == str(f) and err["error"]["line"] is None
+    assert "face budget" in err["error"]["message"]
+    assert payload["summary"]["parse_errors"] == 1
 
 
 def test_check_zero_vertex_instances(tmp_path, capsys):

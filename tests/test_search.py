@@ -27,9 +27,9 @@ from flagstone import (
     random_search,
     run_corpus_checks,
 )
-from flagstone import kernels
+from flagstone import kernels, search
 from flagstone.complexes import SimplicialComplex
-from helpers import all_graphs, partitions
+from helpers import all_graphs, partitions, reference_random_moves
 
 
 def test_enumerate_classes_counts():
@@ -148,6 +148,49 @@ def test_random_search_skips_too_small_and_budget_zero():
     assert any("skipped" in note for note in res.notes)
     res = random_search(SearchConfig(mode="random", d=3, n_min=10, n_max=12, seed=1, budget=0))
     assert res.per_n == ()
+
+
+# C4*C4 beside an edge and an isolated vertex: swaps that move the lone edge
+# leave every 3-clique's link intact but keep a 2-vertex maximal clique,
+# which only the full level test rejects
+_JOIN_WITH_STRAYS = Graph.from_edges(11, gen_join_of_cycles(2, 8).edges() + [(8, 9)])
+
+
+@pytest.mark.parametrize(
+    "g,d,accepted",
+    [(gen_grid_torus(4, 4), 2, 48), (gen_join_of_cycles(2, 10), 3, 0), (_JOIN_WITH_STRAYS, 3, 0)],
+    ids=["torus-4x4", "join-C5-C5", "join-with-strays"],
+)
+def test_swap_matches_level_test(g, d, accepted):
+    edges = g.edges()
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    hits = 0
+    for drop in edges:
+        for add in non_edges:
+            swapped = g.without_edge(*drop).with_edge(*add)
+            got = search._swap(g, drop, add, d)
+            if is_d_leveled(swapped, d).is_leveled:
+                assert got == swapped
+                hits += 1
+            else:
+                assert got is None
+    assert hits == accepted
+
+
+def test_random_moves_match_reference_walk():
+    g = gen_grid_torus(4, 4)
+    got = search._random_moves(g, random.Random(5), 2, 200)
+    assert got == reference_random_moves(g, random.Random(5), 2, 200)
+    # several accepted moves, so draws after an acceptance are compared too
+    assert len(got) == 6
+
+
+@pytest.mark.parametrize("d,n_min,n_max", [(1, 4, 12), (3, 8, 14)])
+def test_random_search_matches_reference_walk(monkeypatch, d, n_min, n_max):
+    cfg = SearchConfig(mode="random", d=d, n_min=n_min, n_max=n_max, seed=3, budget=150)
+    screened = random_search(cfg).to_json_bytes()
+    monkeypatch.setattr(search, "_random_moves", reference_random_moves)
+    assert screened == random_search(cfg).to_json_bytes()
 
 
 def test_search_config_validation():
