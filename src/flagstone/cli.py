@@ -75,7 +75,7 @@ def _describe(entry):
     if entry["kind"] == "error":
         err = entry["error"]
         where = f" line {err['line']}" if err.get("line") else ""
-        return f"{entry['instance']}: PARSE ERROR{where}: {err['message']}"
+        return f"{entry['instance']}: {err['stage'].upper()} ERROR{where}: {err['message']}"
     bits = [f"n={entry['n']}"]
     if "edges" in entry:
         bits.append(f"edges={entry['edges']}")

@@ -16,9 +16,9 @@ arithmetic is exact: integers and fractions.Fraction, never floats.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
-from . import kernels
 from .errors import BudgetExceeded, DimensionMismatch, InvalidComplex, InvalidParameter, NotPalindromic
 
 DIMENSION_CAP = 24
@@ -98,7 +98,11 @@ class SimplicialComplex:
         return any(s <= set(facet) for facet in self.facets)
 
     def one_skeleton(self):
-        """The underlying Graph on the same vertex set."""
+        """The underlying Graph on the same vertex set, built once."""
+        return self._one_skeleton
+
+    @cached_property
+    def _one_skeleton(self):
         from .graphs import Graph
 
         edges = set()
@@ -111,7 +115,7 @@ class SimplicialComplex:
 
 def clique_complex(g):
     """The complex whose faces are the cliques of g; flag by construction."""
-    return SimplicialComplex(g.n, tuple(g.maximal_cliques()))
+    return SimplicialComplex(g.n, g.maximal_cliques())
 
 
 def f_vector(k):
@@ -127,7 +131,7 @@ def graph_f_vector(g):
     """f_vector of the clique complex, via clique counting (f_i = #(i+1)-cliques)."""
     if g.n == 0:
         return ()
-    return tuple(kernels.clique_counts(g.masks, g.n))
+    return g.clique_counts()
 
 
 def h_vector(f, d):

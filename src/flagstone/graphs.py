@@ -6,6 +6,7 @@ everything else (edge lists, degree sequences) is derived from it.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from . import kernels
@@ -14,7 +15,11 @@ from .errors import InvalidParameter, NotAClique
 
 @dataclass(frozen=True)
 class Graph:
-    """A finite simple graph: symmetric, irreflexive adjacency on 0..n-1."""
+    """A finite simple graph: symmetric, irreflexive adjacency on 0..n-1.
+
+    The maximal cliques and the full clique-count vector are computed at
+    most once per graph and kept as immutable tuples.
+    """
 
     n: int
     masks: tuple
@@ -91,8 +96,22 @@ class Graph:
                 return False
         return True
 
+    @cached_property
+    def _clique_counts(self):
+        return tuple(kernels.clique_counts(self.masks, self.n))
+
+    @cached_property
+    def _maximal_cliques(self):
+        return tuple(kernels.maximal_cliques(self.masks, self.n))
+
     def clique_counts(self, kmax=-1):
-        """Vector c with c[k] = number of k-vertex cliques (c[0] = 1)."""
+        """Vector c with c[k] = number of k-vertex cliques (c[0] = 1).
+
+        With kmax < 0 it runs to the clique number and is computed once;
+        with kmax >= 0 it has length kmax+1 (zero-padded).
+        """
+        if kmax < 0:
+            return self._clique_counts
         return tuple(kernels.clique_counts(self.masks, self.n, kmax))
 
     def clique_count(self, k):
@@ -100,10 +119,15 @@ class Graph:
             raise InvalidParameter("clique size must be nonnegative")
         if k > self.n:
             return 0
+        if "_clique_counts" in self.__dict__:
+            full = self._clique_counts
+            return full[k] if k < len(full) else 0
+        # count only up to k: on a dense graph the full vector can be huge
         return kernels.clique_counts(self.masks, self.n, k)[k]
 
     def maximal_cliques(self):
-        return kernels.maximal_cliques(self.masks, self.n)
+        """All inclusion-maximal cliques as a lexicographically sorted tuple."""
+        return self._maximal_cliques
 
     def k_cliques(self, k):
         return kernels.k_cliques(self.masks, self.n, k)

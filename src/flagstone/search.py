@@ -228,11 +228,11 @@ def exhaustive_search(cfg):
     per_n = []
     reports = []
     for n in range(cfg.n_min, cfg.n_max + 1):
-        found = []
+        found = {}
         for key in levels[n]:
             g = graph_from_key(key, n)
             if is_d_leveled(g, cfg.d).is_leveled:
-                found.append(key)
+                found[key] = g
         bound = _bound_for(n, cfg.d, s)
         entry = {
             "n": n,
@@ -246,7 +246,7 @@ def exhaustive_search(cfg):
         if found:
             best_edges = max(key.bit_count() for key in found)
             best_key = min(key for key in found if key.bit_count() == best_edges)
-            best = graph_from_key(best_key, n)
+            best = found[best_key]
             entry["max_edges"] = best_edges
             entry["argmax_edges"] = [[u, v] for u, v in best.edges()]
             entry["bound_holds"] = best_edges <= bound
@@ -453,7 +453,12 @@ def check_instance(instance, obj):
         return _graph_entry(instance, obj)
     flag_ok, witness = is_flag(obj)
     if flag_ok:
-        entry = _graph_entry(instance, obj.one_skeleton())
+        # vertices in no facet are not part of the complex
+        g = obj.one_skeleton()
+        used = sorted({v for facet in obj.facets for v in facet})
+        if len(used) < g.n:
+            g, _ = g.induced(used)
+        entry = _graph_entry(instance, g)
         entry["flag"] = {"verdict": True}
     else:
         # a non-face clique needs an edge, so the complex is not void
@@ -470,11 +475,12 @@ def check_instance(instance, obj):
     return entry
 
 
-def _error_entry(instance, message, path, line):
+def _error_entry(instance, stage, message, path, line):
+    """An entry for an instance that failed at `stage`: "parse" or "budget"."""
     return {
         "instance": instance,
         "kind": "error",
-        "error": {"message": message, "path": path, "line": line},
+        "error": {"stage": stage, "message": message, "path": path, "line": line},
     }
 
 
@@ -490,13 +496,13 @@ def run_corpus_checks(paths):
         try:
             instances = load_instances(path)
         except ParseError as exc:
-            entries.append(_error_entry(str(path), str(exc), exc.path, exc.line))
+            entries.append(_error_entry(str(path), "parse", str(exc), exc.path, exc.line))
             continue
         for instance, obj in instances:
             try:
                 entries.append(check_instance(instance, obj))
             except BudgetExceeded as exc:
-                entries.append(_error_entry(instance, str(exc), str(path), None))
+                entries.append(_error_entry(instance, "budget", str(exc), str(path), None))
     return entries
 
 

@@ -91,6 +91,27 @@ class LeveledVerdict:
         return self.witnesses[0] if self.witnesses else None
 
 
+def _ridges_in_two_facets(g, cliques):
+    """Does every ridge F - v of every clique F have exactly two common
+    neighbors, v and one more?
+
+    The common neighborhood of F - v is the AND of a prefix and a suffix of
+    F's rows; both start from the full mask, so a 1-vertex F (whose only
+    ridge is the empty clique) works too.
+    """
+    full = (1 << g.n) - 1
+    for c in cliques:
+        suffix = [full]
+        for v in reversed(c):
+            suffix.append(suffix[-1] & g.masks[v])
+        prefix = full
+        for i, v in enumerate(c):
+            if (prefix & suffix[len(c) - 1 - i]).bit_count() != 2:
+                return False
+            prefix &= g.masks[v]
+    return True
+
+
 def is_d_leveled(g, d, exhaustive=False):
     """Every maximal clique has size d+1 and every d-clique's common
     neighborhood is exactly two nonadjacent vertices.
@@ -98,13 +119,24 @@ def is_d_leveled(g, d, exhaustive=False):
     Equivalent to the clique complex being a d-dimensional weak
     pseudomanifold; both code paths exist and the test suite cross-checks
     them on every small graph.
+
+    Short-circuit mode decides the link condition from the ridges of the
+    maximal cliques once they all have d+1 vertices.  Then every d-clique
+    sigma is F - v for some maximal clique F, and each common neighbor x of
+    sigma makes sigma + x a (d+1)-clique, hence a maximal one: the maximal
+    cliques containing sigma match its common neighbors one to one.  Two
+    adjacent common neighbors would make a (d+2)-clique, so the link
+    condition holds exactly when every ridge F - v has two common
+    neighbors.  Only when that fails does the link kernel run, to find the
+    lexicographically first violating d-clique as the witness.
     """
     if d < 0:
         raise InvalidParameter("level must be nonnegative")
     if g.n == 0:
         return LeveledVerdict(False, d, (("empty",),))
     witnesses = []
-    for c in g.maximal_cliques():
+    cliques = g.maximal_cliques()
+    for c in cliques:
         if len(c) != d + 1:
             witnesses.append(("maximal-clique", c))
             if not exhaustive:
@@ -112,10 +144,9 @@ def is_d_leveled(g, d, exhaustive=False):
     if exhaustive:
         for sigma, link_vs in kernels.leveled_violations_all(g.masks, g.n, d):
             witnesses.append(("link", sigma, link_vs))
-    else:
-        hit = kernels.leveled_violation(g.masks, g.n, d)
-        if hit is not None:
-            witnesses.append(("link", hit[0], hit[1]))
+    elif not _ridges_in_two_facets(g, cliques):
+        sigma, link_vs = kernels.leveled_violation(g.masks, g.n, d)
+        witnesses.append(("link", sigma, link_vs))
     if witnesses:
         return LeveledVerdict(False, d, tuple(witnesses))
     return LeveledVerdict(True, d)

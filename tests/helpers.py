@@ -9,7 +9,7 @@ Only usable for small n.
 import itertools
 import random
 
-from flagstone import Graph, is_d_leveled
+from flagstone import Graph, is_d_leveled, kernels
 
 
 def random_graph(n, p, rng):
@@ -78,6 +78,24 @@ def brute_is_d_leveled(g, d):
         if g.has_edge(common[0], common[1]):
             return False
     return True
+
+
+def reference_is_d_leveled(g, d):
+    """The short-circuit level test as the size check on the maximal
+    cliques followed by the link kernel over every d-clique, returned as
+    (verdict, witnesses) for comparison with the ridge test of the package.
+
+    Uses the kernels directly and no cached clique list; the kernels are
+    pinned to the brute-force oracles above."""
+    if g.n == 0:
+        return False, (("empty",),)
+    for c in kernels.maximal_cliques(g.masks, g.n):
+        if len(c) != d + 1:
+            return False, (("maximal-clique", c),)
+    hit = kernels.leveled_violation(g.masks, g.n, d)
+    if hit is not None:
+        return False, (("link", hit[0], hit[1]),)
+    return True, ()
 
 
 def brute_crowded_link(g, d, within):

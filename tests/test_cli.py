@@ -5,7 +5,16 @@ import time
 
 import pytest
 
-from flagstone import dump_edge_list, dump_graph6, gen_cycle, gen_join_of_cycles
+from flagstone import (
+    dump_edge_list,
+    dump_graph6,
+    euler_characteristic,
+    f_vector,
+    gen_cycle,
+    gen_join_of_cycles,
+    h_vector,
+    parse_facet_list,
+)
 from flagstone.cli import main
 
 
@@ -102,13 +111,43 @@ def test_check_over_face_budget_exit(tmp_path, capsys):
     assert time.perf_counter() - start < 5
     out = capsys.readouterr().out
     assert "face budget" in out and "checked 3 instance(s): 2 ok, 1 parse error(s)" in out
+    assert f"{f}: BUDGET ERROR: facets span up to" in out and "PARSE ERROR" not in out
     payload = json.loads(out_json.read_text())
     assert [e["kind"] for e in payload["entries"]] == ["graph", "error", "graph"]
     err = payload["entries"][1]
     assert err["instance"] == str(f)
     assert err["error"]["path"] == str(f) and err["error"]["line"] is None
+    assert err["error"]["stage"] == "budget"
     assert "face budget" in err["error"]["message"]
     assert payload["summary"]["parse_errors"] == 1
+
+
+def test_check_facets_ignore_unused_vertices(tmp_path, capsys):
+    # vertex 3 of tri, vertex 6 of oct and every vertex of bare lie in no facet
+    octahedron = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+    files = {
+        "tri.facets": "4 1\n0 1 2\n",
+        "oct.facets": "7 8\n" + "".join(" ".join(map(str, t)) + "\n" for t in octahedron),
+        "bare.facets": "3 0\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out_json = tmp_path / "report.json"
+    assert main(["check", *(str(tmp_path / name) for name in files), "--json", str(out_json)]) == 0
+    capsys.readouterr()
+    entries = json.loads(out_json.read_text())["entries"]
+    for entry, text in zip(entries, files.values()):
+        k = parse_facet_list(text)
+        f = f_vector(k)
+        assert entry["kind"] == "complex" and entry["n"] == k.n
+        assert entry["f"] == list(f)
+        assert entry["h"] == (list(h_vector(f, len(f) - 2)) if f else None)
+        assert entry["chi"] == (euler_characteristic(f) if f else None)
+    tri, octa, bare = entries
+    assert tri["f"] == [1, 3, 3, 1] and tri["chi"] == 1
+    assert octa["leveled"] == {"d": 2, "verdict": True} and octa["pseudomanifold"] is True
+    assert octa["report"]["n"] == 6 and octa["report"]["bounds"]["conj_even"]["equality"] is True
+    assert bare["f"] == [] and bare["leveled"] == {"d": 0, "verdict": False}
 
 
 def test_check_zero_vertex_instances(tmp_path, capsys):

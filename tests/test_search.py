@@ -260,6 +260,34 @@ def test_check_instance_flag_complex_delegates():
     assert entry["pseudomanifold"] is True
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_join_of_cycles(2, 10),
+        lambda: gen_suspension_sphere(5),
+        lambda: SimplicialComplex.from_facets(16, gen_grid_torus(4, 4).maximal_cliques()),
+    ],
+    ids=["join-odd-report", "sphere-even-entry", "torus-facets"],
+)
+def test_check_instance_does_clique_work_once(monkeypatch, make):
+    obj = make()
+    calls = dict.fromkeys(("maximal_cliques", "leveled_violation", "clique_counts"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(kernels, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    entry = check_instance("x", obj)
+    assert entry["leveled"]["verdict"] is True and "report" in entry
+    assert calls == {"maximal_cliques": 1, "leveled_violation": 0, "clique_counts": 1}
+
+
+def test_maximal_cliques_are_an_immutable_cache():
+    g = gen_cycle(5)
+    assert isinstance(g.maximal_cliques(), tuple)
+    assert g.maximal_cliques() is g.maximal_cliques()
+
+
 def test_check_instance_non_flag_complex():
     k = SimplicialComplex.from_facets(3, [(0, 1), (1, 2), (0, 2)])
     entry = check_instance("hollow", k)
@@ -284,7 +312,7 @@ def test_run_corpus_checks_isolates_failures(tmp_path):
     kinds = [e["kind"] for e in entries]
     assert kinds == ["graph", "graph", "error", "complex"]
     err = entries[2]["error"]
-    assert err["line"] == 2 and err["path"] == str(bad)
+    assert err["line"] == 2 and err["path"] == str(bad) and err["stage"] == "parse"
 
     summary = corpus_summary(entries)
     assert summary["instances"] == 4 and summary["parse_errors"] == 1

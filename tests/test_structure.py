@@ -12,6 +12,7 @@ from flagstone import (
     Graph,
     InvalidParameter,
     InvalidPartition,
+    LeveledVerdict,
     NotAClique,
     PartitionWitness,
     PreconditionFailed,
@@ -37,7 +38,14 @@ from flagstone import (
     verify_type_partition,
     witness_link,
 )
-from helpers import brute_flag_witness, brute_is_d_leveled, brute_is_weak_pseudomanifold, random_graph
+from helpers import (
+    all_graphs,
+    brute_flag_witness,
+    brute_is_d_leveled,
+    brute_is_weak_pseudomanifold,
+    random_graph,
+    reference_is_d_leveled,
+)
 
 
 # -- flagness -----------------------------------------------------------
@@ -152,6 +160,28 @@ def test_leveled_matches_brute_small():
         g = random_graph(rng.randrange(1, 7), rng.random(), rng)
         for d in (1, 2, 3):
             assert is_d_leveled(g, d).is_leveled == brute_is_d_leveled(g, d), (g.masks, d)
+
+
+def test_ridge_test_matches_reference():
+    graphs = [g for n in range(7) for g in all_graphs(n)]
+    rng = random.Random(35)
+    graphs += [random_graph(rng.randrange(7, 13), rng.random(), rng) for _ in range(400)]
+    # pure joins of cycles pass at d = 3; strays and a missing edge do not
+    c4, c5 = gen_cycle(4), gen_cycle(5)
+    graphs += [join(c4, c5), join(c4, c5).without_edge(0, 4), join(c4, gen_cycle(6))]
+    for g in graphs:
+        for d in range(5):
+            verdict = is_d_leveled(g, d)
+            assert (verdict.is_leveled, verdict.witnesses) == reference_is_d_leveled(g, d), (g.masks, d)
+
+
+def test_ridge_test_named_cases():
+    # two triangles on a shared edge: every maximal clique has 3 vertices,
+    # but the ridge (0, 1) lies in one triangle only
+    kite = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert is_d_leveled(kite, 2).witnesses == (("link", (0, 1), (2,)),)
+    assert is_d_leveled(Graph(2, (0, 0)), 0) == LeveledVerdict(True, 0)
+    assert is_d_leveled(Graph(3, (0, 0, 0)), 0).witnesses == (("link", (), (0, 1, 2)),)
 
 
 def test_link_leveled_property():
