@@ -124,7 +124,7 @@ def _cmd_bounds(args):
     code = 0
     for instance, obj in instances:
         if not isinstance(obj, Graph):
-            obj = obj.one_skeleton()
+            obj = obj.support_skeleton()
         report = verify_theorem_instance(obj, args.s, cap=args.C, instance=instance)
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
         if report.potential_counterexample:

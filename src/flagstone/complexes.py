@@ -101,6 +101,19 @@ class SimplicialComplex:
         """The underlying Graph on the same vertex set, built once."""
         return self._one_skeleton
 
+    def support_skeleton(self):
+        """The 1-skeleton induced on the vertices that lie in some facet.
+
+        Ambient vertices in no facet are not part of the complex, so they
+        are dropped and the rest relabeled in order; for a flag complex the
+        clique complex of this graph is the complex itself.
+        """
+        g = self.one_skeleton()
+        used = sorted({v for facet in self.facets for v in facet})
+        if len(used) < g.n:
+            g, _ = g.induced(used)
+        return g
+
     @cached_property
     def _one_skeleton(self):
         from .graphs import Graph

@@ -3,6 +3,14 @@
 Vertices are 0..n-1.  Adjacency is stored as a tuple of bitmask rows
 (masks[v] has bit u set iff uv is an edge); the bitset form is canonical and
 everything else (edge lists, degree sequences) is derived from it.
+
+A graph whose complement is disconnected is the join of its join factors,
+the subgraphs induced on the components of the complement.  A clique of a
+join is a union of one clique per factor, so the clique-count vector is the
+product of the factors' count polynomials, and the maximal-clique sizes are
+the sums of one maximal-clique size per factor.  `clique_counts`,
+`clique_count` and `maximal_clique_sizes` are computed per factor when
+there are two or more; `maximal_cliques()` always lists the whole graph's.
 """
 
 from dataclasses import dataclass
@@ -17,8 +25,8 @@ from .errors import InvalidParameter, NotAClique
 class Graph:
     """A finite simple graph: symmetric, irreflexive adjacency on 0..n-1.
 
-    The maximal cliques and the full clique-count vector are computed at
-    most once per graph and kept as immutable tuples.
+    The join factors, the maximal cliques and the full clique-count vector
+    are computed at most once per graph and kept as immutable tuples.
     """
 
     n: int
@@ -97,8 +105,44 @@ class Graph:
         return True
 
     @cached_property
+    def _join_factors(self):
+        # breadth-first search of the complement: a vertex v reaches the
+        # unvisited vertices outside its row, so each vertex costs O(1) masks,
+        # and a component is closed once the frontier or the rest is empty
+        unseen = (1 << self.n) - 1
+        parts = []
+        while unseen:
+            part = frontier = unseen & -unseen
+            unseen ^= part
+            while frontier and unseen:
+                low = frontier & -frontier
+                frontier ^= low
+                reached = unseen & ~self.masks[low.bit_length() - 1]
+                unseen ^= reached
+                part |= reached
+                frontier |= reached
+            parts.append(part)
+        if len(parts) < 2:
+            return ((self, tuple(range(self.n))),)
+        return tuple(self.induced(kernels.bits_of(part)) for part in parts)
+
+    def join_factors(self):
+        """The join factors as (factor, vmap) pairs, ordered by lowest vertex.
+
+        Each factor is the subgraph induced on one connected component of
+        the complement, with vmap[i] the original label of its vertex i;
+        every pair of vertices in different factors is an edge.  A graph
+        with a connected complement (and the 0-vertex graph) is its own
+        single factor: the result is ((self, (0, ..., n-1)),).
+        """
+        return self._join_factors
+
+    @cached_property
     def _clique_counts(self):
-        return tuple(kernels.clique_counts(self.masks, self.n))
+        factors = self.join_factors()
+        if len(factors) == 1:
+            return tuple(kernels.clique_counts(self.masks, self.n))
+        return _poly_product([f.clique_counts() for f, _ in factors])
 
     @cached_property
     def _maximal_cliques(self):
@@ -108,11 +152,15 @@ class Graph:
         """Vector c with c[k] = number of k-vertex cliques (c[0] = 1).
 
         With kmax < 0 it runs to the clique number and is computed once;
-        with kmax >= 0 it has length kmax+1 (zero-padded).
+        with kmax >= 0 it has length kmax+1 (zero-padded).  A join
+        multiplies its factors' vectors.
         """
         if kmax < 0:
             return self._clique_counts
-        return tuple(kernels.clique_counts(self.masks, self.n, kmax))
+        factors = self.join_factors()
+        if len(factors) == 1:
+            return tuple(kernels.clique_counts(self.masks, self.n, kmax))
+        return _poly_product([f.clique_counts(kmax) for f, _ in factors], kmax)
 
     def clique_count(self, k):
         if k < 0:
@@ -123,11 +171,25 @@ class Graph:
             full = self._clique_counts
             return full[k] if k < len(full) else 0
         # count only up to k: on a dense graph the full vector can be huge
-        return kernels.clique_counts(self.masks, self.n, k)[k]
+        return self.clique_counts(k)[k]
 
     def maximal_cliques(self):
         """All inclusion-maximal cliques as a lexicographically sorted tuple."""
         return self._maximal_cliques
+
+    def maximal_clique_sizes(self):
+        """Sorted tuple of the distinct maximal-clique sizes; () when n = 0.
+
+        A maximal clique of a join is a union of one maximal clique per
+        factor, so a join's sizes are the sums of one size per factor.
+        """
+        factors = self.join_factors()
+        if len(factors) == 1:
+            return tuple(sorted({len(c) for c in self.maximal_cliques()}))
+        sizes = {0}
+        for f, _ in factors:
+            sizes = {a + b for a in sizes for b in f.maximal_clique_sizes()}
+        return tuple(sorted(sizes))
 
     def k_cliques(self, k):
         return kernels.k_cliques(self.masks, self.n, k)
@@ -144,12 +206,11 @@ class Graph:
             if not 0 <= v < self.n:
                 raise InvalidParameter(f"vertex {v} out of range")
         idx = {v: i for i, v in enumerate(vmap)}
+        keep = sum(1 << v for v in vmap)
         rows = [0] * len(vmap)
         for i, v in enumerate(vmap):
-            for u in kernels.bits_of(self.masks[v]):
-                j = idx.get(u)
-                if j is not None:
-                    rows[i] |= 1 << j
+            for u in kernels.bits_of(self.masks[v] & keep):
+                rows[i] |= 1 << idx[u]
         return Graph(len(vmap), tuple(rows)), vmap
 
     def link(self, sigma):
@@ -181,6 +242,22 @@ class Graph:
     def canonical_key(self):
         """Isomorphism-invariant integer key; feasible for small n only."""
         return kernels.canonical_key(self.masks, self.n)
+
+
+def _poly_product(polys, kmax=-1):
+    """Coefficients of the product of integer polynomials, given low degree
+    first; with kmax >= 0 only those of degree <= kmax are kept."""
+    out = (1,)
+    for p in polys:
+        size = len(out) + len(p) - 1
+        if kmax >= 0:
+            size = min(size, kmax + 1)
+        prod = [0] * size
+        for i, a in enumerate(out):
+            for j, b in enumerate(p[:size - i]):
+                prod[i + j] += a * b
+        out = tuple(prod)
+    return out
 
 
 def join(g, h):

@@ -379,17 +379,17 @@ def detect_level(g):
 
     When all maximal cliques share one size k the only viable level is
     k-1 and the full test runs there; otherwise the verdict is negative
-    with the first wrong-size clique as witness.
+    with the first wrong-size clique as witness.  The sizes of a join come
+    from its factors; only the witness needs the whole graph's cliques.
     """
     if g.n == 0:
         return 0, LeveledVerdict(False, 0, (("empty",),))
-    cliques = g.maximal_cliques()
-    sizes = sorted({len(c) for c in cliques})
+    sizes = g.maximal_clique_sizes()
     if len(sizes) == 1:
         d = sizes[0] - 1
         return d, is_d_leveled(g, d)
     d = sizes[-1] - 1
-    bad = next(c for c in cliques if len(c) != d + 1)
+    bad = next(c for c in g.maximal_cliques() if len(c) != d + 1)
     return d, LeveledVerdict(False, d, (("maximal-clique", bad),))
 
 
@@ -453,12 +453,7 @@ def check_instance(instance, obj):
         return _graph_entry(instance, obj)
     flag_ok, witness = is_flag(obj)
     if flag_ok:
-        # vertices in no facet are not part of the complex
-        g = obj.one_skeleton()
-        used = sorted({v for facet in obj.facets for v in facet})
-        if len(used) < g.n:
-            g, _ = g.induced(used)
-        entry = _graph_entry(instance, g)
+        entry = _graph_entry(instance, obj.support_skeleton())
         entry["flag"] = {"verdict": True}
     else:
         # a non-face clique needs an edge, so the complex is not void

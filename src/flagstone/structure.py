@@ -3,6 +3,11 @@ almost-join partitions, and the clique-density lower bound.
 
 All numeric comparisons here are exact (integers and Fractions); there are
 no tolerance parameters because every inequality is sharp at fixed n.
+
+The short-circuit level test first tries a join through its join factors
+(`Graph.join_factors`): it passes when every factor passes at its own
+level, decided from the factor's maximal cliques alone.  Any failure, the
+witnesses, and the exhaustive mode use the whole graph.
 """
 
 import random
@@ -112,6 +117,23 @@ def _ridges_in_two_facets(g, cliques):
     return True
 
 
+def _factors_leveled(g, d):
+    """Does the join of two or more factors pass the level test at d?
+
+    True when every factor G_i has one maximal-clique size k_i, with
+    k_1 + ... + k_t = d + 1, and every ridge of every G_i lies in exactly
+    two of its maximal cliques, which is the level test of G_i at k_i - 1.
+    False means only that this sufficient condition fails.
+    """
+    factors = [f for f, _ in g.join_factors()]
+    if len(factors) < 2:
+        return False
+    sizes = [f.maximal_clique_sizes() for f in factors]
+    if any(len(s) != 1 for s in sizes) or sum(s[0] for s in sizes) != d + 1:
+        return False
+    return all(_ridges_in_two_facets(f, f.maximal_cliques()) for f in factors)
+
+
 def is_d_leveled(g, d, exhaustive=False):
     """Every maximal clique has size d+1 and every d-clique's common
     neighborhood is exactly two nonadjacent vertices.
@@ -129,11 +151,30 @@ def is_d_leveled(g, d, exhaustive=False):
     condition holds exactly when every ridge F - v has two common
     neighbors.  Only when that fails does the link kernel run, to find the
     lexicographically first violating d-clique as the witness.
+
+    Before that, a join G_1 * ... * G_t (t >= 2 factors) passes when each
+    G_i has a single maximal-clique size k_i, k_1 + ... + k_t = d+1, and
+    each G_i passes at level k_i - 1.  Proof: the maximal cliques of G are
+    the unions of one maximal clique per factor, so all have d+1 vertices.
+    A d-clique sigma meets each G_i in a clique sigma_i of at most k_i
+    vertices; the sizes sum to d, so sigma_i has k_i vertices, and is
+    maximal in G_i, for every i but one, j, where it has k_j - 1.  A
+    vertex of G_i is a common neighbor of sigma exactly when it is one of
+    sigma_i in G_i, and a maximal clique has none, so sigma's common
+    neighborhood is that of sigma_j in G_j, with G_j's edges: two
+    nonadjacent vertices.  So a d-clique is maximal in every factor but
+    one, and its link is that factor's link.  Each factor's level test is
+    the ridge test above on its own maximal cliques, so this is decided
+    verdict-only, with no witness built per factor.  When it does not
+    hold, the whole-graph test below runs unchanged, so every witness is
+    the whole graph's.
     """
     if d < 0:
         raise InvalidParameter("level must be nonnegative")
     if g.n == 0:
         return LeveledVerdict(False, d, (("empty",),))
+    if not exhaustive and _factors_leveled(g, d):
+        return LeveledVerdict(True, d)
     witnesses = []
     cliques = g.maximal_cliques()
     for c in cliques:
@@ -367,20 +408,58 @@ def _similarity_start(g, t):
     return start
 
 
+def _peel_exceptional(g, t, part_of, eta):
+    """The exceptional set X of the half-eta cut on the parts part_of.
+
+    A vertex is cut when it sees at most |S_j| (1 - eta/2) vertices of some
+    other surviving part S_j.  Cut vertices leave their part, which changes
+    the sizes, so the cut peels: each round sets aside the cut vertices of
+    the largest deficit 1 - deg/|S_j| (an empty part counts as deficit 1),
+    all ties at once, and measures again.  One stray vertex in a part thus
+    goes alone, without the vertices that see all of the part but it.
+    """
+    keep = 1 - eta / 2
+    alive = [0] * t
+    for v, i in enumerate(part_of):
+        alive[i] |= 1 << v
+    exceptional = set()
+    while True:
+        deficits = {}
+        for v in range(g.n):
+            if v in exceptional:
+                continue
+            for j, mask in enumerate(alive):
+                size = mask.bit_count()
+                have = (g.masks[v] & mask).bit_count()
+                if j != part_of[v] and have <= size * keep:
+                    deficit = 1 - Fraction(have, size) if size else Fraction(1)
+                    deficits[v] = max(deficit, deficits.get(v, deficit))
+        if not deficits:
+            return exceptional
+        worst = max(deficits.values())
+        for v, deficit in deficits.items():
+            if deficit == worst:
+                exceptional.add(v)
+                alive[part_of[v]] &= ~(1 << v)
+
+
 def extract_partition(g, t, eta, seed_parts=None, seed=0, restarts=3):
     """Heuristic search for an almost-join partition at target eta.
 
     Candidate parts come from iterated cross-degree reassignment (from the
     given seed_parts, or from a common-neighborhood merge start plus
     balanced random starts derived from seed);
-    vertices whose degree into some other part is at most (n/t)(1 - eta/2)
-    become the exceptional set X.  The returned witness carries eta' =
-    max(eta, deficit actually achieved by the survivors), so it always
-    passes verify_type_partition; compare w.eta == eta to see whether the
-    target was met.  Note the half-eta cut is a weak inequality, so a
-    request of eta = 0 on an exactly balanced instance sends full-degree
-    vertices to X; request a small positive eta instead.  This is a
-    heuristic: failure to find a small X does not mean no witness exists.
+    vertices whose degree into some other part S_j is at most
+    |S_j| (1 - eta/2), measured against that part's own size as in
+    verify_type_partition's |S_j| (1 - eta) floor, become the exceptional
+    set X, worst first (see _peel_exceptional).  The returned witness
+    carries eta' = max(eta, deficit actually achieved by the survivors),
+    so it always passes verify_type_partition; compare w.eta == eta to see
+    whether the target was met.  Note the half-eta cut is a weak
+    inequality, so a request of eta = 0 on an exactly balanced instance
+    sends full-degree vertices to X; request a small positive eta instead.
+    This is a heuristic: failure to find a small X does not mean no
+    witness exists.
     """
     if t < 1 or t > g.n:
         raise InvalidParameter(f"need 1 <= t <= n, got t={t}, n={g.n}")
@@ -404,21 +483,10 @@ def extract_partition(g, t, eta, seed_parts=None, seed=0, restarts=3):
                 start[v] = pos % t
             starts.append(start)
 
-    threshold = Fraction(g.n, t) * (1 - eta / 2)
     best = None
     for start in starts:
         part_of = _greedy_parts(g, t, start, max_sweeps=g.n)
-        masks = [0] * t
-        for v, i in enumerate(part_of):
-            masks[i] |= 1 << v
-        exceptional = set()
-        for v in range(g.n):
-            for j in range(t):
-                if j == part_of[v]:
-                    continue
-                if (g.masks[v] & masks[j]).bit_count() <= threshold:
-                    exceptional.add(v)
-                    break
+        exceptional = _peel_exceptional(g, t, part_of, eta)
         parts = [
             tuple(v for v in range(g.n) if part_of[v] == i and v not in exceptional)
             for i in range(t)

@@ -1,21 +1,26 @@
 """End-to-end runs of the command line entry point."""
 
 import json
+import random
 import time
 
 import pytest
 
 from flagstone import (
+    Graph,
     dump_edge_list,
     dump_graph6,
     euler_characteristic,
     f_vector,
     gen_cycle,
+    gen_grid_torus,
     gen_join_of_cycles,
+    gen_suspension_sphere,
     h_vector,
     parse_facet_list,
 )
 from flagstone.cli import main
+from helpers import random_graph
 
 
 def test_gen_edgelist(capsys):
@@ -87,6 +92,18 @@ def test_bounds_report(tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         main(["bounds", str(f)])  # --s is required
     assert ei.value.code == 2
+
+
+def test_bounds_facets_ignore_unused_vertices(tmp_path, capsys):
+    # a 4-cycle plus vertex 4, which lies in no facet: the same graph `check` sees
+    f = tmp_path / "c4.facets"
+    f.write_text("5 4\n0 1\n1 2\n2 3\n0 3\n")
+    assert main(["bounds", str(f), "--s", "1"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n"] == 4 and report["edges"] == 4
+    assert report["leveled"] == {"d": 1, "verdict": True}
+    assert report["bounds"]["thm_odd"]["equality"] is True
+    assert report["bounds"]["lower_odd"]["equality"] is True
 
 
 def test_bounds_malformed_cap(tmp_path, capsys):
@@ -195,3 +212,41 @@ def test_search_usage_errors(capsys):
     assert main(["search", "--mode", "exhaustive", "--d", "3", "--n", "4..9"]) == 2  # over cap
     err = capsys.readouterr().err
     assert "bad range" in err and "seed" in err and "cap" in err
+
+
+def _cli_outputs(tmp_path, tag, capsys):
+    """stdout and written files of `check --json` over a mixed corpus and of
+    an exhaustive and a random `search --out`; no output names the tag."""
+    rng = random.Random(61)
+    mixed = [gen_join_of_cycles(2, 9), gen_join_of_cycles(3, 14), gen_suspension_sphere(6),
+             gen_join_of_cycles(2, 8).without_edge(0, 4)]
+    mixed += [random_graph(rng.randrange(1, 12), rng.random(), rng) for _ in range(30)]
+    files = {
+        "mixed.g6": "".join(dump_graph6(g) + "\n" for g in mixed),
+        "join.txt": dump_edge_list(gen_join_of_cycles(2, 11)),
+        "k6.facets": "6 1\n0 1 2 3 4 5\n",
+        "torus.txt": dump_edge_list(gen_grid_torus(4, 4)),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    runs = [
+        ["check", *(str(tmp_path / name) for name in files), "--json", str(tmp_path / f"{tag}.json")],
+        ["search", "--mode", "exhaustive", "--d", "3", "--n", "6..8", "--out", str(tmp_path / f"{tag}-ex.json")],
+        ["search", "--mode", "random", "--d", "3", "--n", "8..11", "--seed", "2", "--budget", "40",
+         "--out", str(tmp_path / f"{tag}-walk.json")],
+    ]
+    out = []
+    for argv in runs:
+        assert main(argv) == 0
+        out.append(capsys.readouterr().out)
+    for suffix in (".json", "-ex.json", "-walk.json"):
+        out.append((tmp_path / f"{tag}{suffix}").read_bytes())
+    return out
+
+
+def test_cli_output_does_not_depend_on_join_factors(tmp_path, monkeypatch, capsys):
+    factored = _cli_outputs(tmp_path, "factored", capsys)
+    # every graph its own single factor: the whole-graph paths throughout
+    monkeypatch.setattr(Graph, "join_factors", lambda self: ((self, tuple(range(self.n))),))
+    whole = _cli_outputs(tmp_path, "whole", capsys)
+    assert whole == factored

@@ -1,0 +1,167 @@
+"""Join factors and what is computed per factor, pinned to the kernels run
+on the whole graph and to the reference level test."""
+
+import math
+import random
+from itertools import combinations
+
+import pytest
+
+from flagstone import (
+    Graph,
+    enumerate_classes,
+    gen_complete_multipartite,
+    gen_cycle,
+    gen_independent,
+    gen_suspension_sphere,
+    graph_from_key,
+    is_d_leveled,
+    join,
+    kernels,
+)
+from helpers import all_graphs, random_graph, reference_is_d_leveled
+
+LEVELS = range(8)
+
+
+def _complement_connected(g):
+    if g.n == 0:
+        return True
+    seen, todo = {0}, [0]
+    while todo:
+        v = todo.pop()
+        for u in range(g.n):
+            if u != v and u not in seen and not g.has_edge(u, v):
+                seen.add(u)
+                todo.append(u)
+    return len(seen) == g.n
+
+
+def check_factors(g):
+    factors = g.join_factors()
+    assert sorted(v for _, vmap in factors for v in vmap) == list(range(g.n))
+    assert [vmap[0] for _, vmap in factors if vmap] == sorted(vmap[0] for _, vmap in factors if vmap)
+    for f, vmap in factors:
+        assert f == g.induced(vmap)[0]
+        assert _complement_connected(f)
+    for (_, a), (_, b) in combinations(factors, 2):
+        assert all(g.has_edge(u, v) for u in a for v in b)
+    if len(factors) == 1:
+        assert factors[0][0] is g
+    return factors
+
+
+def check_counts(g, kmaxes=None):
+    full = tuple(kernels.clique_counts(g.masks, g.n))
+    fresh = Graph(g.n, g.masks)  # nothing cached: the counting-up-to-k path
+    for k in range(g.n + 3):
+        assert fresh.clique_count(k) == (full[k] if k < len(full) else 0)
+    for kmax in range(g.n + 3) if kmaxes is None else kmaxes:
+        assert g.clique_counts(kmax) == tuple(kernels.clique_counts(g.masks, g.n, kmax))
+    assert g.clique_counts() == full
+    for k in range(g.n + 3):
+        assert g.clique_count(k) == (full[k] if k < len(full) else 0)
+
+
+def check_sizes(g):
+    sizes = tuple(sorted({len(c) for c in kernels.maximal_cliques(g.masks, g.n)}))
+    assert g.maximal_clique_sizes() == sizes
+
+
+def check_levels(g):
+    for d in LEVELS:
+        verdict = is_d_leveled(g, d)
+        assert (verdict.is_leveled, verdict.witnesses) == reference_is_d_leveled(g, d), (g.masks, d)
+
+
+def check_all(g, kmaxes=None):
+    check_factors(g)
+    check_counts(g, kmaxes)
+    check_sizes(g)
+    check_levels(g)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_every_small_labeled_graph(n):
+    for g in all_graphs(n):
+        check_all(g, kmaxes=(0, 1, 2, n))
+
+
+def test_every_six_vertex_class():
+    # all 156 isomorphism classes, each under several labelings, so factors
+    # come with interleaved vertex sets (all 32 768 labeled graphs are too
+    # slow for Tier-1)
+    rng = random.Random(66)
+    for key in enumerate_classes(6)[6]:
+        base = graph_from_key(key, 6)
+        for _ in range(6):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            check_all(base.relabel(perm), kmaxes=(0, 1, 2, 6))
+
+
+def test_complete_graphs_are_binomial_rows():
+    for n in range(18):
+        g = gen_complete_multipartite((1,) * n) if n else Graph(0, ())
+        row = tuple(math.comb(n, k) for k in range(n + 1))
+        assert len(g.join_factors()) == max(n, 1)
+        assert g.clique_counts() == row
+        for kmax in range(n + 3):
+            assert g.clique_counts(kmax) == (row + (0, 0))[:kmax + 1]
+        fresh = Graph(g.n, g.masks)
+        assert [fresh.clique_count(k) for k in range(n + 3)] == list(row + (0, 0))
+        assert g.maximal_clique_sizes() == ((n,) if n else ())
+        check_levels(g)
+
+
+@pytest.mark.parametrize("parts", [(2,), (1, 3), (2, 2), (3, 3), (1, 1, 4), (2, 2, 2), (2, 3, 4), (2, 2, 2, 2)])
+def test_complete_multipartite(parts):
+    g = gen_complete_multipartite(parts)
+    assert sorted(f.n for f, _ in g.join_factors()) == sorted(parts)
+    check_all(g)
+    # the cross-polytope of dimension t - 1 is leveled at t - 1
+    assert is_d_leveled(g, len(parts) - 1).is_leveled == all(p == 2 for p in parts)
+
+
+def test_suspensions():
+    bases = [gen_cycle(4), gen_cycle(7), gen_suspension_sphere(5), join(gen_cycle(4), gen_cycle(5)),
+             Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)]), gen_independent(3)]
+    for base in bases:
+        g = join(gen_independent(2), base)
+        check_all(g)
+        d = base.maximal_clique_sizes()[-1]
+        assert is_d_leveled(g, d).is_leveled == is_d_leveled(base, d - 1).is_leveled
+
+
+def _random_join(rng):
+    factors = []
+    for _ in range(rng.randrange(2, 5)):
+        kind = rng.random()
+        if kind < 0.2:
+            factors.append(Graph(1, (0,)))
+        elif kind < 0.35:
+            factors.append(gen_independent(rng.randrange(2, 4)))
+        elif kind < 0.5:
+            factors.append(gen_cycle(rng.randrange(4, 7)))
+        else:
+            factors.append(random_graph(rng.randrange(1, 6), rng.random(), rng))
+    g = factors[0]
+    for f in factors[1:]:
+        g = join(g, f)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return g.relabel(perm)
+
+
+def test_random_joins():
+    rng = random.Random(67)
+    for _ in range(300):
+        g = _random_join(rng)
+        assert len(check_factors(g)) >= 2
+        check_all(g)
+
+
+def test_prime_graph_is_its_own_factor():
+    g = gen_cycle(6)
+    assert g.join_factors() == ((g, tuple(range(6))),)
+    assert g.join_factors() is g.join_factors()

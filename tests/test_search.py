@@ -261,25 +261,28 @@ def test_check_instance_flag_complex_delegates():
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make,sizes",
     [
-        lambda: gen_join_of_cycles(2, 10),
-        lambda: gen_suspension_sphere(5),
-        lambda: SimplicialComplex.from_facets(16, gen_grid_torus(4, 4).maximal_cliques()),
+        # C5 * C5 and the suspension (two apexes) * C5 are worked factor by
+        # factor: no kernel call sees the whole graph
+        (lambda: gen_join_of_cycles(2, 10), [5, 5]),
+        (lambda: gen_suspension_sphere(5), [2, 5]),
+        # the torus is prime: one call each on all 16 vertices
+        (lambda: SimplicialComplex.from_facets(16, gen_grid_torus(4, 4).maximal_cliques()), [16]),
     ],
     ids=["join-odd-report", "sphere-even-entry", "torus-facets"],
 )
-def test_check_instance_does_clique_work_once(monkeypatch, make):
+def test_check_instance_does_clique_work_once(monkeypatch, make, sizes):
     obj = make()
-    calls = dict.fromkeys(("maximal_cliques", "leveled_violation", "clique_counts"), 0)
+    calls = {name: [] for name in ("maximal_cliques", "leveled_violation", "clique_counts")}
     for name in calls:
-        def counted(*args, _name=name, _kernel=getattr(kernels, name)):
-            calls[_name] += 1
-            return _kernel(*args)
+        def counted(masks, n, *rest, _name=name, _kernel=getattr(kernels, name)):
+            calls[_name].append(n)
+            return _kernel(masks, n, *rest)
         monkeypatch.setattr(kernels, name, counted)
     entry = check_instance("x", obj)
     assert entry["leveled"]["verdict"] is True and "report" in entry
-    assert calls == {"maximal_cliques": 1, "leveled_violation": 0, "clique_counts": 1}
+    assert calls == {"maximal_cliques": sizes, "leveled_violation": [], "clique_counts": sizes}
 
 
 def test_maximal_cliques_are_an_immutable_cache():

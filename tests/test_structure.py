@@ -20,6 +20,7 @@ from flagstone import (
     bollobas_lower_bound,
     check_lemma_independent_bound,
     clique_complex,
+    cycle_part_sizes,
     default_alpha,
     default_eta,
     extract_partition,
@@ -257,6 +258,28 @@ def test_extract_partition_recovers_examples():
     w = extract_partition(g, 3, Fraction(1, 10))
     assert w.eta == Fraction(1, 10) and w.X == ()
     assert sorted(w.parts) == [tuple(range(10)), tuple(range(10, 20)), tuple(range(20, 30))]
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_extract_partition_finds_the_cycles_of_every_join(s):
+    # at odd n the cycles differ in length; each vertex is measured against
+    # the size of the other cycle, not against n / s
+    for n in range(4 * s, 31):
+        g = gen_join_of_cycles(s, n)
+        w = extract_partition(g, s, Fraction(1, 10))
+        assert w.X == () and w.eta == Fraction(1, 10), n
+        assert bool(verify_type_partition(g, w))
+        sizes = cycle_part_sizes(s, n)
+        ends = list(itertools.accumulate(sizes, initial=0))
+        cycles = [tuple(range(a, b)) for a, b in zip(ends, ends[1:])]
+        if min(sizes) >= 5:
+            assert sorted(w.parts) == cycles, n
+        else:
+            # a 4-cycle is itself a join of two non-edges, so the parts may
+            # regroup those; they are still unions of join factors
+            factors = [set(vmap) for _, vmap in g.join_factors()]
+            assert sorted(map(len, w.parts)) == sorted(sizes), n
+            assert all(f <= set(p) or not f & set(p) for p in w.parts for f in factors), n
 
 
 def test_extract_partition_absorbs_deficient_vertices_into_x():
