@@ -70,7 +70,6 @@ from .search import (
     SearchResult,
     check_instance,
     corpus_summary,
-    detect_level,
     enumerate_classes,
     exhaustive_cap,
     exhaustive_search,
@@ -86,6 +85,7 @@ from .structure import (
     check_lemma_independent_bound,
     default_alpha,
     default_eta,
+    detect_level,
     extract_partition,
     find_transversal_clique,
     is_d_leveled,

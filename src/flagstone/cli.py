@@ -29,6 +29,7 @@ from .search import (
     random_search,
     run_corpus_checks,
 )
+from .structure import is_flag
 
 _FAMILIES = {
     "cycle": (gen_cycle, 1),
@@ -124,6 +125,11 @@ def _cmd_bounds(args):
     code = 0
     for instance, obj in instances:
         if not isinstance(obj, Graph):
+            flag_ok, witness = is_flag(obj)
+            if not flag_ok:
+                print(f"bounds: {instance}: not flag, witness {tuple(witness)}; "
+                      "bounds apply to clique complexes only", file=sys.stderr)
+                return 2
             obj = obj.support_skeleton()
         report = verify_theorem_instance(obj, args.s, cap=args.C, instance=instance)
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))

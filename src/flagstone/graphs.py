@@ -25,8 +25,9 @@ from .errors import InvalidParameter, NotAClique
 class Graph:
     """A finite simple graph: symmetric, irreflexive adjacency on 0..n-1.
 
-    The join factors, the maximal cliques and the full clique-count vector
-    are computed at most once per graph and kept as immutable tuples.
+    The join factors, the maximal cliques, their sizes and the full
+    clique-count vector are computed at most once per graph and kept as
+    immutable tuples.
     """
 
     n: int
@@ -177,12 +178,8 @@ class Graph:
         """All inclusion-maximal cliques as a lexicographically sorted tuple."""
         return self._maximal_cliques
 
-    def maximal_clique_sizes(self):
-        """Sorted tuple of the distinct maximal-clique sizes; () when n = 0.
-
-        A maximal clique of a join is a union of one maximal clique per
-        factor, so a join's sizes are the sums of one size per factor.
-        """
+    @cached_property
+    def _maximal_clique_sizes(self):
         factors = self.join_factors()
         if len(factors) == 1:
             return tuple(sorted({len(c) for c in self.maximal_cliques()}))
@@ -190,6 +187,14 @@ class Graph:
         for f, _ in factors:
             sizes = {a + b for a in sizes for b in f.maximal_clique_sizes()}
         return tuple(sorted(sizes))
+
+    def maximal_clique_sizes(self):
+        """Sorted tuple of the distinct maximal-clique sizes; () when n = 0.
+
+        A maximal clique of a join is a union of one maximal clique per
+        factor, so a join's sizes are the sums of one size per factor.
+        """
+        return self._maximal_clique_sizes
 
     def k_cliques(self, k):
         return kernels.k_cliques(self.masks, self.n, k)

@@ -38,7 +38,6 @@ output is deterministic and byte-identical regardless of worker count.
 """
 
 import json
-import os
 import random
 from dataclasses import dataclass
 
@@ -62,20 +61,14 @@ from .errors import BudgetExceeded, InvalidParameter, NotPalindromic, ParseError
 from .formats import load_instances
 from .generators import gen_join_of_cycles
 from .graphs import Graph
-from .structure import LeveledVerdict, is_d_leveled, is_flag, is_weak_pseudomanifold
+from .structure import detect_level, is_d_leveled, is_flag, is_weak_pseudomanifold
 
 DEFAULT_CAP_LEVEL_ONE = 10
 DEFAULT_CAP = 8
 
 
 def exhaustive_cap(d):
-    """Feasibility cap on n for exhaustive mode; FLAGSTONE_CAP overrides."""
-    env = os.environ.get("FLAGSTONE_CAP", "").strip()
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidParameter(f"FLAGSTONE_CAP must be an integer, got {env!r}") from None
+    """Feasibility cap on n for exhaustive mode."""
     return DEFAULT_CAP_LEVEL_ONE if d == 1 else DEFAULT_CAP
 
 
@@ -100,6 +93,10 @@ class SearchConfig:
             raise InvalidParameter("need 1 <= n_min <= n_max")
         if self.mode == "random" and self.seed is None:
             raise InvalidParameter("random mode needs an explicit seed")
+        if self.workers < 1:
+            raise InvalidParameter("need workers >= 1")
+        if self.budget < 0:
+            raise InvalidParameter("need budget >= 0")
 
     @property
     def s_effective(self):
@@ -210,6 +207,23 @@ def _bound_for(n, d, s):
     return edge_bound_odd(n, s) if d % 2 else edge_bound_even_conjecture(n, s)
 
 
+def _extremal_entry(cfg, s, n, best, **counts):
+    """The per-n entry of a search around its chosen extremal graph `best`
+    (None when nothing on n vertices passed the level test), with the
+    mode's counts, and the odd-level report of `best` or None."""
+    bound = _bound_for(n, cfg.d, s)
+    entry = {"n": n, **counts, "max_edges": None, "argmax_edges": None,
+             "bound": str(bound), "bound_holds": None}
+    if best is None:
+        return entry, None
+    entry["max_edges"] = best.edge_count
+    entry["argmax_edges"] = [[u, v] for u, v in best.edges()]
+    entry["bound_holds"] = best.edge_count <= bound
+    if cfg.d % 2 == 0:
+        return entry, None
+    return entry, verify_theorem_instance(best, s, instance=f"{cfg.mode}:n={n}").to_json_dict()
+
+
 def exhaustive_search(cfg):
     """Enumerate the classes that pass the level prunes up to n_max, filter
     them by the level test, report extremes per n.  Raises BudgetExceeded
@@ -221,10 +235,10 @@ def exhaustive_search(cfg):
     if cfg.n_max > cap and not cfg.allow_huge:
         raise BudgetExceeded(
             f"n_max={cfg.n_max} exceeds the exhaustive cap {cap}; "
-            "pass the explicit acknowledgment flag or set FLAGSTONE_CAP to proceed"
+            "pass --i-know-this-is-huge to proceed"
         )
     s = cfg.s_effective
-    levels = enumerate_classes(cfg.n_max, workers=max(1, cfg.workers), level=cfg.d)
+    levels = enumerate_classes(cfg.n_max, workers=cfg.workers, level=cfg.d)
     per_n = []
     reports = []
     for n in range(cfg.n_min, cfg.n_max + 1):
@@ -233,28 +247,14 @@ def exhaustive_search(cfg):
             g = graph_from_key(key, n)
             if is_d_leveled(g, cfg.d).is_leveled:
                 found[key] = g
-        bound = _bound_for(n, cfg.d, s)
-        entry = {
-            "n": n,
-            "classes_visited": len(levels[n]),
-            "leveled_classes": len(found),
-            "max_edges": None,
-            "argmax_edges": None,
-            "bound": str(bound),
-            "bound_holds": None,
-        }
-        if found:
-            best_edges = max(key.bit_count() for key in found)
-            best_key = min(key for key in found if key.bit_count() == best_edges)
-            best = found[best_key]
-            entry["max_edges"] = best_edges
-            entry["argmax_edges"] = [[u, v] for u, v in best.edges()]
-            entry["bound_holds"] = best_edges <= bound
-            if cfg.d % 2:
-                reports.append(
-                    verify_theorem_instance(best, s, instance=f"exhaustive:n={n}").to_json_dict()
-                )
+        # a key's bits are the graph's edges; ties go to the least key
+        best = found[min(found, key=lambda key: (-key.bit_count(), key))] if found else None
+        entry, report = _extremal_entry(
+            cfg, s, n, best, classes_visited=len(levels[n]), leveled_classes=len(found)
+        )
         per_n.append(entry)
+        if report is not None:
+            reports.append(report)
     notes = (
         f"exhaustive over all isomorphism classes with clique number <= {cfg.d + 1}, "
         f"n in [{cfg.n_min}, {cfg.n_max}]; no claim beyond this range",
@@ -338,25 +338,12 @@ def random_search(cfg):
             base = gen_join_of_cycles(s, n)
             candidates = [base] if is_d_leveled(base, cfg.d).is_leveled else []
             candidates += _random_moves(base, rng, cfg.d, cfg.budget)
-            bound = _bound_for(n, cfg.d, s)
-            entry = {
-                "n": n,
-                "candidates_found": len(candidates),
-                "max_edges": None,
-                "argmax_edges": None,
-                "bound": str(bound),
-                "bound_holds": None,
-            }
-            if candidates:
-                best = max(candidates, key=lambda g: g.edge_count)
-                entry["max_edges"] = best.edge_count
-                entry["argmax_edges"] = [[u, v] for u, v in best.edges()]
-                entry["bound_holds"] = best.edge_count <= bound
-                if cfg.d % 2:
-                    reports.append(
-                        verify_theorem_instance(best, s, instance=f"random:n={n}").to_json_dict()
-                    )
+            # max keeps the first of the tied graphs in walk order
+            best = max(candidates, key=lambda g: g.edge_count) if candidates else None
+            entry, report = _extremal_entry(cfg, s, n, best, candidates_found=len(candidates))
             per_n.append(entry)
+            if report is not None:
+                reports.append(report)
     return SearchResult(
         mode="random",
         d=cfg.d,
@@ -372,25 +359,6 @@ def random_search(cfg):
 
 
 # -- corpus checking ----------------------------------------------------
-
-
-def detect_level(g):
-    """Candidate level from the maximal clique sizes, with its verdict.
-
-    When all maximal cliques share one size k the only viable level is
-    k-1 and the full test runs there; otherwise the verdict is negative
-    with the first wrong-size clique as witness.  The sizes of a join come
-    from its factors; only the witness needs the whole graph's cliques.
-    """
-    if g.n == 0:
-        return 0, LeveledVerdict(False, 0, (("empty",),))
-    sizes = g.maximal_clique_sizes()
-    if len(sizes) == 1:
-        d = sizes[0] - 1
-        return d, is_d_leveled(g, d)
-    d = sizes[-1] - 1
-    bad = next(c for c in g.maximal_cliques() if len(c) != d + 1)
-    return d, LeveledVerdict(False, d, (("maximal-clique", bad),))
 
 
 def _add_face_algebra(entry, f):

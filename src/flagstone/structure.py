@@ -4,10 +4,11 @@ almost-join partitions, and the clique-density lower bound.
 All numeric comparisons here are exact (integers and Fractions); there are
 no tolerance parameters because every inequality is sharp at fixed n.
 
-The short-circuit level test first tries a join through its join factors
-(`Graph.join_factors`): it passes when every factor passes at its own
-level, decided from the factor's maximal cliques alone.  Any failure, the
-witnesses, and the exhaustive mode use the whole graph.
+The short-circuit level test has one path: the maximal-clique sizes, then
+the ridges of each join factor's maximal cliques (`Graph.join_factors`;
+a graph with a connected complement is its own single factor).  Only the
+witnesses and the exhaustive mode use the whole graph.  `detect_level`
+picks the one level a graph can pass and runs the same test there.
 """
 
 import random
@@ -96,16 +97,16 @@ class LeveledVerdict:
         return self.witnesses[0] if self.witnesses else None
 
 
-def _ridges_in_two_facets(g, cliques):
-    """Does every ridge F - v of every clique F have exactly two common
-    neighbors, v and one more?
+def _ridges_in_two_facets(g):
+    """Does every ridge F - v of every maximal clique F have exactly two
+    common neighbors, v and one more?
 
     The common neighborhood of F - v is the AND of a prefix and a suffix of
     F's rows; both start from the full mask, so a 1-vertex F (whose only
     ridge is the empty clique) works too.
     """
     full = (1 << g.n) - 1
-    for c in cliques:
+    for c in g.maximal_cliques():
         suffix = [full]
         for v in reversed(c):
             suffix.append(suffix[-1] & g.masks[v])
@@ -117,23 +118,6 @@ def _ridges_in_two_facets(g, cliques):
     return True
 
 
-def _factors_leveled(g, d):
-    """Does the join of two or more factors pass the level test at d?
-
-    True when every factor G_i has one maximal-clique size k_i, with
-    k_1 + ... + k_t = d + 1, and every ridge of every G_i lies in exactly
-    two of its maximal cliques, which is the level test of G_i at k_i - 1.
-    False means only that this sufficient condition fails.
-    """
-    factors = [f for f, _ in g.join_factors()]
-    if len(factors) < 2:
-        return False
-    sizes = [f.maximal_clique_sizes() for f in factors]
-    if any(len(s) != 1 for s in sizes) or sum(s[0] for s in sizes) != d + 1:
-        return False
-    return all(_ridges_in_two_facets(f, f.maximal_cliques()) for f in factors)
-
-
 def is_d_leveled(g, d, exhaustive=False):
     """Every maximal clique has size d+1 and every d-clique's common
     neighborhood is exactly two nonadjacent vertices.
@@ -142,55 +126,62 @@ def is_d_leveled(g, d, exhaustive=False):
     pseudomanifold; both code paths exist and the test suite cross-checks
     them on every small graph.
 
-    Short-circuit mode decides the link condition from the ridges of the
-    maximal cliques once they all have d+1 vertices.  Then every d-clique
-    sigma is F - v for some maximal clique F, and each common neighbor x of
-    sigma makes sigma + x a (d+1)-clique, hence a maximal one: the maximal
-    cliques containing sigma match its common neighbors one to one.  Two
-    adjacent common neighbors would make a (d+2)-clique, so the link
-    condition holds exactly when every ridge F - v has two common
-    neighbors.  Only when that fails does the link kernel run, to find the
-    lexicographically first violating d-clique as the witness.
+    Short-circuit mode reads the sizes off `g.maximal_clique_sizes()`,
+    which a join takes from its factors, and lists the whole graph's
+    maximal cliques only to name a wrong-size one as the witness.  With
+    every maximal clique of d+1 vertices it decides the link condition
+    per join factor G_1, ..., G_t (a graph with a connected complement is
+    its own single factor), from the ridges of each factor's maximal
+    cliques.  Proof: the maximal cliques of G are the unions of one
+    maximal clique per factor, so G's sizes are the sums of one size per
+    factor, a singleton exactly when each factor has a single size k_i,
+    and then k_1 + ... + k_t = d+1.  A d-clique sigma meets each G_i in a
+    clique of at most k_i vertices; the sizes sum to d, so sigma is
+    F_j - v for one factor j, a maximal clique F_j of G_j and v in F_j,
+    together with a maximal clique F_i of every other G_i.  A vertex of
+    G_i is a common neighbor of sigma exactly when it is a common neighbor
+    in G_i of sigma's part there, and a maximal clique F_i has none, so
+    sigma's common neighborhood is that of the ridge F_j - v in G_j, with
+    G_j's edges.  Two of those are never adjacent, since with F_j - v
+    they would make a clique of k_j + 1 vertices, so the link condition
+    holds exactly when every ridge of every factor's maximal cliques has
+    two common neighbors in its factor.  Only when that fails does the
+    link kernel run on the whole graph, to find the lexicographically
+    first violating d-clique as the witness.
 
-    Before that, a join G_1 * ... * G_t (t >= 2 factors) passes when each
-    G_i has a single maximal-clique size k_i, k_1 + ... + k_t = d+1, and
-    each G_i passes at level k_i - 1.  Proof: the maximal cliques of G are
-    the unions of one maximal clique per factor, so all have d+1 vertices.
-    A d-clique sigma meets each G_i in a clique sigma_i of at most k_i
-    vertices; the sizes sum to d, so sigma_i has k_i vertices, and is
-    maximal in G_i, for every i but one, j, where it has k_j - 1.  A
-    vertex of G_i is a common neighbor of sigma exactly when it is one of
-    sigma_i in G_i, and a maximal clique has none, so sigma's common
-    neighborhood is that of sigma_j in G_j, with G_j's edges: two
-    nonadjacent vertices.  So a d-clique is maximal in every factor but
-    one, and its link is that factor's link.  Each factor's level test is
-    the ridge test above on its own maximal cliques, so this is decided
-    verdict-only, with no witness built per factor.  When it does not
-    hold, the whole-graph test below runs unchanged, so every witness is
-    the whole graph's.
+    Exhaustive mode lists every wrong-size maximal clique and every
+    violating d-clique of the whole graph.
     """
     if d < 0:
         raise InvalidParameter("level must be nonnegative")
     if g.n == 0:
         return LeveledVerdict(False, d, (("empty",),))
-    if not exhaustive and _factors_leveled(g, d):
-        return LeveledVerdict(True, d)
-    witnesses = []
-    cliques = g.maximal_cliques()
-    for c in cliques:
-        if len(c) != d + 1:
-            witnesses.append(("maximal-clique", c))
-            if not exhaustive:
-                return LeveledVerdict(False, d, tuple(witnesses))
     if exhaustive:
-        for sigma, link_vs in kernels.leveled_violations_all(g.masks, g.n, d):
-            witnesses.append(("link", sigma, link_vs))
-    elif not _ridges_in_two_facets(g, cliques):
-        sigma, link_vs = kernels.leveled_violation(g.masks, g.n, d)
-        witnesses.append(("link", sigma, link_vs))
-    if witnesses:
-        return LeveledVerdict(False, d, tuple(witnesses))
-    return LeveledVerdict(True, d)
+        witnesses = [("maximal-clique", c) for c in g.maximal_cliques() if len(c) != d + 1]
+        witnesses += [
+            ("link", sigma, link_vs)
+            for sigma, link_vs in kernels.leveled_violations_all(g.masks, g.n, d)
+        ]
+        return LeveledVerdict(not witnesses, d, tuple(witnesses))
+    if g.maximal_clique_sizes() != (d + 1,):
+        bad = next(c for c in g.maximal_cliques() if len(c) != d + 1)
+        return LeveledVerdict(False, d, (("maximal-clique", bad),))
+    if all(_ridges_in_two_facets(f) for f, _ in g.join_factors()):
+        return LeveledVerdict(True, d)
+    sigma, link_vs = kernels.leveled_violation(g.masks, g.n, d)
+    return LeveledVerdict(False, d, (("link", sigma, link_vs),))
+
+
+def detect_level(g):
+    """The only level g can pass, with the verdict of the level test there.
+
+    The level is d = k - 1 for the largest maximal-clique size k (d = 0 for
+    the graph on zero vertices); with mixed sizes the test fails at d with
+    a wrong-size maximal clique as the witness.
+    """
+    sizes = g.maximal_clique_sizes()
+    d = sizes[-1] - 1 if sizes else 0
+    return d, is_d_leveled(g, d)
 
 
 def link_leveled_property(g, sigma, d):

@@ -185,8 +185,7 @@ def test_criterion_6_no_forbidden_multipartite():
           "positive controls witnessed")
 
 
-def test_criterion_7_exhaustive_oracle(monkeypatch):
-    monkeypatch.delenv("FLAGSTONE_CAP", raising=False)
+def test_criterion_7_exhaustive_oracle():
     t0 = time.monotonic()
     res = exhaustive_search(
         SearchConfig(mode="exhaustive", d=3, n_min=4, n_max=10, allow_huge=True)

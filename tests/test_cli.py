@@ -106,6 +106,23 @@ def test_bounds_facets_ignore_unused_vertices(tmp_path, capsys):
     assert report["bounds"]["lower_odd"]["equality"] is True
 
 
+def test_bounds_rejects_non_flag_complex(tmp_path, capsys):
+    # C4*C4 with the tetrahedron (0, 1, 4, 5) hollowed out: its skeleton's
+    # clique complex passes the level test, the complex itself is not flag
+    hollow = (0, 1, 4, 5)
+    facets = [c for c in gen_join_of_cycles(2, 8).maximal_cliques() if c != hollow]
+    facets += [tuple(v for v in hollow if v != u) for u in hollow]
+    f = tmp_path / "hollow.facets"
+    f.write_text(f"8 {len(facets)}\n" + "".join(" ".join(map(str, c)) + "\n" for c in facets))
+    assert main(["check", str(f)]) == 0
+    assert "not flag, witness (0, 1, 4, 5)" in capsys.readouterr().out
+    assert main(["bounds", str(f), "--s", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"bounds: {f}: not flag, witness (0, 1, 4, 5); "
+                   "bounds apply to clique complexes only\n")
+
+
 def test_bounds_malformed_cap(tmp_path, capsys):
     f = tmp_path / "j.txt"
     f.write_text(dump_edge_list(gen_join_of_cycles(2, 10)))
@@ -212,6 +229,12 @@ def test_search_usage_errors(capsys):
     assert main(["search", "--mode", "exhaustive", "--d", "3", "--n", "4..9"]) == 2  # over cap
     err = capsys.readouterr().err
     assert "bad range" in err and "seed" in err and "cap" in err
+    # rejected while the config is built, before any search work starts
+    random10 = ["search", "--mode", "random", "--d", "3", "--n", "10..10", "--seed", "1"]
+    assert main(random10 + ["--budget", "-5"]) == 2
+    assert main(random10 + ["--workers", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "need budget >= 0" in err and "need workers >= 1" in err
 
 
 def _cli_outputs(tmp_path, tag, capsys):

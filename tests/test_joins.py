@@ -9,6 +9,7 @@ import pytest
 
 from flagstone import (
     Graph,
+    detect_level,
     enumerate_classes,
     gen_complete_multipartite,
     gen_cycle,
@@ -72,6 +73,9 @@ def check_levels(g):
     for d in LEVELS:
         verdict = is_d_leveled(g, d)
         assert (verdict.is_leveled, verdict.witnesses) == reference_is_d_leveled(g, d), (g.masks, d)
+    # the one level g can pass: its largest maximal clique less one
+    d = max((len(c) for c in kernels.maximal_cliques(g.masks, g.n)), default=1) - 1
+    assert detect_level(g) == (d, is_d_leveled(g, d)), g.masks
 
 
 def check_all(g, kmaxes=None):
@@ -159,6 +163,35 @@ def test_random_joins():
         g = _random_join(rng)
         assert len(check_factors(g)) >= 2
         check_all(g)
+
+
+def test_factor_failing_the_ridge_test_lists_no_whole_graph_cliques(monkeypatch):
+    # joins whose maximal cliques all have d+1 vertices but where a factor
+    # fails the ridge test: C4 * P4 (factors: two non-edges and P4) at
+    # d = 3, then seeded random joins
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    cases = [(join(gen_cycle(4), path), 3)]
+    rng = random.Random(68)
+    while len(cases) < 40:
+        g = _random_join(rng)
+        sizes = {len(c) for c in kernels.maximal_cliques(g.masks, g.n)}
+        if len(sizes) == 1 and not reference_is_d_leveled(g, min(sizes) - 1)[0]:
+            cases.append((g, min(sizes) - 1))
+    expected = [reference_is_d_leveled(g, d) for g, d in cases]
+    assert expected[0] == (False, (("link", (0, 1, 4), (5,)),))
+    seen = []
+    kernel = kernels.maximal_cliques
+
+    def counted(masks, n):
+        seen.append(n)
+        return kernel(masks, n)
+
+    monkeypatch.setattr(kernels, "maximal_cliques", counted)
+    for (g, d), want in zip(cases, expected):
+        seen.clear()
+        verdict = is_d_leveled(Graph(g.n, g.masks), d)
+        assert (verdict.is_leveled, verdict.witnesses) == want, (g.masks, d)
+        assert seen and g.n not in seen, (g.masks, seen)
 
 
 def test_prime_graph_is_its_own_factor():

@@ -71,29 +71,21 @@ def test_pruned_enumeration_keeps_leveled_classes(d, n_max):
         assert leveled(pruned[n], n) == leveled(full[n], n)
 
 
-def test_exhaustive_cap_env(monkeypatch):
-    monkeypatch.delenv("FLAGSTONE_CAP", raising=False)
+def test_exhaustive_cap():
     assert exhaustive_cap(1) == 10 and exhaustive_cap(3) == 8
-    monkeypatch.setenv("FLAGSTONE_CAP", "5")
-    assert exhaustive_cap(1) == 5
-    monkeypatch.setenv("FLAGSTONE_CAP", "lots")
-    with pytest.raises(InvalidParameter):
-        exhaustive_cap(1)
 
 
 def test_exhaustive_search_rejects_huge_range(monkeypatch):
-    monkeypatch.delenv("FLAGSTONE_CAP", raising=False)
     cfg = SearchConfig(mode="exhaustive", d=3, n_min=4, n_max=9)
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded, match="--i-know-this-is-huge"):
         exhaustive_search(cfg)
     # the acknowledgment flag bypasses the cap (kept tiny here)
-    monkeypatch.setenv("FLAGSTONE_CAP", "4")
+    monkeypatch.setattr(search, "DEFAULT_CAP", 4)
     cfg = SearchConfig(mode="exhaustive", d=3, n_min=4, n_max=5, allow_huge=True)
     exhaustive_search(cfg)
 
 
-def test_exhaustive_search_level_one(monkeypatch):
-    monkeypatch.delenv("FLAGSTONE_CAP", raising=False)
+def test_exhaustive_search_level_one():
     cfg = SearchConfig(mode="exhaustive", d=1, n_min=4, n_max=8)
     res = exhaustive_search(cfg)
     assert res.s == 1
@@ -110,8 +102,7 @@ def test_exhaustive_search_level_one(monkeypatch):
         assert is_d_leveled(g, 1).is_leveled
 
 
-def test_exhaustive_search_level_three_small(monkeypatch):
-    monkeypatch.delenv("FLAGSTONE_CAP", raising=False)
+def test_exhaustive_search_level_three_small():
     cfg = SearchConfig(mode="exhaustive", d=3, n_min=4, n_max=6)
     res = exhaustive_search(cfg)
     got = {e["n"]: e for e in res.per_n}
@@ -123,11 +114,32 @@ def test_exhaustive_search_level_three_small(monkeypatch):
     assert res.reports == ()
 
 
-def test_exhaustive_workers_byte_identical(monkeypatch):
-    monkeypatch.delenv("FLAGSTONE_CAP", raising=False)
+def test_exhaustive_workers_byte_identical():
     one = exhaustive_search(SearchConfig(mode="exhaustive", d=1, n_min=4, n_max=6, workers=1))
     two = exhaustive_search(SearchConfig(mode="exhaustive", d=1, n_min=4, n_max=6, workers=2))
     assert one.to_json_bytes() == two.to_json_bytes()
+
+
+def test_search_tie_breaks(monkeypatch):
+    # at level 1 every leveled graph on n vertices (a union of cycles) has
+    # n edges: exhaustive mode reports the least canonical key
+    res = exhaustive_search(SearchConfig(mode="exhaustive", d=1, n_min=8, n_max=9))
+    levels = enumerate_classes(9, level=1)
+    for entry in res.per_n:
+        n = entry["n"]
+        leveled = [key for key in levels[n] if is_d_leveled(graph_from_key(key, n), 1).is_leveled]
+        best = Graph.from_edges(n, [tuple(e) for e in entry["argmax_edges"]])
+        assert len(leveled) > 1 and kernels.canonical_key(list(best.masks), n) == min(leveled)
+    # random mode reports the first graph in walk order: the starting join,
+    # ahead of two relabelings of it the stubbed walk finds
+    monkeypatch.setattr(search, "_random_moves", lambda g, rng, d, budget: [
+        g.relabel([(v + k) % g.n for v in range(g.n)]) for k in (1, 2)
+    ])
+    res = random_search(SearchConfig(mode="random", d=3, n_min=8, n_max=10, seed=3, budget=1))
+    for entry in res.per_n:
+        assert entry["candidates_found"] == 3
+        base = gen_join_of_cycles(2, entry["n"])
+        assert entry["argmax_edges"] == [list(e) for e in base.edges()]
 
 
 def test_random_search_reproducible():
@@ -202,6 +214,13 @@ def test_search_config_validation():
         SearchConfig(mode="exhaustive", d=0, n_min=1, n_max=2)
     with pytest.raises(InvalidParameter):
         SearchConfig(mode="exhaustive", d=1, n_min=3, n_max=2)
+    for workers in (0, -1):
+        with pytest.raises(InvalidParameter, match="workers"):
+            SearchConfig(mode="exhaustive", d=1, n_min=1, n_max=2, workers=workers)
+    for budget in (-1, -5):
+        with pytest.raises(InvalidParameter, match="budget"):
+            SearchConfig(mode="random", d=3, n_min=10, n_max=10, seed=1, budget=budget)
+    assert SearchConfig(mode="random", d=3, n_min=10, n_max=10, seed=1, budget=0).budget == 0
     assert SearchConfig(mode="exhaustive", d=3, n_min=1, n_max=2).s_effective == 2
     assert SearchConfig(mode="exhaustive", d=4, n_min=1, n_max=2).s_effective == 2
     assert SearchConfig(mode="exhaustive", d=4, n_min=1, n_max=2, s=3).s_effective == 3
