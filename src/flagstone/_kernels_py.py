@@ -1,11 +1,12 @@
 """Pure-Python bitset kernels.
 
 Reference implementation of the hot loops: clique counting, maximal-clique
-enumeration (Bron-Kerbosch with pivoting), the d-clique link test behind the
-leveled predicate, and canonical forms for isomorphism dedup.  A Cython twin
-(`_kernels_cy`) implements the same contract; `flagstone.kernels` picks one at
-import time.  Graphs enter as a sequence of adjacency bitmask rows
-(row v = OR of 1<<u over neighbors u of v).
+enumeration (Bron-Kerbosch with pivoting), a one-pass census giving both,
+the d-clique link test behind the leveled predicate, and canonical forms
+for isomorphism dedup.  A Cython twin (`_kernels_cy`) implements the same
+contracts except the census; `flagstone.kernels` picks one at import time.  Graphs enter as a
+sequence of adjacency bitmask rows (row v = OR of 1<<u over neighbors u
+of v).
 """
 
 
@@ -81,6 +82,41 @@ def maximal_cliques(masks, n):
     bk(0, (1 << n) - 1, 0)
     out.sort()
     return out
+
+
+def clique_census(masks, n):
+    """(clique_counts(masks, n), maximal_cliques(masks, n)) from one pass.
+
+    Lists every clique in lexicographic order (Chiba-Nishizeki), keeping
+    the candidates above the last vertex and the full common neighbourhood;
+    a clique is maximal exactly when its common neighbourhood is empty, so
+    the maximal cliques come out already sorted.
+    """
+    counts = [0] * (n + 2)  # room for counts[1] when n = 0
+    counts[0] = 1
+    out = []
+
+    def rec(cand, common, prefix, size):
+        # cand: vertices above the last chosen one, adjacent to all chosen;
+        # common: every vertex adjacent to all chosen.  Each candidate
+        # closes one clique of this size.
+        counts[size] += cand.bit_count()
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            row = masks[v]
+            sub = cand & row
+            if sub:
+                rec(sub, common & row, prefix + (v,), size + 1)
+            elif not common & row:
+                out.append(prefix + (v,))
+
+    full = (1 << n) - 1
+    rec(full, full, (), 1)
+    while len(counts) > 1 and counts[-1] == 0:
+        counts.pop()
+    return counts, out
 
 
 def k_cliques(masks, n, k):

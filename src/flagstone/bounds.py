@@ -2,11 +2,13 @@
 
 Every bound evaluates to an exact Fraction and every verdict is an exact
 comparison.  Bounds carry a status tag: "theorem" for statements with a
-proof (possibly only for large n; see the notes emitted per report) and
-"conjecture" for open ones.  Reports never present a conjecture failure as
-an error, and a level-verified instance beating a theorem-status bound is
-flagged as a potential counterexample, not as a refutation: the proven
-statements are asymptotic, so a finite instance can at most be a candidate.
+proof (possibly only for large n; see the notes emitted per report),
+"conjecture" for open ones, and "theorem_if_connected" for a lower bound
+whose proof needs a connected graph, reported on a disconnected one.
+Reports never present a conjecture failure as an error, and a
+level-verified instance beating a theorem-status bound is flagged as a
+potential counterexample, not as a refutation: the proven statements are
+asymptotic, so a finite instance can at most be a candidate.
 """
 
 from dataclasses import dataclass
@@ -17,6 +19,7 @@ from .structure import is_d_leveled
 
 STATUS_THEOREM = "theorem"
 STATUS_CONJECTURE = "conjecture"
+STATUS_IF_CONNECTED = "theorem_if_connected"
 
 
 def edge_bound_odd(n, s):
@@ -33,8 +36,14 @@ def edge_lower_bound_odd(n, s):
     return Fraction((4 * s - 3) * n - 8 * s * (s - 1))
 
 
-def lower_bound_status(s):
-    return STATUS_THEOREM if s <= 2 else STATUS_CONJECTURE
+def lower_bound_status(s, connected=True):
+    """Status of the lower bound at s.  At s = 1 every graph passing the
+    level test has exactly n edges, so it holds outright; at s = 2 the
+    proof needs a connected graph (two disjoint copies of K_{2,2,2,2} pass
+    at level 3 with 48 edges, under the value 64)."""
+    if s >= 3:
+        return STATUS_CONJECTURE
+    return STATUS_THEOREM if s == 1 or connected else STATUS_IF_CONNECTED
 
 
 def edge_bound_even_conjecture(n, s):
@@ -123,9 +132,10 @@ def upper_entry(n, s, edges):
     return BoundEntry(value, edges <= value, edges == value, STATUS_THEOREM, value - edges)
 
 
-def lower_entry(n, s, edges):
+def lower_entry(n, s, edges, connected=True):
     value = edge_lower_bound_odd(n, s)
-    return BoundEntry(value, edges >= value, edges == value, lower_bound_status(s), value - edges)
+    status = lower_bound_status(s, connected)
+    return BoundEntry(value, edges >= value, edges == value, status, value - edges)
 
 
 def even_entry(n, s, edges):
@@ -165,9 +175,12 @@ def verify_theorem_instance(g, s, cap=None, instance="graph"):
         notes.append(f"clique count k_{s + 1} = {k}; no cap supplied")
     if not verdict.is_leveled:
         notes.append(f"level test failed at d={d}; bounds reported for reference only")
+    connected = s != 2 or g.is_connected()
+    if not connected:
+        notes.append("lower_odd is proven for connected graphs only; this graph is disconnected")
     bounds = {
         "thm_odd": upper_entry(n, s, edges),
-        "lower_odd": lower_entry(n, s, edges),
+        "lower_odd": lower_entry(n, s, edges, connected),
     }
     return BoundReport(
         instance=instance,

@@ -23,6 +23,7 @@ from .errors import BudgetExceeded, DimensionMismatch, InvalidComplex, InvalidPa
 
 DIMENSION_CAP = 24
 FACE_BUDGET = 1 << 17  # caps sum(2^|F|) over facets; a 16-simplex facet fits
+VERTEX_LIMIT = 1 << 16  # caps the vertex count a parsed file may declare
 
 
 def require_face_budget(k):

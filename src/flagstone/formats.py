@@ -5,9 +5,12 @@ Facet list: first line "n k", then k lines, each a strictly increasing
 vertex list.  graph6 follows the published byte encoding: N(n) then the
 upper triangle read column by column, packed big-endian into 6-bit groups,
 each offset by 63.  Parsers are strict and report 1-based line numbers.
+A declared vertex count above VERTEX_LIMIT is a parse error, raised before
+any adjacency row is built: each row is an n-bit integer, so a huge n
+would cost quadratic time and memory before anything is checked.
 """
 
-from .complexes import SimplicialComplex
+from .complexes import VERTEX_LIMIT, SimplicialComplex
 from .errors import InvalidComplex, ParseError
 from .graphs import Graph
 
@@ -24,6 +27,13 @@ def _ints(line, count, path, line_no, what):
         raise ParseError(f"non-integer {what} field", path=path, line=line_no) from None
 
 
+def _check_vertex_count(n, path, line_no):
+    if n > VERTEX_LIMIT:
+        raise ParseError(
+            f"declares {n} vertices, over the vertex limit {VERTEX_LIMIT}", path=path, line=line_no
+        )
+
+
 def parse_edge_list(text, path=None):
     lines = text.splitlines()
     stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
@@ -34,6 +44,7 @@ def parse_edge_list(text, path=None):
     n, m = _ints(head, 2, path, head_no, "header")
     if n < 0 or m < 0:
         raise ParseError("negative counts in header", path=path, line=head_no)
+    _check_vertex_count(n, path, head_no)
     if len(content) - 1 != m:
         raise ParseError(
             f"header promises {m} edges but {len(content) - 1} edge lines follow",
@@ -102,6 +113,7 @@ def parse_graph6_line(line, path=None, line_no=None):
             raise ParseError("bad graph6 size header", path=path, line=line_no)
         n = vals[1] << 12 | vals[2] << 6 | vals[3]
         body = vals[4:]
+    _check_vertex_count(n, path, line_no)
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
         raise ParseError(
@@ -134,6 +146,7 @@ def parse_facet_list(text, path=None):
     n, k = _ints(head, 2, path, head_no, "header")
     if n < 0 or k < 0:
         raise ParseError("negative counts in header", path=path, line=head_no)
+    _check_vertex_count(n, path, head_no)
     if len(content) - 1 != k:
         raise ParseError(
             f"header promises {k} facets but {len(content) - 1} facet lines follow",

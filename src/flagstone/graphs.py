@@ -11,6 +11,12 @@ product of the factors' count polynomials, and the maximal-clique sizes are
 the sums of one maximal-clique size per factor.  `clique_counts`,
 `clique_count` and `maximal_clique_sizes` are computed per factor when
 there are two or more; `maximal_cliques()` always lists the whole graph's.
+
+A single factor's full count vector comes from one clique census, which
+lists every clique and keeps the maximal ones as the `maximal_cliques()`
+cache on the way.  Bron-Kerbosch runs only when the maximal cliques are
+asked for before (or without) the counts: it is output-sensitive, while
+the census visits every clique.
 """
 
 from dataclasses import dataclass
@@ -82,6 +88,19 @@ class Graph:
     def edge_count(self):
         return sum(row.bit_count() for row in self.masks) // 2
 
+    def is_connected(self):
+        """Does every vertex reach every other?  True for n <= 1."""
+        if self.n == 0:
+            return True
+        seen = frontier = 1
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reached = self.masks[low.bit_length() - 1] & ~seen
+            seen |= reached
+            frontier |= reached
+        return seen == (1 << self.n) - 1
+
     def with_edge(self, u, v):
         if u == v:
             raise InvalidParameter("no self-loops")
@@ -141,9 +160,14 @@ class Graph:
     @cached_property
     def _clique_counts(self):
         factors = self.join_factors()
-        if len(factors) == 1:
+        if len(factors) > 1:
+            return _poly_product([f.clique_counts() for f, _ in factors])
+        if "_maximal_cliques" in self.__dict__:
             return tuple(kernels.clique_counts(self.masks, self.n))
-        return _poly_product([f.clique_counts() for f, _ in factors])
+        # the pass that counts every clique also finds the maximal ones
+        counts, cliques = kernels.clique_census(self.masks, self.n)
+        self.__dict__["_maximal_cliques"] = tuple(cliques)
+        return tuple(counts)
 
     @cached_property
     def _maximal_cliques(self):

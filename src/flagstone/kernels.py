@@ -43,6 +43,14 @@ def maximal_cliques(masks, n):
     return _kernels_py.maximal_cliques(masks, n)
 
 
+def clique_census(masks, n):
+    # the compiled backend has no census: its two kernels give the same pair
+    if _cy is not None and n <= _CY_MAX_N:
+        rows = list(masks)
+        return _cy.clique_counts(rows, n, -1), _cy.maximal_cliques(rows, n)
+    return _kernels_py.clique_census(masks, n)
+
+
 def k_cliques(masks, n, k):
     if _cy is not None and n <= _CY_MAX_N:
         return _cy.k_cliques(list(masks), n, k)

@@ -11,7 +11,9 @@ from flagstone import (
     edge_bound_even_conjecture,
     edge_bound_odd,
     edge_lower_bound_odd,
+    disjoint_union,
     gamma_check,
+    gen_complete_multipartite,
     gen_cycle,
     gen_join_of_cycles,
     gen_suspension_sphere,
@@ -41,6 +43,30 @@ def test_lower_bound_status():
     assert lower_bound_status(2) == "theorem"
     assert lower_bound_status(3) == "conjecture"
     assert lower_bound_status(7) == "conjecture"
+    assert lower_bound_status(1, connected=False) == "theorem"
+    assert lower_bound_status(2, connected=False) == "theorem_if_connected"
+    assert lower_bound_status(3, connected=False) == "conjecture"
+
+
+def test_lower_odd_status_needs_connectivity_at_s2():
+    cross = gen_complete_multipartite((2, 2, 2, 2))
+    two = disjoint_union(cross, cross)
+    assert is_d_leveled(two, 3).is_leveled and not two.is_connected()
+    lower = verify_theorem_instance(two, 2).to_json_dict()
+    assert lower["bounds"]["lower_odd"] == {
+        "value": "64", "holds": False, "equality": False,
+        "status": "theorem_if_connected", "slack": "16",
+    }
+    assert any("proven for connected graphs only" in note for note in lower["notes"])
+    # one copy is connected: the bound holds at equality and is a theorem
+    one = verify_theorem_instance(cross, 2).to_json_dict()
+    assert one["bounds"]["lower_odd"]["status"] == "theorem"
+    assert one["bounds"]["lower_odd"]["equality"] is True
+    assert not any("connected" in note for note in one["notes"])
+    # at s = 1 every leveled graph is a union of cycles with n edges
+    cycles = verify_theorem_instance(disjoint_union(gen_cycle(4), gen_cycle(5)), 1).to_json_dict()
+    assert cycles["bounds"]["lower_odd"]["status"] == "theorem"
+    assert cycles["bounds"]["lower_odd"]["equality"] is True
 
 
 def test_edge_bound_even_values():

@@ -20,6 +20,7 @@ from flagstone import (
     parse_facet_list,
 )
 from flagstone.cli import main
+from flagstone.complexes import VERTEX_LIMIT
 from helpers import random_graph
 
 
@@ -154,6 +155,42 @@ def test_check_over_face_budget_exit(tmp_path, capsys):
     assert err["error"]["stage"] == "budget"
     assert "face budget" in err["error"]["message"]
     assert payload["summary"]["parse_errors"] == 1
+
+
+def _graph6_size_header(n):
+    return "~" + "".join(chr(((n >> k) & 63) + 63) for k in (12, 6, 0))
+
+
+@pytest.mark.parametrize(
+    "name,text",
+    [
+        ("huge.txt", f"{VERTEX_LIMIT + 1} 0\n"),
+        ("huge.g6", _graph6_size_header(VERTEX_LIMIT + 1) + "\n"),
+        ("huge.facets", f"{VERTEX_LIMIT + 1} 1\n0 1\n"),
+    ],
+    ids=["edge-list", "graph6", "facets"],
+)
+def test_check_vertex_limit_exit(tmp_path, capsys, name, text):
+    f = tmp_path / name
+    f.write_text(text)
+    start = time.perf_counter()
+    assert main(["check", str(f)]) == 2
+    assert time.perf_counter() - start < 5
+    out = capsys.readouterr().out
+    assert f"{f}: PARSE ERROR line 1: " in out
+    assert f"declares {VERTEX_LIMIT + 1} vertices, over the vertex limit {VERTEX_LIMIT}" in out
+    assert "1 parse error(s)" in out
+
+
+def test_bounds_vertex_limit_exit(tmp_path, capsys):
+    f = tmp_path / "huge.txt"
+    f.write_text("1000000000 0\n")
+    start = time.perf_counter()
+    assert main(["bounds", str(f), "--s", "1"]) == 2
+    assert time.perf_counter() - start < 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "declares 1000000000 vertices, over the vertex limit" in err
 
 
 def test_check_facets_ignore_unused_vertices(tmp_path, capsys):

@@ -217,3 +217,17 @@ def test_clique_counts_complete_graph():
     n = 9
     g = gen_complete_multipartite((1,) * n)
     assert g.clique_counts() == tuple(math.comb(n, k) for k in range(n + 1))
+
+
+def test_is_connected():
+    assert Graph(0, ()).is_connected() and Graph(1, (0,)).is_connected()
+    assert not Graph(2, (0, 0)).is_connected()
+    assert gen_cycle(6).is_connected()
+    assert not disjoint_union(gen_cycle(3), gen_cycle(4)).is_connected()
+    rng = random.Random(15)
+    for _ in range(40):
+        g = random_graph(rng.randrange(1, 9), rng.choice([0.1, 0.3, 0.5]), rng)
+        reach = {0}
+        for _ in range(g.n):
+            reach |= {u for v in reach for u in g.neighbors(v)}
+        assert g.is_connected() == (len(reach) == g.n)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from flagstone import _kernels_py
-from flagstone import gen_cycle
+from flagstone import Graph, detect_level, gen_complete_multipartite, gen_cycle
 from flagstone import kernels
 
 try:
@@ -56,6 +56,59 @@ def test_maximal_cliques_match_brute(backend):
     for _ in range(60):
         g = random_graph(rng.randrange(0, 8), rng.choice([0.2, 0.5, 0.8]), rng)
         assert backend.maximal_cliques(list(g.masks), g.n) == brute_maximal_cliques(g)
+
+
+def _census_cases():
+    rng = random.Random(808)
+    graphs = [Graph(0, ()), Graph(4, (0, 0, 0, 0)), Graph.from_edges(5, [(1, 3)])]
+    graphs += [gen_complete_multipartite((1,) * n) for n in (1, 2, 5, 9)]
+    graphs += [random_graph(rng.randrange(0, 10), rng.choice([0.2, 0.5, 0.8]), rng) for _ in range(80)]
+    return graphs
+
+
+def test_clique_census_matches_brute():
+    for g in _census_cases():
+        counts, cliques = _kernels_py.clique_census(list(g.masks), g.n)
+        assert counts == brute_clique_counts(g)
+        assert cliques == brute_maximal_cliques(g)
+
+
+def test_clique_census_matches_separate_kernels():
+    rng = random.Random(909)
+    # n > 64 leaves the compiled backend's word size, so both dispatch paths run
+    graphs = _census_cases() + [random_graph(n, 0.15, rng) for n in (65, 70, 90)]
+    for g in graphs:
+        m = list(g.masks)
+        expected = (_kernels_py.clique_counts(m, g.n), _kernels_py.maximal_cliques(m, g.n))
+        assert _kernels_py.clique_census(m, g.n) == expected
+        assert kernels.clique_census(m, g.n) == expected
+
+
+def test_graph_counts_and_cliques_agree_in_either_order():
+    rng = random.Random(1010)
+    for _ in range(40):
+        g = random_graph(rng.randrange(0, 11), rng.choice([0.3, 0.6, 0.9]), rng)
+        first = Graph(g.n, g.masks)
+        counts_first = (first.clique_counts(), first.maximal_cliques())
+        second = Graph(g.n, g.masks)
+        cliques = second.maximal_cliques()
+        cliques_first = (second.clique_counts(), cliques)
+        assert counts_first == cliques_first
+        assert counts_first == (tuple(brute_clique_counts(g)), tuple(brute_maximal_cliques(g)))
+
+
+def test_level_test_never_runs_the_census(monkeypatch):
+    # the complement of a 30-vertex path is prime and has about 2.2 million
+    # cliques but only 4 410 maximal ones: only Bron-Kerbosch is affordable
+    def refuse(masks, n):
+        raise AssertionError("clique_census called")
+
+    monkeypatch.setattr(kernels, "clique_census", refuse)
+    n = 30
+    g = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 2, n)])
+    d, verdict = detect_level(g)
+    assert d == 14 and not verdict.is_leveled
+    assert len(g.maximal_cliques()) == 4410
 
 
 def test_canonical_matches_brute_minimum(backend):

@@ -280,20 +280,26 @@ def test_check_instance_flag_complex_delegates():
 
 
 @pytest.mark.parametrize(
-    "make,sizes",
+    "make,expected",
     [
         # C5 * C5 and the suspension (two apexes) * C5 are worked factor by
-        # factor: no kernel call sees the whole graph
-        (lambda: gen_join_of_cycles(2, 10), [5, 5]),
-        (lambda: gen_suspension_sphere(5), [2, 5]),
-        # the torus is prime: one call each on all 16 vertices
-        (lambda: SimplicialComplex.from_facets(16, gen_grid_torus(4, 4).maximal_cliques()), [16]),
+        # factor: one census per factor gives its counts and maximal cliques,
+        # and no kernel call sees the whole graph
+        (lambda: gen_join_of_cycles(2, 10), {"clique_census": [5, 5]}),
+        (lambda: gen_suspension_sphere(5), {"clique_census": [2, 5]}),
+        # the torus is prime, and is_flag lists its maximal cliques before
+        # the counts are asked for: Bron-Kerbosch once, counts once
+        (
+            lambda: SimplicialComplex.from_facets(16, gen_grid_torus(4, 4).maximal_cliques()),
+            {"maximal_cliques": [16], "clique_counts": [16]},
+        ),
     ],
     ids=["join-odd-report", "sphere-even-entry", "torus-facets"],
 )
-def test_check_instance_does_clique_work_once(monkeypatch, make, sizes):
+def test_check_instance_does_clique_work_once(monkeypatch, make, expected):
     obj = make()
-    calls = {name: [] for name in ("maximal_cliques", "leveled_violation", "clique_counts")}
+    names = ("maximal_cliques", "leveled_violation", "clique_counts", "clique_census")
+    calls = {name: [] for name in names}
     for name in calls:
         def counted(masks, n, *rest, _name=name, _kernel=getattr(kernels, name)):
             calls[_name].append(n)
@@ -301,7 +307,7 @@ def test_check_instance_does_clique_work_once(monkeypatch, make, sizes):
         monkeypatch.setattr(kernels, name, counted)
     entry = check_instance("x", obj)
     assert entry["leveled"]["verdict"] is True and "report" in entry
-    assert calls == {"maximal_cliques": sizes, "leveled_violation": [], "clique_counts": sizes}
+    assert calls == {name: expected.get(name, []) for name in names}
 
 
 def test_maximal_cliques_are_an_immutable_cache():
