@@ -111,6 +111,7 @@ def _cmd_check(args):
     )
     if args.json:
         with open(args.json, "w", encoding="ascii") as fh:
+            # streamed: building the whole text first raises the peak RSS
             json.dump({"entries": entries, "summary": summary}, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if summary["parse_errors"]:

@@ -43,23 +43,25 @@ class SimplicialComplex:
     @classmethod
     def from_facets(cls, n, facets):
         """Normalize: sort each facet, drop duplicates and contained faces."""
-        cleaned = set()
+        masks = {}
+        containing = {}
         for facet in facets:
             fs = tuple(sorted(set(facet)))
             if fs and not (0 <= fs[0] and fs[-1] < n):
                 raise InvalidComplex(f"facet {fs} out of range for n={n}")
             if len(fs) - 1 > DIMENSION_CAP:
                 raise InvalidComplex(f"facet of dimension {len(fs) - 1} exceeds cap {DIMENSION_CAP}")
-            cleaned.add(fs)
-        containing = {}
-        for fs in cleaned:
-            for v in fs:
-                containing.setdefault(v, []).append(set(fs))
+            if fs not in masks:
+                masks[fs] = mask = _vertex_mask(fs)
+                for v in fs:
+                    containing.setdefault(v, []).append(mask)
         maximal = []
-        for fs in cleaned:
-            s = set(fs)
+        for fs, mask in masks.items():
             # a facet containing fs contains its lowest vertex; () lies in every facet
-            if not any(s < other for other in (containing[fs[0]] if fs else map(set, cleaned))):
+            for other in containing[fs[0]] if fs else masks.values():
+                if other != mask and other | mask == other:
+                    break
+            else:
                 maximal.append(fs)
         return cls(n, tuple(sorted(maximal)))
 
@@ -119,12 +121,19 @@ class SimplicialComplex:
     def _one_skeleton(self):
         from .graphs import Graph
 
-        edges = set()
+        rows = [0] * self.n
         for facet in self.facets:
-            for i in range(len(facet)):
-                for j in range(i + 1, len(facet)):
-                    edges.add((facet[i], facet[j]))
-        return Graph.from_edges(self.n, sorted(edges))
+            mask = _vertex_mask(facet)
+            for v in facet:
+                rows[v] |= mask ^ (1 << v)
+        return Graph(self.n, tuple(rows))
+
+
+def _vertex_mask(vertices):
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
 
 
 def clique_complex(g):

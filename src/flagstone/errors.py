@@ -40,10 +40,12 @@ class BudgetExceeded(FlagstoneError):
 class ParseError(FlagstoneError):
     """A corpus file does not conform to its format.
 
-    Carries the offending path and 1-based line number when known.
+    Carries the bare message and the offending path and 1-based line
+    number when known; str() prefixes the message with "path:line: ".
     """
 
     def __init__(self, message, path=None, line=None):
+        self.message = message
         self.path = path
         self.line = line
         where = ""

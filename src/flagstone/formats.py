@@ -7,10 +7,20 @@ upper triangle read column by column, packed big-endian into 6-bit groups,
 each offset by 63.  Parsers are strict and report 1-based line numbers.
 A declared vertex count above VERTEX_LIMIT is a parse error, raised before
 any adjacency row is built: each row is an n-bit integer, so a huge n
-would cost quadratic time and memory before anything is checked.
+would cost quadratic time and memory before anything is checked.  A facet
+of dimension above DIMENSION_CAP is a parse error too, with its line
+number, so it fails only its own file in a corpus run.
+
+The graph parsers build the bitmask adjacency rows directly.  An edge
+list sets the two bits of each edge as it is read (a bit already set is a
+duplicate edge).  A graph6 body becomes one bitstring, six bits per byte;
+each column of its upper triangle is read as one integer, the lower part
+of that vertex's row, and its set bits are mirrored into the rows above.
+A facet list's 1-skeleton is built from facet bitmasks by
+SimplicialComplex.one_skeleton.
 """
 
-from .complexes import VERTEX_LIMIT, SimplicialComplex
+from .complexes import DIMENSION_CAP, VERTEX_LIMIT, SimplicialComplex
 from .errors import InvalidComplex, ParseError
 from .graphs import Graph
 
@@ -51,17 +61,16 @@ def parse_edge_list(text, path=None):
             path=path,
             line=head_no,
         )
-    seen = set()
-    edges = []
+    rows = [0] * n
     for no, ln in content[1:]:
         u, v = _ints(ln, 2, path, no, "edge")
         if not (0 <= u < v < n):
             raise ParseError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}", path=path, line=no)
-        if (u, v) in seen:
+        if (rows[u] >> v) & 1:
             raise ParseError(f"duplicate edge ({u}, {v})", path=path, line=no)
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
 
 
 def dump_edge_list(g):
@@ -94,25 +103,25 @@ def dump_graph6(g):
     return head + body
 
 
+_G6_CHUNKS = {chr(63 + code): format(code, "06b") for code in range(64)}
+
+
 def parse_graph6_line(line, path=None, line_no=None):
     s = line.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     if not s:
         raise ParseError("empty graph6 line", path=path, line=line_no)
-    vals = []
-    for ch in s:
-        code = ord(ch) - 63
-        if not 0 <= code <= 63:
-            raise ParseError(f"byte {ord(ch)} outside graph6 range", path=path, line=line_no)
-        vals.append(code)
-    if vals[0] < 63:
-        n, body = vals[0], vals[1:]
+    if min(s) < "?" or max(s) > "~":
+        ch = next(ch for ch in s if not "?" <= ch <= "~")
+        raise ParseError(f"byte {ord(ch)} outside graph6 range", path=path, line=line_no)
+    if s[0] != "~":
+        n, body = ord(s[0]) - 63, s[1:]
     else:
-        if len(vals) < 4 or vals[1] == 63:
+        if len(s) < 4 or s[1] == "~":
             raise ParseError("bad graph6 size header", path=path, line=line_no)
-        n = vals[1] << 12 | vals[2] << 6 | vals[3]
-        body = vals[4:]
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
+        body = s[4:]
     _check_vertex_count(n, path, line_no)
     need = n * (n - 1) // 2
     if len(body) != (need + 5) // 6:
@@ -121,19 +130,20 @@ def parse_graph6_line(line, path=None, line_no=None):
             path=path,
             line=line_no,
         )
-    bits = []
-    for v in body:
-        bits.extend((v >> k) & 1 for k in (5, 4, 3, 2, 1, 0))
-    if any(bits[need:]):
+    bits = "".join(map(_G6_CHUNKS.__getitem__, body))
+    if "1" in bits[need:]:
         raise ParseError("nonzero padding bits in graph6 body", path=path, line=line_no)
     rows = [0] * n
     pos = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits[pos]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            pos += 1
+        col = int(bits[pos:pos + j][::-1], 2)
+        pos += j
+        rows[j] = col
+        bit = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph(n, tuple(rows))
 
 
@@ -156,14 +166,18 @@ def parse_facet_list(text, path=None):
     facets = []
     for no, ln in content[1:]:
         try:
-            vs = [int(t) for t in ln.split()]
+            vs = tuple(map(int, ln.split()))
         except ValueError:
             raise ParseError("non-integer facet field", path=path, line=no) from None
-        if any(not 0 <= v < n for v in vs):
+        if min(vs) < 0 or max(vs) >= n:
             raise ParseError(f"facet vertex outside 0..{n - 1}", path=path, line=no)
-        if any(a >= b for a, b in zip(vs, vs[1:])):
+        if vs != tuple(sorted(set(vs))):
             raise ParseError("facet vertices must be strictly increasing", path=path, line=no)
-        facets.append(tuple(vs))
+        if len(vs) - 1 > DIMENSION_CAP:
+            raise ParseError(
+                f"facet of dimension {len(vs) - 1} exceeds cap {DIMENSION_CAP}", path=path, line=no
+            )
+        facets.append(vs)
     return SimplicialComplex.from_facets(n, facets)
 
 

@@ -31,9 +31,9 @@ from .errors import InvalidParameter, NotAClique
 class Graph:
     """A finite simple graph: symmetric, irreflexive adjacency on 0..n-1.
 
-    The join factors, the maximal cliques, their sizes and the full
-    clique-count vector are computed at most once per graph and kept as
-    immutable tuples.
+    The join factors, the maximal cliques, their sizes, the full
+    clique-count vector and the ridge test are computed at most once per
+    graph and kept as immutable values.
     """
 
     n: int
@@ -44,16 +44,31 @@ class Graph:
             raise InvalidParameter("vertex count must be nonnegative")
         if len(self.masks) != self.n:
             raise InvalidParameter("need one adjacency row per vertex")
+        masks = self.masks
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.masks):
+        # every bit above the diagonal mirrored below it, and as many bits
+        # below as above, makes the rows symmetric: one check per edge
+        above = below = 0
+        mirrored = True
+        for v, row in enumerate(masks):
             if row & ~full:
                 raise InvalidParameter(f"row {v} mentions vertices outside 0..{self.n - 1}")
-            if (row >> v) & 1:
+            high = row >> v
+            if high & 1:
                 raise InvalidParameter(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in kernels.bits_of(self.masks[v]):
-                if not (self.masks[u] >> v) & 1:
-                    raise InvalidParameter(f"adjacency not symmetric at ({u}, {v})")
+            count = high.bit_count()
+            above += count
+            below += row.bit_count() - count
+            while mirrored and high:
+                low = high & -high
+                mirrored = (masks[v + low.bit_length() - 1] >> v) & 1
+                high ^= low
+        if not mirrored or above != below:
+            # name the first unmirrored pair in the order of the full scan
+            for v in range(self.n):
+                for u in kernels.bits_of(masks[v]):
+                    if not (masks[u] >> v) & 1:
+                        raise InvalidParameter(f"adjacency not symmetric at ({u}, {v})")
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -219,6 +234,33 @@ class Graph:
         factor, so a join's sizes are the sums of one size per factor.
         """
         return self._maximal_clique_sizes
+
+    @cached_property
+    def _ridges_in_two_facets(self):
+        # the common neighborhood of F - v is the AND of a prefix and a suffix
+        # of F's rows; both start from the full mask, so a 1-vertex F (whose
+        # only ridge is the empty clique) works too
+        full = (1 << self.n) - 1
+        for c in self.maximal_cliques():
+            suffix = [full]
+            for v in reversed(c):
+                suffix.append(suffix[-1] & self.masks[v])
+            prefix = full
+            for i, v in enumerate(c):
+                if (prefix & suffix[len(c) - 1 - i]).bit_count() != 2:
+                    return False
+                prefix &= self.masks[v]
+        return True
+
+    def ridges_in_two_facets(self):
+        """Does every ridge F - v of every maximal clique F have exactly two
+        common neighbors, v and one more?
+
+        This is the level test's link condition for a graph whose maximal
+        cliques all have one size; it does not depend on the level, so it
+        is computed once per graph.
+        """
+        return self._ridges_in_two_facets
 
     def k_cliques(self, k):
         return kernels.k_cliques(self.masks, self.n, k)

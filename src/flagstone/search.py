@@ -459,7 +459,7 @@ def run_corpus_checks(paths):
         try:
             instances = load_instances(path)
         except ParseError as exc:
-            entries.append(_error_entry(str(path), "parse", str(exc), exc.path, exc.line))
+            entries.append(_error_entry(str(path), "parse", exc.message, exc.path, exc.line))
             continue
         for instance, obj in instances:
             try:

@@ -97,27 +97,6 @@ class LeveledVerdict:
         return self.witnesses[0] if self.witnesses else None
 
 
-def _ridges_in_two_facets(g):
-    """Does every ridge F - v of every maximal clique F have exactly two
-    common neighbors, v and one more?
-
-    The common neighborhood of F - v is the AND of a prefix and a suffix of
-    F's rows; both start from the full mask, so a 1-vertex F (whose only
-    ridge is the empty clique) works too.
-    """
-    full = (1 << g.n) - 1
-    for c in g.maximal_cliques():
-        suffix = [full]
-        for v in reversed(c):
-            suffix.append(suffix[-1] & g.masks[v])
-        prefix = full
-        for i, v in enumerate(c):
-            if (prefix & suffix[len(c) - 1 - i]).bit_count() != 2:
-                return False
-            prefix &= g.masks[v]
-    return True
-
-
 def is_d_leveled(g, d, exhaustive=False):
     """Every maximal clique has size d+1 and every d-clique's common
     neighborhood is exactly two nonadjacent vertices.
@@ -166,7 +145,7 @@ def is_d_leveled(g, d, exhaustive=False):
     if g.maximal_clique_sizes() != (d + 1,):
         bad = next(c for c in g.maximal_cliques() if len(c) != d + 1)
         return LeveledVerdict(False, d, (("maximal-clique", bad),))
-    if all(_ridges_in_two_facets(f) for f, _ in g.join_factors()):
+    if all(f.ridges_in_two_facets() for f, _ in g.join_factors()):
         return LeveledVerdict(True, d)
     sigma, link_vs = kernels.leveled_violation(g.masks, g.n, d)
     return LeveledVerdict(False, d, (("link", sigma, link_vs),))

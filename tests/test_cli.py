@@ -66,8 +66,25 @@ def test_check_ok_and_json(tmp_path, capsys):
 def test_check_parse_error_exit(tmp_path, capsys):
     f = tmp_path / "bad.txt"
     f.write_text("3 1\n9 9\n")
-    assert main(["check", str(f)]) == 2
-    assert "PARSE ERROR" in capsys.readouterr().out
+    out_json = tmp_path / "report.json"
+    assert main(["check", str(f), "--json", str(out_json)]) == 2
+    message = "edge (9, 9) violates 0 <= u < v < n=3"
+    # the position is named once, by the entry's own fields
+    assert f"{f}: PARSE ERROR line 2: {message}\n" in capsys.readouterr().out
+    [entry] = json.loads(out_json.read_text())["entries"]
+    assert entry["error"] == {"stage": "parse", "message": message, "path": str(f), "line": 2}
+
+
+def test_check_oversized_facet_is_a_parse_error(tmp_path, capsys):
+    good = tmp_path / "c4.txt"
+    good.write_text(dump_edge_list(gen_cycle(4)))
+    big = tmp_path / "big.facets"
+    big.write_text("26 1\n" + " ".join(map(str, range(26))) + "\n")
+    assert main(["check", str(good), str(big)]) == 2
+    out = capsys.readouterr().out
+    assert f"{good}: ok (" in out
+    assert f"{big}: PARSE ERROR line 2: facet of dimension 25 exceeds cap 24\n" in out
+    assert "checked 2 instance(s): 1 ok, 1 parse error(s)" in out
 
 
 def test_check_counterexample_exit(monkeypatch, capsys):
@@ -190,7 +207,7 @@ def test_bounds_vertex_limit_exit(tmp_path, capsys):
     assert time.perf_counter() - start < 5
     out, err = capsys.readouterr()
     assert out == ""
-    assert "declares 1000000000 vertices, over the vertex limit" in err
+    assert f"error: {f}:1: declares 1000000000 vertices, over the vertex limit" in err
 
 
 def test_check_facets_ignore_unused_vertices(tmp_path, capsys):

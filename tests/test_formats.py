@@ -9,6 +9,7 @@ from flagstone import (
     Graph,
     ParseError,
     SimplicialComplex,
+    clique_complex,
     dump_edge_list,
     dump_facet_list,
     dump_graph6,
@@ -33,6 +34,11 @@ def test_graph6_round_trip():
     for _ in range(60):
         g = random_graph(rng.randrange(0, 15), rng.random(), rng)
         assert parse_graph6_line(dump_graph6(g)) == g
+    # dense graphs, and n on both sides of the one-byte size header (n <= 62)
+    for n in (0, 1, 2, 7, 61, 62, 63, 64, 70):
+        for p in (0.0, 0.5, 0.9, 1.0):
+            g = random_graph(n, p, rng)
+            assert parse_graph6_line(dump_graph6(g)) == g
 
 
 def test_graph6_long_size_header():
@@ -106,6 +112,9 @@ def test_facet_list_errors():
     assert ei.value.line == 2
     with pytest.raises(ParseError):
         parse_facet_list("")
+    with pytest.raises(ParseError, match="facet of dimension 25 exceeds cap 24") as ei:
+        parse_facet_list("26 2\n0 1\n" + " ".join(map(str, range(26))) + "\n")
+    assert ei.value.line == 3
 
 
 def test_load_instances_dispatch(tmp_path):
@@ -124,6 +133,21 @@ def test_load_instances_dispatch(tmp_path):
     pf = tmp_path / "one.facets"
     pf.write_text(dump_facet_list(k))
     assert load_instances(pf) == [(str(pf), k)]
+
+
+def test_formats_load_equal_graphs(tmp_path):
+    rng = random.Random(64)
+    for n, p in ((1, 0.0), (9, 0.2), (24, 0.4), (40, 0.7)):
+        g = random_graph(n, p, rng)
+        k = clique_complex(g)
+        (tmp_path / "g.txt").write_text(dump_edge_list(g))
+        (tmp_path / "g.g6").write_text(dump_graph6(g) + "\n")
+        (tmp_path / "g.facets").write_text(dump_facet_list(k))
+        [(_, from_edges)] = load_instances(tmp_path / "g.txt")
+        [(_, from_graph6)] = load_instances(tmp_path / "g.g6")
+        [(_, from_facets)] = load_instances(tmp_path / "g.facets")
+        assert from_facets == k
+        assert from_edges == from_graph6 == from_facets.one_skeleton() == g
 
 
 def test_load_instances_wraps_io_errors(tmp_path):

@@ -33,6 +33,32 @@ def test_construction_validates():
         Graph(1, (2,))  # out-of-range bit
 
 
+def test_asymmetric_rows_name_the_first_unmirrored_pair():
+    # an unmirrored bit above the diagonal, then one below it
+    with pytest.raises(InvalidParameter, match=r"adjacency not symmetric at \(2, 0\)$"):
+        Graph(3, (0b110, 0b001, 0))
+    with pytest.raises(InvalidParameter, match=r"adjacency not symmetric at \(0, 2\)$"):
+        Graph(3, (0, 0b100, 0b011))
+
+
+def test_symmetry_check_matches_a_full_scan():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randrange(1, 12)
+        rows = list(random_graph(n, rng.random(), rng).masks)
+        for _ in range(rng.randrange(0, 3)):
+            u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+            if u != v:
+                rows[u] ^= 1 << v
+        symmetric = all((rows[u] >> v) & 1 == (rows[v] >> u) & 1
+                        for u in range(n) for v in range(n))
+        if symmetric:
+            assert Graph(n, tuple(rows)).masks == tuple(rows)
+        else:
+            with pytest.raises(InvalidParameter, match="not symmetric"):
+                Graph(n, tuple(rows))
+
+
 def test_from_edges_and_accessors():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     assert g.edge_count == 3

@@ -1,6 +1,7 @@
 """Enumeration, seeded local search, and corpus checking."""
 
 import random
+from functools import cached_property
 
 import pytest
 
@@ -308,6 +309,23 @@ def test_check_instance_does_clique_work_once(monkeypatch, make, expected):
     entry = check_instance("x", obj)
     assert entry["leveled"]["verdict"] is True and "report" in entry
     assert calls == {name: expected.get(name, []) for name in names}
+
+
+def test_ridge_test_runs_once_per_factor(monkeypatch):
+    # detect_level and the odd-level bound report both ask for the ridge test
+    sizes = []
+    ridges = Graph._ridges_in_two_facets.func
+
+    def counted(g):
+        sizes.append(g.n)
+        return ridges(g)
+
+    prop = cached_property(counted)
+    prop.__set_name__(Graph, "_ridges_in_two_facets")
+    monkeypatch.setattr(Graph, "_ridges_in_two_facets", prop)
+    entry = check_instance("x", gen_join_of_cycles(2, 10))
+    assert entry["leveled"] == {"d": 3, "verdict": True} and "report" in entry
+    assert sizes == [5, 5]
 
 
 def test_maximal_cliques_are_an_immutable_cache():
