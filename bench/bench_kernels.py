@@ -1,9 +1,9 @@
 """Compare the compiled kernels against the pure-Python fallback.
 
-Times the four hot operations on seeded random graphs and on a balanced
-cycle join, then prints one table row per (operation, instance) with the
-speedup.  Both backends are imported directly, so the FLAGSTONE_BACKEND
-environment variable does not affect this script.
+Times four hot operations on seeded random graphs and on a balanced cycle
+join, then prints one table row per (operation, instance) with the
+speedup.  Both backends are imported directly; build the extension first
+with `python setup.py build_ext --inplace`.
 """
 
 import argparse
@@ -14,9 +14,9 @@ from flagstone import gen_join_of_cycles
 from flagstone import _kernels_py
 
 try:
-    from flagstone import _kernels_cy
+    from flagstone import _kernels_c
 except ImportError:
-    _kernels_cy = None
+    _kernels_c = None
 
 
 def random_masks(n, p, rng):
@@ -72,26 +72,26 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=5, help="keep the best of this many runs")
     args = parser.parse_args(argv)
 
-    if _kernels_cy is None:
+    if _kernels_c is None:
         print("compiled backend not importable; timing the fallback only")
     rows = []
     for op_name, op in operations():
         for inst_name, masks, n in instances(args.seed):
             t_py = best_time(lambda: op(_kernels_py, masks, n), args.repeats)
-            if _kernels_cy is not None:
-                t_cy = best_time(lambda: op(_kernels_cy, masks, n), args.repeats)
-                assert op(_kernels_py, masks, n) == op(_kernels_cy, masks, n)
-                rows.append((op_name, inst_name, t_py, t_cy, t_py / t_cy))
+            if _kernels_c is not None:
+                t_c = best_time(lambda: op(_kernels_c, masks, n), args.repeats)
+                assert op(_kernels_py, masks, n) == op(_kernels_c, masks, n)
+                rows.append((op_name, inst_name, t_py, t_c, t_py / t_c))
             else:
                 rows.append((op_name, inst_name, t_py, None, None))
 
-    header = f"{'operation':<22} {'instance':<18} {'python':>10} {'cython':>10} {'speedup':>8}"
+    header = f"{'operation':<22} {'instance':<18} {'python':>10} {'c':>10} {'speedup':>8}"
     print(header)
     print("-" * len(header))
-    for op_name, inst_name, t_py, t_cy, ratio in rows:
-        cy = f"{t_cy * 1e3:9.3f}ms" if t_cy is not None else f"{'-':>10}"
+    for op_name, inst_name, t_py, t_c, ratio in rows:
+        c = f"{t_c * 1e3:9.3f}ms" if t_c is not None else f"{'-':>10}"
         sp = f"{ratio:7.1f}x" if ratio is not None else f"{'-':>8}"
-        print(f"{op_name:<22} {inst_name:<18} {t_py * 1e3:9.3f}ms {cy} {sp}")
+        print(f"{op_name:<22} {inst_name:<18} {t_py * 1e3:9.3f}ms {c} {sp}")
     return 0
 
 

@@ -1,42 +1,17 @@
-"""Build script: compiles the optional Cython kernel extension.
+"""Build script: compiles the optional C kernel extension.
 
-The package is fully functional without the extension (a pure-Python
-fallback is selected at import time), so a failed compile only costs
-speed.  `pip install -e . --no-build-isolation` builds it in place.
+The package is fully functional without the extension (`flagstone.kernels`
+falls back to the pure-Python reference), so a failed compile only costs
+speed.  A C compiler and the Python headers are all it needs:
+`pip install -e . --no-build-isolation`, or `python setup.py build_ext
+--inplace` in a source checkout.
 """
 
 from setuptools import Extension, setup
-from setuptools.command.build_ext import build_ext
 
-
-class optional_build_ext(build_ext):
-    """Build the extension if possible; fall back to pure Python otherwise."""
-
-    def run(self):
-        try:
-            super().run()
-        except Exception as exc:  # compiler missing, etc.
-            print(f"warning: kernel extension not built ({exc}); "
-                  "using the pure-Python fallback")
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            print(f"warning: failed to compile {ext.name} ({exc}); "
-                  "using the pure-Python fallback")
-
-
-def extensions():
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    return cythonize(
-        [Extension("flagstone._kernels_cy", ["src/flagstone/_kernels_cy.pyx"],
-                   extra_compile_args=["-O3"])],
-        language_level=3,
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": optional_build_ext})
+setup(
+    ext_modules=[
+        Extension("flagstone._kernels_c", ["src/flagstone/_kernels_c.c"],
+                  extra_compile_args=["-O3"], optional=True),
+    ],
+)

@@ -3,10 +3,12 @@
 Reference implementation of the hot loops: clique counting, maximal-clique
 enumeration (Bron-Kerbosch with pivoting), a one-pass census giving both,
 the d-clique link test behind the leveled predicate, and canonical forms
-for isomorphism dedup.  A Cython twin (`_kernels_cy`) implements the same
-contracts except the census; `flagstone.kernels` picks one at import time.  Graphs enter as a
-sequence of adjacency bitmask rows (row v = OR of 1<<u over neighbors u
-of v).
+for isomorphism dedup.  The C extension `_kernels_c` implements the six
+hot ones (clique_counts, maximal_cliques, clique_census, leveled_violation,
+crowded_link, canonical_key) with the same contracts for n <= 64, and
+`flagstone.kernels` sends each call to one or the other; the rest run only
+here.  Graphs enter as a sequence of adjacency bitmask rows (row v = OR of
+1<<u over neighbors u of v).
 """
 
 

@@ -2,12 +2,14 @@
 
 Exit codes: 0 when every requested check passes or completes, 1 when a
 level-verified instance violates a theorem-status bound (a potential
-counterexample worth human eyes), 2 for usage and parse errors.
+counterexample worth human eyes), 2 for usage and parse errors and for an
+output path that cannot be written.
 """
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .bounds import verify_theorem_instance
@@ -72,6 +74,17 @@ def _cmd_gen(args):
     return 0
 
 
+@contextmanager
+def _opened_for_writing(path, mode, **kwargs):
+    """open(path, mode) for the body; an OS error opening or writing it
+    becomes a FlagstoneError naming the path, so main exits 2."""
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise FlagstoneError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _describe(entry):
     if entry["kind"] == "error":
         err = entry["error"]
@@ -110,7 +123,7 @@ def _cmd_check(args):
         "{equality_cases} bound equality case(s)".format(**summary)
     )
     if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
+        with _opened_for_writing(args.json, "w", encoding="ascii") as fh:
             # streamed: building the whole text first raises the peak RSS
             json.dump({"entries": entries, "summary": summary}, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -173,7 +186,7 @@ def _cmd_search(args):
     result = exhaustive_search(cfg) if cfg.mode == "exhaustive" else random_search(cfg)
     payload = result.to_json_bytes()
     if args.out:
-        with open(args.out, "wb") as fh:
+        with _opened_for_writing(args.out, "wb") as fh:
             fh.write(payload)
     for entry in result.per_n:
         print(

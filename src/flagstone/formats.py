@@ -190,18 +190,31 @@ def dump_facet_list(k):
     return "\n".join(lines) + "\n"
 
 
+def _read_ascii(path):
+    """The file's text; the bytes are kept only to locate a non-ASCII one."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc}", path=str(path)) from None
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        # its line as the parsers count them, by str.splitlines
+        line = len((data[:exc.start].decode("ascii") + ".").splitlines())
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not ASCII", path=str(path),
+                         line=line) from None
+
+
 def load_instances(path):
     """Parse a file into a list of (instance id, Graph or SimplicialComplex).
 
     Dispatch is by extension: .g6 holds one graph6 graph per line, .facets
-    one facet list, anything else one edge list.  IO failures are reported
-    as ParseError so corpus runs can isolate them per file.
+    one facet list, anything else one edge list.  IO failures and bytes
+    outside ASCII are reported as ParseError so corpus runs can isolate them
+    per file.
     """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read: {exc}", path=str(path)) from None
+    text = _read_ascii(path)
     name = str(path)
     if name.endswith(".g6"):
         out = []

@@ -1,7 +1,14 @@
 """Deterministic labeled graph families used throughout the toolkit."""
 
+from .complexes import VERTEX_LIMIT
 from .errors import InvalidParameter
 from .graphs import Graph, join
+
+
+def _check_size(n):
+    """Refuse a family member over the vertex limit before building a row."""
+    if n > VERTEX_LIMIT:
+        raise InvalidParameter(f"{n} vertices, over the vertex limit {VERTEX_LIMIT}")
 
 
 def gen_cycle(k):
@@ -12,6 +19,7 @@ def gen_cycle(k):
     """
     if k < 3:
         raise InvalidParameter("cycle needs at least 3 vertices")
+    _check_size(k)
     return Graph.from_edges(k, [(i, (i + 1) % k) for i in range(k)])
 
 
@@ -19,6 +27,7 @@ def gen_independent(k):
     """Edgeless graph on k vertices."""
     if k < 0:
         raise InvalidParameter("vertex count must be nonnegative")
+    _check_size(k)
     return Graph(k, (0,) * k)
 
 
@@ -28,6 +37,7 @@ def gen_complete_multipartite(parts):
     if not parts or any(p < 1 for p in parts):
         raise InvalidParameter("need at least one part, all sizes >= 1")
     n = sum(parts)
+    _check_size(n)
     starts = []
     acc = 0
     for p in parts:
@@ -58,6 +68,7 @@ def gen_join_of_cycles(s, n):
         raise InvalidParameter("need at least one cycle")
     if n < 4 * s:
         raise InvalidParameter(f"n={n} too small: each of the {s} cycles needs >= 4 vertices")
+    _check_size(n)
     g = gen_cycle(cycle_part_sizes(s, n)[0])
     for size in cycle_part_sizes(s, n)[1:]:
         g = join(g, gen_cycle(size))
@@ -71,6 +82,7 @@ def gen_suspension_sphere(k):
     """
     if k < 4:
         raise InvalidParameter("suspension needs a cycle of length >= 4")
+    _check_size(k + 2)
     return join(gen_independent(2), gen_cycle(k))
 
 
@@ -83,6 +95,7 @@ def gen_grid_torus(p, q):
     """
     if p < 4 or q < 4:
         raise InvalidParameter("torus grid needs p, q >= 4")
+    _check_size(p * q)
     edges = set()
     for i in range(p):
         for j in range(q):

@@ -49,6 +49,33 @@ def test_gen_usage_errors(capsys):
     assert main(["gen", "cycle", "2"]) == 2  # too short for a cycle
     err = capsys.readouterr().err
     assert "error:" in err
+    # the vertex counts these imply are over the limit, but the parameters are wrong first
+    assert main(["gen", "grid_torus", "-300", "-300"]) == 2
+    assert main(["gen", "complete_multipartite", "0,70000"]) == 2
+    err = capsys.readouterr().err
+    assert "torus grid needs p, q >= 4" in err and "all sizes >= 1" in err
+    assert "vertex limit" not in err
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("cycle", [str(VERTEX_LIMIT + 1)]),
+        ("independent", [str(VERTEX_LIMIT + 1)]),
+        ("complete_multipartite", [f"1,{VERTEX_LIMIT}"]),
+        ("join_of_cycles", ["1", str(VERTEX_LIMIT + 1)]),
+        ("suspension_sphere", [str(VERTEX_LIMIT - 1)]),
+        # VERTEX_LIMIT + 1 = 65537 is prime: the nearest torus over the limit
+        ("grid_torus", ["6", "10923"]),
+    ],
+)
+def test_gen_vertex_limit_exit(capsys, family, params):
+    start = time.perf_counter()
+    assert main(["gen", family, *params]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "vertices, over the vertex limit" in err
 
 
 def test_check_ok_and_json(tmp_path, capsys):
@@ -73,6 +100,48 @@ def test_check_parse_error_exit(tmp_path, capsys):
     assert f"{f}: PARSE ERROR line 2: {message}\n" in capsys.readouterr().out
     [entry] = json.loads(out_json.read_text())["entries"]
     assert entry["error"] == {"stage": "parse", "message": message, "path": str(f), "line": 2}
+
+
+def test_check_non_ascii_file_is_a_parse_error(tmp_path, capsys):
+    good = tmp_path / "c4.txt"
+    good.write_text(dump_edge_list(gen_cycle(4)))
+    bad = tmp_path / "accent.txt"
+    bad.write_bytes(b"3 1\n0 1\n\xe9\n")
+    out_json = tmp_path / "report.json"
+    assert main(["check", str(good), str(bad), "--json", str(out_json)]) == 2
+    out = capsys.readouterr().out
+    assert f"{good}: ok (" in out
+    assert f"{bad}: PARSE ERROR line 3: byte 0xe9 is not ASCII\n" in out
+    entries = json.loads(out_json.read_text())["entries"]
+    assert entries[0]["kind"] == "graph"
+    assert entries[1]["error"] == {"stage": "parse", "message": "byte 0xe9 is not ASCII",
+                                   "path": str(bad), "line": 3}
+
+
+def test_bounds_non_ascii_exit(tmp_path, capsys):
+    bad = tmp_path / "accent.txt"
+    bad.write_bytes(b"3 1\r\n0 \xe9\n")
+    assert main(["bounds", str(bad), "--s", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {bad}:2: byte 0xe9 is not ASCII\n"
+
+
+def test_check_unwritable_json_exit(tmp_path, capsys):
+    good = tmp_path / "c4.txt"
+    good.write_text(dump_edge_list(gen_cycle(4)))
+    target = tmp_path / "missing" / "x.json"
+    assert main(["check", str(good), "--json", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {target}: No such file or directory\n"
+
+
+def test_search_unwritable_out_exit(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    args = ["search", "--mode", "exhaustive", "--d", "1", "--n", "3..4", "--out", str(target)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 def test_check_oversized_facet_is_a_parse_error(tmp_path, capsys):

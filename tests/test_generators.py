@@ -14,6 +14,7 @@ from flagstone import (
     graph_f_vector,
     euler_characteristic,
 )
+from flagstone.complexes import VERTEX_LIMIT
 
 
 def test_cycle():
@@ -80,3 +81,14 @@ def test_grid_torus():
     assert g2.n == 20 and all(g2.degree(v) == 6 for v in range(20))
     with pytest.raises(InvalidParameter):
         gen_grid_torus(3, 4)
+
+
+def test_generators_refuse_sizes_over_the_vertex_limit():
+    # each raises before building a row, so a huge request costs nothing
+    over = VERTEX_LIMIT + 1
+    for build in (lambda: gen_cycle(over), lambda: gen_independent(10**9),
+                  lambda: gen_complete_multipartite((1, VERTEX_LIMIT)),
+                  lambda: gen_join_of_cycles(1, over), lambda: gen_suspension_sphere(over - 2),
+                  lambda: gen_grid_torus(10**6, 10**6)):
+        with pytest.raises(InvalidParameter, match="over the vertex limit"):
+            build()

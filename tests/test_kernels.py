@@ -1,21 +1,25 @@
 """Backend equivalence: the compiled kernels must match the reference ones
-bit for bit on everything the dispatcher can route to either."""
+bit for bit on everything the dispatcher can route to either.
 
+The compiled module comes from the `compiled_kernels` fixture, which builds
+src/flagstone/_kernels_c.c for this session, so these tests run whether or
+not the package was installed with its extension.
+"""
+
+import importlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from flagstone import _kernels_py
-from flagstone import Graph, detect_level, gen_complete_multipartite, gen_cycle
+from flagstone import Graph, detect_level, gen_complete_multipartite, gen_cycle, gen_join_of_cycles
 from flagstone import kernels
-
-try:
-    from flagstone import _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-BACKENDS = [_kernels_py] + ([_kernels_cy] if _kernels_cy else [])
-IDS = ["py"] + (["cy"] if _kernels_cy else [])
+from flagstone.cli import main
 
 from helpers import (
     brute_canonical_key,
@@ -25,10 +29,15 @@ from helpers import (
     random_graph,
 )
 
+HOT = ("clique_counts", "maximal_cliques", "clique_census", "leveled_violation",
+       "crowded_link", "canonical_key")
 
-@pytest.fixture(params=BACKENDS, ids=IDS)
+
+@pytest.fixture(params=["py", "c"])
 def backend(request):
-    return request.param
+    if request.param == "py":
+        return _kernels_py
+    return request.getfixturevalue("compiled_kernels")
 
 
 def test_clique_counts_small_fixed(backend):
@@ -135,21 +144,174 @@ def test_canonical_separates_nonisomorphic(backend):
     assert backend.canonical_key(p4, 4) != backend.canonical_key(star, 4)
 
 
-@pytest.mark.skipif(_kernels_cy is None, reason="compiled backend not built")
-def test_backends_agree_randomized():
+def _sparse_graph(n, rng):
+    # dense enough for cliques of 3-4 vertices, sparse enough that the
+    # Python kernels enumerate every clique of a 64-vertex graph quickly
+    return random_graph(n, rng.choice([0.2, 0.5, 0.8]) if n <= 12 else rng.choice([0.05, 0.1, 0.2]), rng)
+
+
+def test_backends_agree_randomized(compiled_kernels):
+    c = compiled_kernels
     rng = random.Random(505)
-    for _ in range(150):
-        g = random_graph(rng.randrange(0, 13), rng.random(), rng)
+    graphs = [gen_cycle(n) for n in range(3, 13)] + [gen_join_of_cycles(2, n) for n in (8, 10, 12)]
+    graphs += [gen_complete_multipartite(p) for p in ((2, 2, 2), (3, 3, 3), (1, 2, 3, 4), (6, 6))]
+    graphs += [random_graph(rng.randrange(0, 13), rng.random(), rng) for _ in range(150)]
+    graphs += [_sparse_graph(n, rng) for n in range(65) for _ in range(3)]
+    for g in graphs:
         m, n = list(g.masks), g.n
-        assert _kernels_cy.clique_counts(m, n, -1) == _kernels_py.clique_counts(m, n, -1)
-        assert _kernels_cy.maximal_cliques(m, n) == _kernels_py.maximal_cliques(m, n)
-        k = rng.randrange(1, n + 2) if n else 1
-        assert _kernels_cy.k_cliques(m, n, k) == _kernels_py.k_cliques(m, n, k)
-        assert _kernels_cy.clique_number(m, n, 0) == _kernels_py.clique_number(m, n, 0)
-        for d in (1, 2, 3):
-            assert _kernels_cy.leveled_violation(m, n, d) == _kernels_py.leveled_violation(m, n, d)
-        if n <= 11:
-            assert _kernels_cy.canonical_key(m, n) == _kernels_py.canonical_key(m, n)
+        assert c.clique_counts(m, n, -1) == _kernels_py.clique_counts(m, n, -1)
+        assert c.maximal_cliques(m, n) == _kernels_py.maximal_cliques(m, n)
+        assert c.clique_census(m, n) == _kernels_py.clique_census(m, n)
+        for d in (-1, 0, 1, 2, 3):
+            within = rng.randrange(1 << n) if n else 0
+            assert c.leveled_violation(m, n, d) == _kernels_py.leveled_violation(m, n, d)
+            assert c.crowded_link(m, n, d, within) == _kernels_py.crowded_link(m, n, d, within)
+        if n <= 12:
+            assert c.canonical_key(m, n) == _kernels_py.canonical_key(m, n)
+
+
+def test_compiled_full_word_rows(compiled_kernels):
+    # n = 64 sets bit 63 of the rows and fills the whole word with `full`
+    c = compiled_kernels
+    full = (1 << 64) - 1
+    complete = [full ^ (1 << v) for v in range(64)]
+    assert c.maximal_cliques(complete, 64) == [tuple(range(64))]
+    assert c.clique_counts(complete, 64, 2) == [1, 64, 2016]
+    assert c.canonical_key(complete, 64) == (1 << 2016) - 1
+    assert c.leveled_violation(complete, 64, 1) == ((0,), tuple(range(1, 64)))
+    assert c.crowded_link(complete, 64, 1, 1 << 63) == (63,)
+    empty = [0] * 64
+    assert c.clique_census(empty, 64) == ([1, 64], [(v,) for v in range(64)])
+    assert c.canonical_key(empty, 64) == 0
+
+
+def test_compiled_clique_counts_past_n(compiled_kernels):
+    rng = random.Random(1313)
+    for n in (0, 1, 5, 9, 64):
+        m = list(_sparse_graph(n, rng).masks)
+        for kmax in (0, 1, n, n + 1, n + 7, 200):
+            got = compiled_kernels.clique_counts(m, n, kmax)
+            assert got == _kernels_py.clique_counts(m, n, kmax)
+            assert len(got) == kmax + 1
+
+
+def test_compiled_crowded_link_matches_brute(compiled_kernels):
+    rng = random.Random(1414)
+    for _ in range(300):
+        g = random_graph(rng.randrange(0, 9), rng.choice([0.3, 0.5, 0.7, 0.9]), rng)
+        within = rng.randrange(1 << g.n) if rng.random() < 0.7 else (1 << g.n) - 1
+        for d in (0, 1, 2, 3):
+            got = compiled_kernels.crowded_link(list(g.masks), g.n, d, within)
+            assert got == brute_crowded_link(g, d, within)
+
+
+def test_compiled_census_matches_its_separate_kernels(compiled_kernels):
+    c = compiled_kernels
+    rng = random.Random(1515)
+    graphs = _census_cases() + [_sparse_graph(n, rng) for n in (20, 40, 63, 64)]
+    for g in graphs:
+        m = list(g.masks)
+        assert c.clique_census(m, g.n) == (c.clique_counts(m, g.n), c.maximal_cliques(m, g.n))
+
+
+def _anticycle(n):
+    full = (1 << n) - 1
+    return Graph(n, tuple(full & ~m & ~(1 << v) for v, m in enumerate(gen_cycle(n).masks)))
+
+
+@pytest.mark.parametrize("n", [40, 52, 63, 64])
+def test_compiled_canonical_key_past_12_vertices(compiled_kernels, n):
+    # dense graphs tie on few orderings, so the branch-and-bound keys them in
+    # milliseconds: the key must survive relabelling and decoding, and on the
+    # complement of C64 (full-word rows) equal the Python kernel's
+    c = compiled_kernels
+    rng = random.Random(1600 + n)
+    for g in (random_graph(n, 0.9, rng), _anticycle(n)):
+        key = c.canonical_key(list(g.masks), n)
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            assert c.canonical_key(list(g.relabel(perm).masks), n) == key
+        assert c.canonical_key(kernels.key_to_masks(key, n), n) == key
+        assert key.bit_length() <= n * (n - 1) // 2
+    if n == 64:
+        m = list(_anticycle(n).masks)
+        assert c.canonical_key(m, n) == _kernels_py.canonical_key(m, n)
+
+
+@pytest.mark.parametrize("name", HOT)
+def test_compiled_rejects_bad_sizes(compiled_kernels, name):
+    fn = getattr(compiled_kernels, name)
+    extra = {"leveled_violation": (2,), "crowded_link": (2, 0)}.get(name, ())
+    with pytest.raises(ValueError):
+        fn([0] * 65, 65, *extra)  # more vertices than a word holds
+    with pytest.raises(OverflowError):
+        fn([1 << 64, 0], 2, *extra)  # a row past 64 bits
+    with pytest.raises(ValueError):
+        fn([0, 0], 3, *extra)  # fewer rows than n
+    with pytest.raises(ValueError):
+        fn([4, 0], 2, *extra)  # a neighbour outside 0..n-1
+    with pytest.raises(TypeError):
+        fn(["x"], 1, *extra)
+
+
+def test_compiled_rejects_within_outside_n(compiled_kernels):
+    with pytest.raises(ValueError):
+        compiled_kernels.crowded_link([2, 1], 2, 1, 4)
+    with pytest.raises(OverflowError):
+        compiled_kernels.crowded_link([2, 1], 2, 1, -1)
+
+
+def test_dispatcher_routes_to_compiled(compiled_kernels, monkeypatch):
+    calls = []
+
+    class Spy:
+        def __getattr__(self, name):
+            def call(*args):
+                calls.append(name)
+                return getattr(compiled_kernels, name)(*args)
+            return call
+
+    monkeypatch.setattr(kernels, "_c", Spy())
+    m = list(gen_cycle(6).masks)
+    kernels.clique_counts(m, 6)
+    kernels.maximal_cliques(m, 6)
+    kernels.clique_census(m, 6)
+    kernels.leveled_violation(m, 6, 1)
+    kernels.crowded_link(m, 6, 1, 63)
+    kernels.canonical_key(m, 6)
+    assert calls == list(HOT)
+    # past 64 vertices every kernel stays in Python
+    big = [0] * 65
+    kernels.clique_counts(big, 65)
+    kernels.canonical_key(big, 65)
+    assert calls == list(HOT)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def test_compiled_golden_check_bytes(compiled_kernels, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(kernels, "_c", compiled_kernels)
+    monkeypatch.chdir(GOLDEN)
+    out_json = tmp_path / "check.json"
+    files = ["join.txt", "suspension.txt", "torus.facets", "pair.g6", "hollow.facets"]
+    assert main(["check", *files, "--json", str(out_json)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "check.stdout").read_text()
+    assert out_json.read_bytes() == (GOLDEN / "check.json").read_bytes()
+
+
+def test_compiled_exhaustive_payload_bytes(compiled_kernels, monkeypatch, tmp_path, capsys):
+    args = ["search", "--mode", "exhaustive", "--d", "2", "--n", "3..8", "--out"]
+    monkeypatch.setattr(kernels, "_c", None)
+    assert main(args + [str(tmp_path / "py.json")]) == 0
+    monkeypatch.setattr(kernels, "_c", compiled_kernels)
+    assert main(args + [str(tmp_path / "c.json")]) == 0
+    payload = (tmp_path / "py.json").read_bytes()
+    assert (tmp_path / "c.json").read_bytes() == payload
+    assert json.loads(payload)["per_n"][-1]["leveled_classes"] == 2
+    out = capsys.readouterr().out
+    assert out.count("n=8: found=2, max_edges=18, bound=18") == 2
 
 
 def test_crowded_link_matches_brute():
@@ -182,9 +344,20 @@ def test_key_roundtrip():
 
 
 def test_backend_env_reporting():
-    assert kernels.BACKEND in ("cython", "python")
-    if _kernels_cy is not None:
-        assert kernels.BACKEND == "cython"
+    # one token, since tooling splits the reported line on whitespace
+    try:
+        importlib.import_module("flagstone._kernels_c")
+    except ImportError:
+        expected = "python"
+    else:
+        expected = "c"
+    assert kernels.BACKEND == expected
+    # no environment variable picks the backend
+    package_root = str(Path(kernels.__file__).resolve().parent.parent)
+    env = dict(os.environ, FLAGSTONE_BACKEND="python", PYTHONPATH=package_root)
+    done = subprocess.run([sys.executable, "-c", "import flagstone; print(flagstone.BACKEND)"],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == [expected]
 
 
 def test_dispatcher_large_n_falls_back():
