@@ -44,7 +44,7 @@ def instances(seed):
 
 def operations():
     ops = [
-        ("clique_counts", lambda mod, masks, n: mod.clique_counts(masks, n)),
+        ("clique_counts", lambda mod, masks, n: mod.clique_counts(masks, n, n)),
         ("maximal_cliques", lambda mod, masks, n: mod.maximal_cliques(masks, n)),
         ("leveled_violation d=3", lambda mod, masks, n: mod.leveled_violation(masks, n, 3)),
     ]

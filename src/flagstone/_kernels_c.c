@@ -173,22 +173,24 @@ static PyObject *
 py_clique_counts(PyObject *self, PyObject *args)
 {
     PyObject *masks;
-    Py_ssize_t n, kmax = -1;
+    Py_ssize_t n, kmax;
     Ctx c;
-    if (!PyArg_ParseTuple(args, "On|n:clique_counts", &masks, &n, &kmax))
+    if (!PyArg_ParseTuple(args, "Onn:clique_counts", &masks, &n, &kmax))
         return NULL;
     if (load(&c, masks, n) < 0)
         return NULL;
+    if (kmax < 0) {
+        PyErr_Format(PyExc_ValueError, "kmax=%zd is negative", kmax);
+        return NULL;
+    }
+    if (kmax == PY_SSIZE_T_MAX)
+        return PyErr_NoMemory();
     /* no clique has more than n vertices */
-    c.kmax = kmax < 0 || kmax > n ? n : kmax;
+    c.kmax = kmax > n ? n : kmax;
     memset(c.counts, 0, sizeof c.counts);
     c.counts[0] = 1;
     if (c.kmax >= 1)
         count_rec(&c, full_mask(c.n), 1);
-    if (kmax < 0)
-        return list_of_counts(c.counts, n, trimmed(c.counts, n));
-    if (kmax == PY_SSIZE_T_MAX)
-        return PyErr_NoMemory();
     return list_of_counts(c.counts, c.kmax, kmax + 1);
 }
 
@@ -542,11 +544,11 @@ py_canonical_key(PyObject *self, PyObject *args)
 
 static PyMethodDef methods[] = {
     {"clique_counts", py_clique_counts, METH_VARARGS,
-     "clique_counts(masks, n, kmax=-1): result[k] = number of k-vertex cliques."},
+     "clique_counts(masks, n, kmax): result[k] = number of k-vertex cliques, k <= kmax."},
     {"maximal_cliques", py_maximal_cliques, METH_VARARGS,
      "maximal_cliques(masks, n): inclusion-maximal cliques, sorted."},
     {"clique_census", py_clique_census, METH_VARARGS,
-     "clique_census(masks, n): (clique_counts, maximal_cliques) from one pass."},
+     "clique_census(masks, n): (full clique counts, maximal cliques) from one pass."},
     {"leveled_violation", py_leveled_violation, METH_VARARGS,
      "leveled_violation(masks, n, d): first failing d-clique and its link, or None."},
     {"crowded_link", py_crowded_link, METH_VARARGS,

@@ -1,53 +1,44 @@
 """Pure-Python bitset kernels.
 
-Reference implementation of the hot loops: clique counting, maximal-clique
-enumeration (Bron-Kerbosch with pivoting), a one-pass census giving both,
-the d-clique link test behind the leveled predicate, and canonical forms
-for isomorphism dedup.  The C extension `_kernels_c` implements the six
-hot ones (clique_counts, maximal_cliques, clique_census, leveled_violation,
-crowded_link, canonical_key) with the same contracts for n <= 64, and
-`flagstone.kernels` sends each call to one or the other; the rest run only
-here.  Graphs enter as a sequence of adjacency bitmask rows (row v = OR of
-1<<u over neighbors u of v).
+Reference implementation of the hot loops: clique counting up to a size
+cap, maximal-clique enumeration (Bron-Kerbosch with pivoting), a one-pass
+census giving the full count vector and the maximal cliques, the first
+d-clique that fails the link test of the leveled predicate, and canonical
+forms for isomorphism dedup.  Each kernel has one contract.  The C
+extension `_kernels_c` implements the six hot ones (clique_counts,
+maximal_cliques, clique_census, leveled_violation, crowded_link,
+canonical_key) with the same contracts for n <= 64, and `flagstone.kernels`
+sends each call to one or the other; the rest run only here.  Graphs enter
+as a sequence of adjacency bitmask rows (row v = OR of 1<<u over neighbors
+u of v).
 """
 
 
-def clique_counts(masks, n, kmax=-1):
-    """Count cliques by size: result[k] = number of k-vertex cliques.
-
-    With kmax >= 0 the result has length kmax+1 (zero-padded); with kmax < 0
-    it runs to the clique number.  result[0] is 1 (the empty clique).
+def clique_counts(masks, n, kmax):
+    """Count the cliques of at most kmax vertices: result[k] = number of
+    k-vertex cliques for k = 0..kmax, so result[0] = 1 (the empty clique)
+    and entries past the clique number are 0.  kmax < 0 raises ValueError;
+    the full vector, to the clique number, comes from clique_census.
     """
     if kmax < 0:
-        kmax = n
-        trim = True
-    else:
-        trim = False
+        raise ValueError(f"kmax={kmax} is negative")
     counts = [0] * (kmax + 1)
     counts[0] = 1
-    if kmax >= 1:
-        counts[1] = n
 
     def rec(cand, size):
-        # cand: vertices above the last chosen one, adjacent to all chosen
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            counts[size] += 1
-            if size < kmax:
-                sub = cand & masks[v]
+        # cand: vertices above the last chosen one, adjacent to all chosen;
+        # each closes one clique of this size
+        counts[size] += cand.bit_count()
+        if size < kmax:
+            while cand:
+                low = cand & -cand
+                cand ^= low
+                sub = cand & masks[low.bit_length() - 1]
                 if sub:
                     rec(sub, size + 1)
 
-    if kmax >= 2:
-        for v in range(n):
-            sub = masks[v] >> (v + 1) << (v + 1)
-            if sub:
-                rec(sub, 2)
-    if trim:
-        while len(counts) > 1 and counts[-1] == 0:
-            counts.pop()
+    if kmax >= 1:
+        rec((1 << n) - 1, 1)
     return counts
 
 
@@ -59,7 +50,7 @@ def maximal_cliques(masks, n):
 
     def bk(r, p, x):
         if p == 0 and x == 0:
-            out.append(_bits(r))
+            out.append(bits_of(r))
             return
         # Tomita pivot: highest |P & N(u)| over u in P|X
         px = p | x
@@ -87,7 +78,8 @@ def maximal_cliques(masks, n):
 
 
 def clique_census(masks, n):
-    """(clique_counts(masks, n), maximal_cliques(masks, n)) from one pass.
+    """(counts, maximal_cliques(masks, n)) from one pass, where counts[k] is
+    the number of k-vertex cliques for k = 0 up to the clique number.
 
     Lists every clique in lexicographic order (Chiba-Nishizeki), keeping
     the candidates above the last vertex and the full common neighbourhood;
@@ -188,7 +180,7 @@ def leveled_violation(masks, n, d):
         nonlocal found
         if need == 0:
             if bad(common):
-                found = (prefix, _bits(common))
+                found = (prefix, bits_of(common))
             return
         while cand and found is None:
             low = cand & -cand
@@ -225,7 +217,7 @@ def crowded_link(masks, n, d, within):
         if not crowded(common):
             return
         if need == 0:
-            found = _bits(chosen)
+            found = bits_of(chosen)
             return
         while cand and found is None:
             low = cand & -cand
@@ -237,19 +229,6 @@ def crowded_link(masks, n, d, within):
 
     rec(0, within, (1 << n) - 1, d)
     return found
-
-
-def leveled_violations_all(masks, n, d):
-    """Every violating d-clique, with its link vertex list (exhaustive mode)."""
-    out = []
-    for sigma in k_cliques(masks, n, d):
-        common = (1 << n) - 1
-        for v in sigma:
-            common &= masks[v]
-        vs = _bits(common)
-        if len(vs) != 2 or (masks[vs[0]] >> vs[1]) & 1:
-            out.append((sigma, vs))
-    return out
 
 
 def canonical_key(masks, n):
@@ -336,15 +315,11 @@ def masks_key(masks, n):
     return key
 
 
-def _bits(mask):
+def bits_of(mask):
+    """Vertex tuple of a bitmask, ascending."""
     out = []
     while mask:
         low = mask & -mask
         mask ^= low
         out.append(low.bit_length() - 1)
     return tuple(out)
-
-
-def bits_of(mask):
-    """Vertex tuple of a bitmask, ascending."""
-    return _bits(mask)

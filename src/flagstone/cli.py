@@ -177,7 +177,6 @@ def _cmd_search(args):
         d=args.d,
         n_min=n_min,
         n_max=n_max,
-        s=args.s,
         seed=args.seed,
         workers=args.workers,
         budget=args.budget,
@@ -226,11 +225,11 @@ def build_parser():
     p_bounds.add_argument("--C", type=_fraction, help="clique hypothesis constant, as p/q")
     p_bounds.set_defaults(fn=_cmd_bounds)
 
-    p_search = sub.add_parser("search", help="exhaustive or random search")
+    # no abbreviations: a retired option such as --s must not turn into --seed
+    p_search = sub.add_parser("search", help="exhaustive or random search", allow_abbrev=False)
     p_search.add_argument("--mode", choices=("exhaustive", "random"), required=True)
     p_search.add_argument("--d", type=int, required=True)
     p_search.add_argument("--n", required=True, help="vertex range min..max")
-    p_search.add_argument("--s", type=int, default=None)
     p_search.add_argument("--seed", type=int, default=None)
     p_search.add_argument("--workers", type=int, default=1)
     p_search.add_argument("--budget", type=int, default=1000)

@@ -141,10 +141,28 @@ def clique_complex(g):
     return SimplicialComplex(g.n, g.maximal_cliques())
 
 
+def maximal_cliques_are_facets(k):
+    """Is every maximal clique of the 1-skeleton with 3 or more vertices a facet?
+
+    That holds exactly when k is flag: vertices and edges of the skeleton
+    are faces by construction, and ambient vertices that lie in no facet
+    are 1-vertex maximal cliques, so they are ignored.
+    """
+    facets = set(k.facets)
+    return all(len(c) < 3 or c in facets for c in k.one_skeleton().maximal_cliques())
+
+
 def f_vector(k):
-    """Face counts (f_-1, f_0, ..., f_d); the void complex yields ()."""
+    """Face counts (f_-1, f_0, ..., f_d); the void complex yields ().
+
+    A flag complex with a vertex is the clique complex of its support
+    skeleton, so its faces are counted as cliques and never listed; any
+    other complex lists its faces within require_face_budget.
+    """
     if not k.facets:
         return ()
+    if k.dimension >= 0 and maximal_cliques_are_facets(k):
+        return graph_f_vector(k.support_skeleton())
     by_size = k.faces_by_size()
     top = max(by_size)
     return (1,) + tuple(len(by_size[s]) for s in range(1, top + 1))

@@ -6,11 +6,13 @@ extension `_kernels_c` when it imported and n <= 64, since it carries a row
 in one 64-bit word; every other call, and every call on a machine where the
 extension was not built, runs the pure-Python reference `_kernels_py`.
 BACKEND is "c" when the extension imported, else "python".  k_cliques,
-clique_number, leveled_violations_all, the key codecs and bits_of are pure
-Python only.
+clique_number, the key codecs and bits_of are pure Python only and are
+that module's functions.  Each kernel has one contract, stated on its
+`_kernels_py` namesake.
 """
 
 from . import _kernels_py
+from ._kernels_py import bits_of, clique_number, k_cliques, key_to_masks, masks_key
 
 try:
     from . import _kernels_c as _c
@@ -22,7 +24,7 @@ BACKEND = "c" if _c is not None else "python"
 _C_MAX_N = 64
 
 
-def clique_counts(masks, n, kmax=-1):
+def clique_counts(masks, n, kmax):
     if _c is not None and n <= _C_MAX_N:
         return _c.clique_counts(masks, n, kmax)
     return _kernels_py.clique_counts(masks, n, kmax)
@@ -56,27 +58,3 @@ def canonical_key(masks, n):
     if _c is not None and n <= _C_MAX_N:
         return _c.canonical_key(masks, n)
     return _kernels_py.canonical_key(masks, n)
-
-
-def k_cliques(masks, n, k):
-    return _kernels_py.k_cliques(masks, n, k)
-
-
-def clique_number(masks, n, stop_at=-1):
-    return _kernels_py.clique_number(masks, n, stop_at)
-
-
-def leveled_violations_all(masks, n, d):
-    return _kernels_py.leveled_violations_all(masks, n, d)
-
-
-def key_to_masks(key, n):
-    return _kernels_py.key_to_masks(key, n)
-
-
-def masks_key(masks, n):
-    return _kernels_py.masks_key(masks, n)
-
-
-def bits_of(mask):
-    return _kernels_py.bits_of(mask)

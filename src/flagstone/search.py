@@ -78,7 +78,6 @@ class SearchConfig:
     d: int
     n_min: int
     n_max: int
-    s: int = None
     seed: int = None
     workers: int = 1
     budget: int = 1000
@@ -100,9 +99,8 @@ class SearchConfig:
 
     @property
     def s_effective(self):
-        if self.s is not None:
-            return self.s
-        return (self.d + 1) // 2 if self.d % 2 else max(1, self.d // 2)
+        """The s of the reports: (d+1)/2 at odd d, d/2 at even d."""
+        return (self.d + 1) // 2
 
 
 @dataclass(frozen=True)

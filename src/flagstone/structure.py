@@ -4,11 +4,11 @@ almost-join partitions, and the clique-density lower bound.
 All numeric comparisons here are exact (integers and Fractions); there are
 no tolerance parameters because every inequality is sharp at fixed n.
 
-The short-circuit level test has one path: the maximal-clique sizes, then
-the ridges of each join factor's maximal cliques (`Graph.join_factors`;
-a graph with a connected complement is its own single factor).  Only the
-witnesses and the exhaustive mode use the whole graph.  `detect_level`
-picks the one level a graph can pass and runs the same test there.
+The level test has one path: the maximal-clique sizes, then the ridges of
+each join factor's maximal cliques (`Graph.join_factors`; a graph with a
+connected complement is its own single factor).  One violation settles it,
+and only naming that witness uses the whole graph.  `detect_level` picks
+the one level a graph can pass and runs the same test there.
 """
 
 import random
@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, count
 
 from . import kernels
-from .complexes import require_face_budget
+from .complexes import maximal_cliques_are_facets, require_face_budget
 from .errors import (
     InvalidParameter,
     InvalidPartition,
@@ -32,20 +32,18 @@ from .errors import (
 def is_flag(k):
     """Is every clique of the 1-skeleton a face?
 
-    Yes exactly when every maximal clique of size >= 3 is a facet: vertices
-    and edges of the skeleton are faces by construction, and ambient
-    vertices that appear in no facet are ignored.  Returns (True, None) or
-    (False, witness) with witness the lexicographically first non-face
-    clique of the smallest size, a minimal non-face.  The witness search
-    may visit every face, so it runs only within require_face_budget.
+    Yes exactly when every maximal clique of size >= 3 is a facet
+    (`maximal_cliques_are_facets`).  Returns (True, None) or (False,
+    witness) with witness the lexicographically first non-face clique of
+    the smallest size, a minimal non-face.  The witness search may visit
+    every face, so it runs only within require_face_budget.
     """
-    g = k.one_skeleton()
-    facets = set(k.facets)
-    if all(len(c) < 3 or c in facets for c in g.maximal_cliques()):
+    if maximal_cliques_are_facets(k):
         return True, None
     require_face_budget(k)
+    g = k.one_skeleton()
     containing = {}
-    for facet in facets:
+    for facet in k.facets:
         for v in facet:
             containing.setdefault(v, []).append(set(facet))
     for size in count(3):
@@ -84,8 +82,8 @@ class LeveledVerdict:
     witnesses holds the offending structures: ("maximal-clique", clique)
     for a maximal clique of size != d+1, ("link", sigma, link_vertices)
     for a d-clique whose common neighborhood is not two isolated vertices,
-    or ("empty",) for the graph on zero vertices.  In short-circuit mode at
-    most one witness is reported; exhaustive mode reports all of them.
+    or ("empty",) for the graph on zero vertices.  One violation settles
+    the test, so at most one witness is reported.
     """
 
     is_leveled: bool
@@ -97,7 +95,7 @@ class LeveledVerdict:
         return self.witnesses[0] if self.witnesses else None
 
 
-def is_d_leveled(g, d, exhaustive=False):
+def is_d_leveled(g, d):
     """Every maximal clique has size d+1 and every d-clique's common
     neighborhood is exactly two nonadjacent vertices.
 
@@ -105,9 +103,9 @@ def is_d_leveled(g, d, exhaustive=False):
     pseudomanifold; both code paths exist and the test suite cross-checks
     them on every small graph.
 
-    Short-circuit mode reads the sizes off `g.maximal_clique_sizes()`,
-    which a join takes from its factors, and lists the whole graph's
-    maximal cliques only to name a wrong-size one as the witness.  With
+    The test reads the sizes off `g.maximal_clique_sizes()`, which a
+    join takes from its factors, and lists the whole graph's maximal
+    cliques only to name a wrong-size one as the witness.  With
     every maximal clique of d+1 vertices it decides the link condition
     per join factor G_1, ..., G_t (a graph with a connected complement is
     its own single factor), from the ridges of each factor's maximal
@@ -127,21 +125,11 @@ def is_d_leveled(g, d, exhaustive=False):
     two common neighbors in its factor.  Only when that fails does the
     link kernel run on the whole graph, to find the lexicographically
     first violating d-clique as the witness.
-
-    Exhaustive mode lists every wrong-size maximal clique and every
-    violating d-clique of the whole graph.
     """
     if d < 0:
         raise InvalidParameter("level must be nonnegative")
     if g.n == 0:
         return LeveledVerdict(False, d, (("empty",),))
-    if exhaustive:
-        witnesses = [("maximal-clique", c) for c in g.maximal_cliques() if len(c) != d + 1]
-        witnesses += [
-            ("link", sigma, link_vs)
-            for sigma, link_vs in kernels.leveled_violations_all(g.masks, g.n, d)
-        ]
-        return LeveledVerdict(not witnesses, d, tuple(witnesses))
     if g.maximal_clique_sizes() != (d + 1,):
         bad = next(c for c in g.maximal_cliques() if len(c) != d + 1)
         return LeveledVerdict(False, d, (("maximal-clique", bad),))

@@ -360,6 +360,14 @@ def test_search_usage_errors(capsys):
     assert out == "" and "need budget >= 0" in err and "need workers >= 1" in err
 
 
+def test_search_has_no_s_option(capsys):
+    # s follows from d; --s is refused, not read as an abbreviation of --seed
+    with pytest.raises(SystemExit) as ei:
+        main(["search", "--mode", "exhaustive", "--d", "1", "--n", "3..4", "--s", "1"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --s 1" in capsys.readouterr().err
+
+
 def _cli_outputs(tmp_path, tag, capsys):
     """stdout and written files of `check --json` over a mixed corpus and of
     an exhaustive and a random `search --out`; no output names the tag."""

@@ -5,6 +5,7 @@ Fraction arithmetic, so any deviation is a logic error, not noise.
 """
 
 import itertools
+import math
 import random
 
 from fractions import Fraction
@@ -230,8 +231,21 @@ def test_face_budget():
     k = SimplicialComplex.from_facets(18, [tuple(range(18))])
     with pytest.raises(BudgetExceeded):
         k.faces_by_size()
+    # the boundary of that simplex is not flag, so its faces must be listed
+    boundary = SimplicialComplex.from_facets(18, itertools.combinations(range(18), 17))
     with pytest.raises(BudgetExceeded):
-        f_vector(k)
+        f_vector(boundary)
+
+
+def test_f_vector_of_flag_complex_counts_cliques():
+    # the K18 simplex is flag: its faces are counted as the cliques of K18,
+    # never listed, so the face budget does not apply
+    k = SimplicialComplex.from_facets(18, [tuple(range(18))])
+    assert f_vector(k) == tuple(math.comb(18, i) for i in range(19))
+    # ambient vertices in no facet are not faces
+    k = SimplicialComplex.from_facets(7, [(0, 1, 2), (2, 3), (3, 4)])
+    listed = k.faces_by_size()
+    assert f_vector(k) == (1, 5, 5, 1) == tuple(len(listed[size]) for size in range(4))
 
 
 def test_flag_complex_of_triangle_free_graph_is_graph():

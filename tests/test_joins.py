@@ -53,7 +53,7 @@ def check_factors(g):
 
 
 def check_counts(g, kmaxes=None):
-    full = tuple(kernels.clique_counts(g.masks, g.n))
+    full = tuple(kernels.clique_census(g.masks, g.n)[0])
     fresh = Graph(g.n, g.masks)  # nothing cached: the counting-up-to-k path
     for k in range(g.n + 3):
         assert fresh.clique_count(k) == (full[k] if k < len(full) else 0)

@@ -42,22 +42,36 @@ def backend(request):
 
 def test_clique_counts_small_fixed(backend):
     # triangle
-    assert backend.clique_counts([6, 5, 3], 3, -1) == [1, 3, 3, 1]
-    # path 0-1-2
-    assert backend.clique_counts([2, 5, 2], 3, -1) == [1, 3, 2]
-    # no vertices
-    assert backend.clique_counts([], 0, -1) == [1]
-    # explicit kmax keeps trailing zeros
-    assert backend.clique_counts([2, 5, 2], 3, 3) == [1, 3, 2, 0]
+    assert backend.clique_counts([6, 5, 3], 3, 3) == [1, 3, 3, 1]
     assert backend.clique_counts([6, 5, 3], 3, 1) == [1, 3]
+    # path 0-1-2: sizes past the clique number are zero-padded
+    assert backend.clique_counts([2, 5, 2], 3, 3) == [1, 3, 2, 0]
+    # no vertices
+    assert backend.clique_counts([], 0, 0) == [1]
+    assert backend.clique_counts([], 0, 2) == [1, 0, 0]
+
+
+def test_clique_counts_rejects_negative_kmax(backend):
+    with pytest.raises(ValueError):
+        backend.clique_counts([6, 5, 3], 3, -1)
+    with pytest.raises(ValueError):
+        backend.clique_counts([], 0, -1)
+
+
+def _omega(g):
+    """The largest maximal-clique size, 0 on the empty graph."""
+    return max(map(len, brute_maximal_cliques(g)), default=0)
 
 
 def test_counts_match_brute(backend):
     rng = random.Random(101)
     for _ in range(60):
         g = random_graph(rng.randrange(0, 8), rng.choice([0.2, 0.5, 0.8]), rng)
-        got = backend.clique_counts(list(g.masks), g.n, -1)
-        assert got == brute_clique_counts(g)
+        m, n = list(g.masks), g.n
+        full = brute_clique_counts(g)
+        assert backend.clique_census(m, n)[0] == full
+        for kmax in (0, 1, _omega(g), n, n + 7):
+            assert backend.clique_counts(m, n, kmax) == (full + [0] * (kmax + 1))[:kmax + 1]
 
 
 def test_maximal_cliques_match_brute(backend):
@@ -88,7 +102,10 @@ def test_clique_census_matches_separate_kernels():
     graphs = _census_cases() + [random_graph(n, 0.15, rng) for n in (65, 70, 90)]
     for g in graphs:
         m = list(g.masks)
-        expected = (_kernels_py.clique_counts(m, g.n), _kernels_py.maximal_cliques(m, g.n))
+        cliques = _kernels_py.maximal_cliques(m, g.n)
+        # the full vector ends at the largest maximal clique
+        omega = max(map(len, cliques), default=0)
+        expected = (_kernels_py.clique_counts(m, g.n, omega), cliques)
         assert _kernels_py.clique_census(m, g.n) == expected
         assert kernels.clique_census(m, g.n) == expected
 
@@ -159,8 +176,10 @@ def test_backends_agree_randomized(compiled_kernels):
     graphs += [_sparse_graph(n, rng) for n in range(65) for _ in range(3)]
     for g in graphs:
         m, n = list(g.masks), g.n
-        assert c.clique_counts(m, n, -1) == _kernels_py.clique_counts(m, n, -1)
-        assert c.maximal_cliques(m, n) == _kernels_py.maximal_cliques(m, n)
+        cliques = _kernels_py.maximal_cliques(m, n)
+        assert c.maximal_cliques(m, n) == cliques
+        for kmax in (0, 1, max(map(len, cliques), default=0), n, n + 7):
+            assert c.clique_counts(m, n, kmax) == _kernels_py.clique_counts(m, n, kmax)
         assert c.clique_census(m, n) == _kernels_py.clique_census(m, n)
         for d in (-1, 0, 1, 2, 3):
             within = rng.randrange(1 << n) if n else 0
@@ -211,7 +230,9 @@ def test_compiled_census_matches_its_separate_kernels(compiled_kernels):
     graphs = _census_cases() + [_sparse_graph(n, rng) for n in (20, 40, 63, 64)]
     for g in graphs:
         m = list(g.masks)
-        assert c.clique_census(m, g.n) == (c.clique_counts(m, g.n), c.maximal_cliques(m, g.n))
+        cliques = c.maximal_cliques(m, g.n)
+        omega = max(map(len, cliques), default=0)
+        assert c.clique_census(m, g.n) == (c.clique_counts(m, g.n, omega), cliques)
 
 
 def _anticycle(n):
@@ -242,7 +263,7 @@ def test_compiled_canonical_key_past_12_vertices(compiled_kernels, n):
 @pytest.mark.parametrize("name", HOT)
 def test_compiled_rejects_bad_sizes(compiled_kernels, name):
     fn = getattr(compiled_kernels, name)
-    extra = {"leveled_violation": (2,), "crowded_link": (2, 0)}.get(name, ())
+    extra = {"clique_counts": (2,), "leveled_violation": (2,), "crowded_link": (2, 0)}.get(name, ())
     with pytest.raises(ValueError):
         fn([0] * 65, 65, *extra)  # more vertices than a word holds
     with pytest.raises(OverflowError):
@@ -274,7 +295,7 @@ def test_dispatcher_routes_to_compiled(compiled_kernels, monkeypatch):
 
     monkeypatch.setattr(kernels, "_c", Spy())
     m = list(gen_cycle(6).masks)
-    kernels.clique_counts(m, 6)
+    kernels.clique_counts(m, 6, 2)
     kernels.maximal_cliques(m, 6)
     kernels.clique_census(m, 6)
     kernels.leveled_violation(m, 6, 1)
@@ -283,7 +304,7 @@ def test_dispatcher_routes_to_compiled(compiled_kernels, monkeypatch):
     assert calls == list(HOT)
     # past 64 vertices every kernel stays in Python
     big = [0] * 65
-    kernels.clique_counts(big, 65)
+    kernels.clique_counts(big, 65, 2)
     kernels.canonical_key(big, 65)
     assert calls == list(HOT)
 
@@ -367,5 +388,6 @@ def test_dispatcher_large_n_falls_back():
     for v in range(n - 1):
         masks[v] |= 1 << (v + 1)
         masks[v + 1] |= 1 << v
-    assert kernels.clique_counts(masks, n, -1) == [1, n, n - 1]
+    assert kernels.clique_census(masks, n)[0] == [1, n, n - 1]
+    assert kernels.clique_counts(masks, n, 3) == [1, n, n - 1, 0]
     assert len(kernels.maximal_cliques(masks, n)) == n - 1

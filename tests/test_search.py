@@ -224,7 +224,6 @@ def test_search_config_validation():
     assert SearchConfig(mode="random", d=3, n_min=10, n_max=10, seed=1, budget=0).budget == 0
     assert SearchConfig(mode="exhaustive", d=3, n_min=1, n_max=2).s_effective == 2
     assert SearchConfig(mode="exhaustive", d=4, n_min=1, n_max=2).s_effective == 2
-    assert SearchConfig(mode="exhaustive", d=4, n_min=1, n_max=2, s=3).s_effective == 3
 
 
 def test_detect_level():
