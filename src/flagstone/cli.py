@@ -145,6 +145,9 @@ def _cmd_bounds(args):
                       "bounds apply to clique complexes only", file=sys.stderr)
                 return 2
             obj = obj.support_skeleton()
+        if obj.n == 0:
+            print(f"bounds: {instance}: no vertices; the edge bounds need n >= 1", file=sys.stderr)
+            return 2
         report = verify_theorem_instance(obj, args.s, cap=args.C, instance=instance)
         print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
         if report.potential_counterexample:

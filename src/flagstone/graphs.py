@@ -9,8 +9,8 @@ the subgraphs induced on the components of the complement.  A clique of a
 join is a union of one clique per factor, so the clique-count vector is the
 product of the factors' count polynomials, and the maximal-clique sizes are
 the sums of one maximal-clique size per factor.  `clique_counts`,
-`clique_count` and `maximal_clique_sizes` are computed per factor when
-there are two or more; `maximal_cliques()` always lists the whole graph's.
+`clique_count`, `maximal_clique_sizes` and the level test work per factor
+when there are two or more; `maximal_cliques()` lists the whole graph's.
 
 A single factor's full count vector comes from one clique census, which
 lists every clique and keeps the maximal ones as the `maximal_cliques()`
@@ -34,8 +34,8 @@ class Graph:
     """A finite simple graph: symmetric, irreflexive adjacency on 0..n-1.
 
     The join factors, the maximal cliques, their sizes, the full
-    clique-count vector and the ridge test are computed at most once per
-    graph and kept as immutable values.
+    clique-count vector and the ridge violation are computed at most once
+    per graph and kept as immutable values.
     """
 
     n: int
@@ -241,31 +241,15 @@ class Graph:
         return self._maximal_clique_sizes
 
     @cached_property
-    def _ridges_in_two_facets(self):
-        # the common neighborhood of F - v is the AND of a prefix and a suffix
-        # of F's rows; both start from the full mask, so a 1-vertex F (whose
-        # only ridge is the empty clique) works too
-        full = (1 << self.n) - 1
-        for c in self.maximal_cliques():
-            suffix = [full]
-            for v in reversed(c):
-                suffix.append(suffix[-1] & self.masks[v])
-            prefix = full
-            for i, v in enumerate(c):
-                if (prefix & suffix[len(c) - 1 - i]).bit_count() != 2:
-                    return False
-                prefix &= self.masks[v]
-        return True
+    def ridge_violation(self):
+        """The link kernel at k - 1, for k the largest maximal-clique size.
 
-    def ridges_in_two_facets(self):
-        """Does every ridge F - v of every maximal clique F have exactly two
-        common neighbors, v and one more?
-
-        This is the level test's link condition for a graph whose maximal
-        cliques all have one size; it does not depend on the level, so it
-        is computed once per graph.
+        When every maximal clique has k vertices, the (k-1)-cliques are the
+        ridges F - v, so None means each has two nonadjacent common
+        neighbors, v and one more.  It is computed once per graph.
         """
-        return self._ridges_in_two_facets
+        k = max(self.maximal_clique_sizes(), default=1)
+        return kernels.leveled_violation(self.masks, self.n, k - 1)
 
     def k_cliques(self, k):
         return kernels.k_cliques(self.masks, self.n, k)

@@ -4,17 +4,17 @@ almost-join partitions, and the clique-density lower bound.
 All numeric comparisons here are exact (integers and Fractions); there are
 no tolerance parameters because every inequality is sharp at fixed n.
 
-The level test has one path: the maximal-clique sizes, then the ridges of
-each join factor's maximal cliques (`Graph.join_factors`; a graph with a
-connected complement is its own single factor).  One violation settles it,
-and only naming that witness uses the whole graph.  `detect_level` picks
-the one level a graph can pass and runs the same test there.
+The level test has one path, on the join factors (`Graph.join_factors`;
+a graph with a connected complement is its own single factor): their
+maximal-clique sizes, then one cached link kernel call per factor, and
+both witnesses are built from the factors' first cliques.  `detect_level`
+picks the one level a graph can pass and runs the same test there.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import chain, combinations, count
 
 from . import kernels
 from .complexes import maximal_cliques_are_facets, require_face_budget
@@ -79,20 +79,15 @@ def is_weak_pseudomanifold(k, d):
 class LeveledVerdict:
     """Outcome of the level test at a fixed d.
 
-    witnesses holds the offending structures: ("maximal-clique", clique)
-    for a maximal clique of size != d+1, ("link", sigma, link_vertices)
-    for a d-clique whose common neighborhood is not two isolated vertices,
-    or ("empty",) for the graph on zero vertices.  One violation settles
-    the test, so at most one witness is reported.
+    witness is None on a pass, else the one violation that settles the
+    test: ("maximal-clique", clique) for a maximal clique of size != d+1,
+    ("link", sigma, link_vertices) for a d-clique whose common neighborhood
+    is not two isolated vertices, or ("empty",) for the 0-vertex graph.
     """
 
     is_leveled: bool
     d: int
-    witnesses: tuple = ()
-
-    @property
-    def witness(self):
-        return self.witnesses[0] if self.witnesses else None
+    witness: tuple = None
 
 
 def is_d_leveled(g, d):
@@ -103,40 +98,61 @@ def is_d_leveled(g, d):
     pseudomanifold; both code paths exist and the test suite cross-checks
     them on every small graph.
 
-    The test reads the sizes off `g.maximal_clique_sizes()`, which a
-    join takes from its factors, and lists the whole graph's maximal
-    cliques only to name a wrong-size one as the witness.  With
-    every maximal clique of d+1 vertices it decides the link condition
-    per join factor G_1, ..., G_t (a graph with a connected complement is
-    its own single factor), from the ridges of each factor's maximal
-    cliques.  Proof: the maximal cliques of G are the unions of one
-    maximal clique per factor, so G's sizes are the sums of one size per
-    factor, a singleton exactly when each factor has a single size k_i,
-    and then k_1 + ... + k_t = d+1.  A d-clique sigma meets each G_i in a
-    clique of at most k_i vertices; the sizes sum to d, so sigma is
-    F_j - v for one factor j, a maximal clique F_j of G_j and v in F_j,
-    together with a maximal clique F_i of every other G_i.  A vertex of
-    G_i is a common neighbor of sigma exactly when it is a common neighbor
-    in G_i of sigma's part there, and a maximal clique F_i has none, so
-    sigma's common neighborhood is that of the ridge F_j - v in G_j, with
-    G_j's edges.  Two of those are never adjacent, since with F_j - v
-    they would make a clique of k_j + 1 vertices, so the link condition
-    holds exactly when every ridge of every factor's maximal cliques has
-    two common neighbors in its factor.  Only when that fails does the
-    link kernel run on the whole graph, to find the lexicographically
-    first violating d-clique as the witness.
+    The test reads only the join factors G_1, ..., G_t (a graph with a
+    connected complement is its own single factor).  The maximal cliques
+    of G are the unions of one maximal clique per factor, so G's sizes are
+    the sums of one size per factor, a singleton exactly when each factor
+    has a single size k_i, and then k_1 + ... + k_t = d+1.  A d-clique
+    then meets each G_i in at most k_i vertices, so it is a (k_j - 1)-clique
+    of one factor G_j with a maximal clique of every other G_i, which adds
+    no common neighbor: the link condition holds exactly when every factor
+    passes the link kernel at k_j - 1 (`Graph.ridge_violation`).
+
+    Both witnesses are the lexicographically first violations.  Two unions
+    of the same part sizes, or two maximal cliques, compare by the least
+    element of their symmetric difference, so the least union takes the
+    least part in every factor.  The link witness is the least, over the
+    failing factors G_j, of the kernel's clique in G_j with every other
+    factor's first maximal clique.  The union U of the first maximal
+    cliques is the least maximal clique, the wrong-size witness when
+    |U| != d+1.  Otherwise a wrong-size union that differs from U in two
+    or more factors can undo one change, stay wrong-size and get smaller,
+    so the witness is the least U with one factor's part swapped for that
+    factor's first maximal clique of another size.
     """
     if d < 0:
         raise InvalidParameter("level must be nonnegative")
     if g.n == 0:
-        return LeveledVerdict(False, d, (("empty",),))
-    if g.maximal_clique_sizes() != (d + 1,):
-        bad = next(c for c in g.maximal_cliques() if len(c) != d + 1)
-        return LeveledVerdict(False, d, (("maximal-clique", bad),))
-    if all(f.ridges_in_two_facets() for f, _ in g.join_factors()):
-        return LeveledVerdict(True, d)
-    sigma, link_vs = kernels.leveled_violation(g.masks, g.n, d)
-    return LeveledVerdict(False, d, (("link", sigma, link_vs),))
+        return LeveledVerdict(False, d, ("empty",))
+    factors = g.join_factors()
+    firsts = [_mapped(f.maximal_cliques()[0], vmap) for f, vmap in factors]
+    if g.maximal_clique_sizes() == (d + 1,):
+        hits = [(j, f.ridge_violation, vmap) for j, (f, vmap) in enumerate(factors)]
+        if all(hit is None for _, hit, _ in hits):
+            return LeveledVerdict(True, d)
+        return LeveledVerdict(False, d, min(
+            ("link", _union(firsts, j, hit[0], vmap), _mapped(hit[1], vmap))
+            for j, hit, vmap in hits if hit is not None
+        ))
+    bad = _union(firsts)
+    if len(bad) == d + 1:
+        bad = min(
+            _union(firsts, j, next(c for c in f.maximal_cliques() if len(c) != len(firsts[j])), vmap)
+            for j, (f, vmap) in enumerate(factors) if len(f.maximal_clique_sizes()) > 1
+        )
+    return LeveledVerdict(False, d, ("maximal-clique", bad))
+
+
+def _mapped(vertices, vmap):
+    return tuple(vmap[v] for v in vertices)
+
+
+def _union(parts, j=None, part=(), vmap=()):
+    """The sorted union of the parts; with j given, parts[j] is swapped for
+    part, a clique of factor j in its own labels."""
+    if j is not None:
+        parts = [*parts[:j], _mapped(part, vmap), *parts[j + 1:]]
+    return tuple(sorted(chain.from_iterable(parts)))
 
 
 def detect_level(g):

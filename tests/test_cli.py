@@ -210,6 +210,20 @@ def test_bounds_rejects_non_flag_complex(tmp_path, capsys):
                    "bounds apply to clique complexes only\n")
 
 
+def test_bounds_rejects_instances_without_vertices(tmp_path, capsys):
+    # an empty edge list, the empty graph6 graph, and a facet file with no
+    # facets, whose support skeleton is empty: a valid --s is not blamed
+    files = {"empty.txt": ("0 0\n", "empty.txt"), "empty.g6": ("?\n", "empty.g6:1"),
+             "none.facets": ("3 0\n", "none.facets")}
+    for name, (text, instance) in files.items():
+        f = tmp_path / name
+        f.write_text(text)
+        assert main(["bounds", str(f), "--s", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"bounds: {tmp_path / instance}: no vertices; the edge bounds need n >= 1\n"
+
+
 def test_bounds_malformed_cap(tmp_path, capsys):
     f = tmp_path / "j.txt"
     f.write_text(dump_edge_list(gen_join_of_cycles(2, 10)))

@@ -9,17 +9,21 @@ import pytest
 
 from flagstone import (
     Graph,
+    SimplicialComplex,
     detect_level,
     enumerate_classes,
     gen_complete_multipartite,
     gen_cycle,
     gen_independent,
+    gen_join_of_cycles,
     gen_suspension_sphere,
     graph_from_key,
     is_d_leveled,
+    is_flag,
     join,
     kernels,
 )
+from flagstone.complexes import maximal_cliques_are_facets
 from helpers import all_graphs, random_graph, reference_is_d_leveled
 
 LEVELS = range(8)
@@ -72,7 +76,7 @@ def check_sizes(g):
 def check_levels(g):
     for d in LEVELS:
         verdict = is_d_leveled(g, d)
-        assert (verdict.is_leveled, verdict.witnesses) == reference_is_d_leveled(g, d), (g.masks, d)
+        assert (verdict.is_leveled, verdict.witness) == reference_is_d_leveled(g, d), (g.masks, d)
     # the one level g can pass: its largest maximal clique less one
     d = max((len(c) for c in kernels.maximal_cliques(g.masks, g.n)), default=1) - 1
     assert detect_level(g) == (d, is_d_leveled(g, d)), g.masks
@@ -177,21 +181,81 @@ def test_factor_failing_the_ridge_test_lists_no_whole_graph_cliques(monkeypatch)
         sizes = {len(c) for c in kernels.maximal_cliques(g.masks, g.n)}
         if len(sizes) == 1 and not reference_is_d_leveled(g, min(sizes) - 1)[0]:
             cases.append((g, min(sizes) - 1))
+    # joins that fail the size check through a factor with mixed
+    # maximal-clique sizes, such as K2 + K1: at the size of the least
+    # maximal clique (the witness swaps one factor's part) and one below
+    # the largest size
+    mixed = Graph.from_edges(3, [(0, 1)])
+    while len(cases) < 80:
+        g = _random_join(rng)
+        if len(cases) % 4 == 0:
+            g = join(mixed, g)
+        cliques = kernels.maximal_cliques(g.masks, g.n)
+        sizes = {len(c) for c in cliques}
+        if len(sizes) > 1:
+            cases += [(g, len(cliques[0]) - 1), (g, max(sizes) - 1)]
     expected = [reference_is_d_leveled(g, d) for g, d in cases]
-    assert expected[0] == (False, (("link", (0, 1, 4), (5,)),))
+    assert expected[0] == (False, ("link", (0, 1, 4), (5,)))
+    assert all(want[1][0] == "maximal-clique" for want in expected[40:])
     seen = []
-    kernel = kernels.maximal_cliques
-
-    def counted(masks, n):
-        seen.append(n)
-        return kernel(masks, n)
-
-    monkeypatch.setattr(kernels, "maximal_cliques", counted)
+    for name in ("maximal_cliques", "leveled_violation"):
+        def counted(masks, n, *rest, _kernel=getattr(kernels, name)):
+            seen.append(n)
+            return _kernel(masks, n, *rest)
+        monkeypatch.setattr(kernels, name, counted)
     for (g, d), want in zip(cases, expected):
         seen.clear()
         verdict = is_d_leveled(Graph(g.n, g.masks), d)
-        assert (verdict.is_leveled, verdict.witnesses) == want, (g.masks, d)
+        assert (verdict.is_leveled, verdict.witness) == want, (g.masks, d)
         assert seen and g.n not in seen, (g.masks, seen)
+
+
+def test_flag_test_of_join_skeletons_matches_the_whole_skeleton():
+    # complexes on random join skeletons: the clique complex, one facet
+    # hollowed out, and the edges alone
+    rng = random.Random(69)
+    for _ in range(150):
+        g = _random_join(rng)
+        facets = list(kernels.maximal_cliques(g.masks, g.n))
+        kind = rng.randrange(3)
+        if kind == 1:
+            big = facets.pop(rng.randrange(len(facets)))
+            facets += combinations(big, len(big) - 1)
+        elif kind == 2:
+            facets = g.edges()
+        k = SimplicialComplex.from_facets(g.n, facets)
+        whole = k.one_skeleton()
+        cliques = kernels.maximal_cliques(whole.masks, whole.n)
+        want = all(len(c) < 3 or c in set(k.facets) for c in cliques)
+        assert maximal_cliques_are_facets(k) == want, (g.masks, kind)
+
+
+def test_slow_whole_graph_instances_are_decided_per_factor(monkeypatch):
+    # the level test and the flag test on joins of up to ten cycles, whose
+    # whole-graph clique lists run to millions: no call of a clique-listing
+    # or link kernel sees the whole graph (is_flag then names its witness
+    # from the whole skeleton's triangles)
+    seen = []
+    for name in ("maximal_cliques", "leveled_violation", "clique_census", "clique_counts"):
+        def counted(masks, n, *rest, _kernel=getattr(kernels, name)):
+            seen.append(n)
+            return _kernel(masks, n, *rest)
+        monkeypatch.setattr(kernels, name, counted)
+    g = gen_join_of_cycles(10, 50).without_edge(3, 4)
+    assert is_d_leveled(g, 19).witness == (
+        "link", (3, 5, 6, 10, 11, 15, 16, 20, 21, 25, 26, 30, 31, 35, 36, 40, 41, 45, 46), (2,))
+    assert max(seen) < g.n
+    seen.clear()
+    g = Graph.from_edges(3, [(0, 1)])
+    for _ in range(8):
+        g = join(g, gen_cycle(5))
+    assert is_d_leveled(g, 17).witness == (
+        "maximal-clique", (2, 3, 4, 8, 9, 13, 14, 18, 19, 23, 24, 28, 29, 33, 34, 38, 39))
+    assert max(seen) < g.n
+    seen.clear()
+    g = gen_join_of_cycles(10, 50)
+    assert is_flag(SimplicialComplex.from_facets(g.n, g.edges())) == (False, (0, 1, 5))
+    assert max(seen) < g.n
 
 
 def test_prime_graph_is_its_own_factor():

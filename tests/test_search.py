@@ -237,7 +237,7 @@ def test_detect_level():
     g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     d, verdict = detect_level(g)
     assert d == 2 and not verdict.is_leveled
-    assert verdict.witnesses[0] == ("maximal-clique", (3, 4))
+    assert verdict.witness == ("maximal-clique", (3, 4))
     d, verdict = detect_level(Graph(0, ()))
     assert d == 0 and not verdict.is_leveled
 
@@ -284,14 +284,15 @@ def test_check_instance_flag_complex_delegates():
     [
         # C5 * C5 and the suspension (two apexes) * C5 are worked factor by
         # factor: one census per factor gives its counts and maximal cliques,
-        # and no kernel call sees the whole graph
-        (lambda: gen_join_of_cycles(2, 10), {"clique_census": [5, 5]}),
-        (lambda: gen_suspension_sphere(5), {"clique_census": [2, 5]}),
+        # one link kernel call per factor decides the level test, and no
+        # kernel call sees the whole graph
+        (lambda: gen_join_of_cycles(2, 10), {"clique_census": [5, 5], "leveled_violation": [5, 5]}),
+        (lambda: gen_suspension_sphere(5), {"clique_census": [2, 5], "leveled_violation": [2, 5]}),
         # the torus is prime, and is_flag lists its maximal cliques before
         # the counts are asked for: Bron-Kerbosch once, counts once
         (
             lambda: SimplicialComplex.from_facets(16, gen_grid_torus(4, 4).maximal_cliques()),
-            {"maximal_cliques": [16], "clique_counts": [16]},
+            {"maximal_cliques": [16], "clique_counts": [16], "leveled_violation": [16]},
         ),
     ],
     ids=["join-odd-report", "sphere-even-entry", "torus-facets"],
@@ -313,15 +314,15 @@ def test_check_instance_does_clique_work_once(monkeypatch, make, expected):
 def test_ridge_test_runs_once_per_factor(monkeypatch):
     # detect_level and the odd-level bound report both ask for the ridge test
     sizes = []
-    ridges = Graph._ridges_in_two_facets.func
+    ridges = Graph.ridge_violation.func
 
     def counted(g):
         sizes.append(g.n)
         return ridges(g)
 
     prop = cached_property(counted)
-    prop.__set_name__(Graph, "_ridges_in_two_facets")
-    monkeypatch.setattr(Graph, "_ridges_in_two_facets", prop)
+    prop.__set_name__(Graph, "ridge_violation")
+    monkeypatch.setattr(Graph, "ridge_violation", prop)
     entry = check_instance("x", gen_join_of_cycles(2, 10))
     assert entry["leveled"] == {"d": 3, "verdict": True} and "report" in entry
     assert sizes == [5, 5]

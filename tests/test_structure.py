@@ -144,7 +144,7 @@ def test_leveled_witness_shapes():
     assert v.witness[0] == "maximal-clique"
     # K4 violates both conditions at d=1, but one violation settles the test
     v = is_d_leveled(gen_complete_multipartite((1, 1, 1, 1)), 1)
-    assert v.witnesses == (("maximal-clique", (0, 1, 2, 3)),)
+    assert v.witness == ("maximal-clique", (0, 1, 2, 3))
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     v = is_d_leveled(star, 1)
     assert not v.is_leveled
@@ -170,16 +170,16 @@ def test_ridge_test_matches_reference():
     for g in graphs:
         for d in range(5):
             verdict = is_d_leveled(g, d)
-            assert (verdict.is_leveled, verdict.witnesses) == reference_is_d_leveled(g, d), (g.masks, d)
+            assert (verdict.is_leveled, verdict.witness) == reference_is_d_leveled(g, d), (g.masks, d)
 
 
 def test_ridge_test_named_cases():
     # two triangles on a shared edge: every maximal clique has 3 vertices,
     # but the ridge (0, 1) lies in one triangle only
     kite = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
-    assert is_d_leveled(kite, 2).witnesses == (("link", (0, 1), (2,)),)
+    assert is_d_leveled(kite, 2).witness == ("link", (0, 1), (2,))
     assert is_d_leveled(Graph(2, (0, 0)), 0) == LeveledVerdict(True, 0)
-    assert is_d_leveled(Graph(3, (0, 0, 0)), 0).witnesses == (("link", (), (0, 1, 2)),)
+    assert is_d_leveled(Graph(3, (0, 0, 0)), 0).witness == ("link", (), (0, 1, 2))
 
 
 def test_link_leveled_property():
