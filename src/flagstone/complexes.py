@@ -148,18 +148,15 @@ def maximal_cliques_are_facets(k):
     That holds exactly when k is flag: vertices and edges of the skeleton
     are faces by construction, and ambient vertices that lie in no facet
     are 1-vertex maximal cliques, so they are ignored.  The maximal cliques
-    of a join skeleton are the unions of one maximal clique per join
-    factor; they are built one at a time and the first non-facet stops the
-    scan, so at most one more than the facets are built.
+    of the skeleton are the unions of one maximal clique per join factor
+    (a prime skeleton is its own single factor); they are built one at a
+    time and the first non-facet stops the scan, so at most one more than
+    the facets are built.
     """
     facets = set(k.facets)
-    g = k.one_skeleton()
-    factors = g.join_factors()
-    if len(factors) == 1:
-        cliques = g.maximal_cliques()
-    else:
-        mapped = [[tuple(vmap[v] for v in c) for c in f.maximal_cliques()] for f, vmap in factors]
-        cliques = (tuple(sorted(chain.from_iterable(parts))) for parts in product(*mapped))
+    factors = k.one_skeleton().join_factors()
+    mapped = [[tuple(vmap[v] for v in c) for c in f.maximal_cliques()] for f, vmap in factors]
+    cliques = (tuple(sorted(chain.from_iterable(parts))) for parts in product(*mapped))
     return all(len(c) < 3 or c in facets for c in cliques)
 
 

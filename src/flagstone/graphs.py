@@ -242,14 +242,27 @@ class Graph:
 
     @cached_property
     def ridge_violation(self):
-        """The link kernel at k - 1, for k the largest maximal-clique size.
-
-        When every maximal clique has k vertices, the (k-1)-cliques are the
-        ridges F - v, so None means each has two nonadjacent common
-        neighbors, v and one more.  It is computed once per graph.
+        """None when every ridge F - v of every maximal clique F has two
+        common neighbors, v and one more, else the link kernel at |F| - 1
+        for the first F with one that does not.  With one maximal-clique
+        size k that is the kernel at k - 1, as the (k-1)-cliques are the
+        ridges; the scan (|F| steps per F) decides, since the kernel steps
+        through every smaller clique.  It is computed once per graph.
         """
-        k = max(self.maximal_clique_sizes(), default=1)
-        return kernels.leveled_violation(self.masks, self.n, k - 1)
+        # the common neighborhood of F - v is the AND of a prefix and a suffix
+        # of F's rows; both start from the full mask, so a 1-vertex F (whose
+        # only ridge is the empty clique) works too
+        full = (1 << self.n) - 1
+        for c in self.maximal_cliques():
+            suffix = [full]
+            for v in reversed(c):
+                suffix.append(suffix[-1] & self.masks[v])
+            prefix = full
+            for v, rest in zip(c, reversed(suffix[:-1])):
+                if (prefix & rest).bit_count() != 2:
+                    return kernels.leveled_violation(self.masks, self.n, len(c) - 1)
+                prefix &= self.masks[v]
+        return None
 
     def k_cliques(self, k):
         return kernels.k_cliques(self.masks, self.n, k)

@@ -6,15 +6,15 @@ no tolerance parameters because every inequality is sharp at fixed n.
 
 The level test has one path, on the join factors (`Graph.join_factors`;
 a graph with a connected complement is its own single factor): their
-maximal-clique sizes, then one cached link kernel call per factor, and
-both witnesses are built from the factors' first cliques.  `detect_level`
+maximal-clique sizes, then one cached ridge scan per factor, and both
+witnesses are built from the factors' first cliques.  `detect_level`
 picks the one level a graph can pass and runs the same test there.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, count
+from itertools import combinations, count
 
 from . import kernels
 from .complexes import maximal_cliques_are_facets, require_face_budget
@@ -105,8 +105,10 @@ def is_d_leveled(g, d):
     has a single size k_i, and then k_1 + ... + k_t = d+1.  A d-clique
     then meets each G_i in at most k_i vertices, so it is a (k_j - 1)-clique
     of one factor G_j with a maximal clique of every other G_i, which adds
-    no common neighbor: the link condition holds exactly when every factor
-    passes the link kernel at k_j - 1 (`Graph.ridge_violation`).
+    no common neighbor: the link condition holds exactly when every ridge
+    F_j - v of every factor's maximal cliques has two common neighbors in
+    G_j (`Graph.ridge_violation`, which names the first violating
+    (k_j - 1)-clique of G_j with the link kernel).
 
     Both witnesses are the lexicographically first violations.  Two unions
     of the same part sizes, or two maximal cliques, compare by the least
@@ -125,34 +127,28 @@ def is_d_leveled(g, d):
     if g.n == 0:
         return LeveledVerdict(False, d, ("empty",))
     factors = g.join_factors()
-    firsts = [_mapped(f.maximal_cliques()[0], vmap) for f, vmap in factors]
+    firsts = [f.maximal_cliques()[0] for f, _ in factors]
+
+    def union(j=0, part=None):
+        # the factors' first maximal cliques, with factor j's swapped for
+        # part, as one sorted clique of g
+        parts = [*firsts[:j], firsts[j] if part is None else part, *firsts[j + 1:]]
+        return tuple(sorted(vmap[v] for (_, vmap), p in zip(factors, parts) for v in p))
+
     if g.maximal_clique_sizes() == (d + 1,):
-        hits = [(j, f.ridge_violation, vmap) for j, (f, vmap) in enumerate(factors)]
-        if all(hit is None for _, hit, _ in hits):
+        hits = [(j, f.ridge_violation) for j, (f, _) in enumerate(factors) if f.ridge_violation is not None]
+        if not hits:
             return LeveledVerdict(True, d)
         return LeveledVerdict(False, d, min(
-            ("link", _union(firsts, j, hit[0], vmap), _mapped(hit[1], vmap))
-            for j, hit, vmap in hits if hit is not None
+            ("link", union(j, sigma), tuple(factors[j][1][v] for v in link)) for j, (sigma, link) in hits
         ))
-    bad = _union(firsts)
+    bad = union()
     if len(bad) == d + 1:
         bad = min(
-            _union(firsts, j, next(c for c in f.maximal_cliques() if len(c) != len(firsts[j])), vmap)
-            for j, (f, vmap) in enumerate(factors) if len(f.maximal_clique_sizes()) > 1
+            union(j, next(c for c in f.maximal_cliques() if len(c) != len(firsts[j])))
+            for j, (f, _) in enumerate(factors) if len(f.maximal_clique_sizes()) > 1
         )
     return LeveledVerdict(False, d, ("maximal-clique", bad))
-
-
-def _mapped(vertices, vmap):
-    return tuple(vmap[v] for v in vertices)
-
-
-def _union(parts, j=None, part=(), vmap=()):
-    """The sorted union of the parts; with j given, parts[j] is swapped for
-    part, a clique of factor j in its own labels."""
-    if j is not None:
-        parts = [*parts[:j], _mapped(part, vmap), *parts[j + 1:]]
-    return tuple(sorted(chain.from_iterable(parts)))
 
 
 def detect_level(g):

@@ -284,15 +284,14 @@ def test_check_instance_flag_complex_delegates():
     [
         # C5 * C5 and the suspension (two apexes) * C5 are worked factor by
         # factor: one census per factor gives its counts and maximal cliques,
-        # one link kernel call per factor decides the level test, and no
-        # kernel call sees the whole graph
-        (lambda: gen_join_of_cycles(2, 10), {"clique_census": [5, 5], "leveled_violation": [5, 5]}),
-        (lambda: gen_suspension_sphere(5), {"clique_census": [2, 5], "leveled_violation": [2, 5]}),
+        # and no kernel call sees the whole graph
+        (lambda: gen_join_of_cycles(2, 10), {"clique_census": [5, 5]}),
+        (lambda: gen_suspension_sphere(5), {"clique_census": [2, 5]}),
         # the torus is prime, and is_flag lists its maximal cliques before
         # the counts are asked for: Bron-Kerbosch once, counts once
         (
             lambda: SimplicialComplex.from_facets(16, gen_grid_torus(4, 4).maximal_cliques()),
-            {"maximal_cliques": [16], "clique_counts": [16], "leveled_violation": [16]},
+            {"maximal_cliques": [16], "clique_counts": [16]},
         ),
     ],
     ids=["join-odd-report", "sphere-even-entry", "torus-facets"],

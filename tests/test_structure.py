@@ -23,6 +23,8 @@ from flagstone import (
     cycle_part_sizes,
     default_alpha,
     default_eta,
+    detect_level,
+    disjoint_union,
     extract_partition,
     find_transversal_clique,
     gen_complete_multipartite,
@@ -39,6 +41,7 @@ from flagstone import (
     verify_type_partition,
     witness_link,
 )
+from flagstone import kernels
 from helpers import (
     all_graphs,
     brute_flag_witness,
@@ -180,6 +183,32 @@ def test_ridge_test_named_cases():
     assert is_d_leveled(kite, 2).witness == ("link", (0, 1), (2,))
     assert is_d_leveled(Graph(2, (0, 0)), 0) == LeveledVerdict(True, 0)
     assert is_d_leveled(Graph(3, (0, 0, 0)), 0).witness == ("link", (), (0, 1, 2))
+
+
+def test_ridge_scan_decides_and_the_link_kernel_only_names(monkeypatch):
+    # two disjoint cross-polytope skeletons O_12: one join factor whose
+    # 2 * 2^12 maximal cliques all have 12 vertices.  The ridge scan takes
+    # 12 steps per clique; the link kernel at d = 11 would step through
+    # every smaller clique, about 3^12 per copy, so it runs only on a failure
+    calls = []
+    kernel = kernels.leveled_violation
+
+    def counted(masks, n, d):
+        calls.append((n, d))
+        return kernel(masks, n, d)
+
+    monkeypatch.setattr(kernels, "leveled_violation", counted)
+    o = gen_complete_multipartite([2] * 12)
+    g = disjoint_union(o, o)
+    assert len(g.join_factors()) == 1
+    assert detect_level(g) == (11, LeveledVerdict(True, 11))
+    assert calls == []
+    # the kite is K1 * K1 * (two isolated vertices); the ridge of each K1
+    # is the empty clique, with one common neighbor, so the kernel names
+    # the witness in each K1 and never sees the whole graph
+    kite = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert is_d_leveled(kite, 2).witness == ("link", (0, 1), (2,))
+    assert calls == [(1, 0), (1, 0)]
 
 
 def test_link_leveled_property():
