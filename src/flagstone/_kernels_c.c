@@ -170,7 +170,7 @@ count_rec(Ctx *c, word cand, Py_ssize_t size)
 }
 
 static PyObject *
-py_clique_counts(PyObject *self, PyObject *args)
+py_clique_counts(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *masks;
     Py_ssize_t n, kmax;
@@ -255,7 +255,7 @@ lex_order(const void *pa, const void *pb)
 }
 
 static PyObject *
-py_maximal_cliques(PyObject *self, PyObject *args)
+py_maximal_cliques(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *masks, *out = NULL;
     Py_ssize_t n;
@@ -313,7 +313,7 @@ census_rec(Ctx *c, word cand, word common, int size)
 }
 
 static PyObject *
-py_clique_census(PyObject *self, PyObject *args)
+py_clique_census(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *masks, *counts;
     Py_ssize_t n;
@@ -364,7 +364,7 @@ violation_rec(Ctx *c, int depth, word cand, word common, Py_ssize_t need)
 }
 
 static PyObject *
-py_leveled_violation(PyObject *self, PyObject *args)
+py_leveled_violation(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *masks;
     Py_ssize_t n, d;
@@ -423,7 +423,7 @@ crowded_rec(Ctx *c, word chosen, word cand, word common, Py_ssize_t need)
 }
 
 static PyObject *
-py_crowded_link(PyObject *self, PyObject *args)
+py_crowded_link(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *masks, *within_obj;
     Py_ssize_t n, d;
@@ -511,7 +511,7 @@ canon_rec(Ctx *c, int depth, word unplaced, int tight, const word *parent_pat)
 }
 
 static PyObject *
-py_canonical_key(PyObject *self, PyObject *args)
+py_canonical_key(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *masks;
     Py_ssize_t n;
@@ -559,8 +559,11 @@ static PyMethodDef methods[] = {
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_kernels_c",
-    "Compiled bitset kernels for n <= 64; contracts as in _kernels_py.", -1, methods,
+    PyModuleDef_HEAD_INIT,
+    .m_name = "_kernels_c",
+    .m_doc = "Compiled bitset kernels for n <= 64; contracts as in _kernels_py.",
+    .m_size = -1,
+    .m_methods = methods,
 };
 
 PyMODINIT_FUNC

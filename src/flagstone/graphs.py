@@ -136,10 +136,9 @@ class Graph:
 
     def is_clique(self, vertices):
         vs = sorted(set(vertices))
-        for a, b in combinations(vs, 2):
-            if not self.has_edge(a, b):
-                return False
-        return True
+        if vs and not 0 <= vs[0] <= vs[-1] < self.n:
+            raise InvalidParameter(f"vertex {vs[0] if vs[0] < 0 else vs[-1]} out of range")
+        return all(self.has_edge(a, b) for a, b in combinations(vs, 2))
 
     @cached_property
     def _join_factors(self):
@@ -243,26 +242,29 @@ class Graph:
     @cached_property
     def ridge_violation(self):
         """None when every ridge F - v of every maximal clique F has two
-        common neighbors, v and one more, else the link kernel at |F| - 1
-        for the first F with one that does not.  With one maximal-clique
-        size k that is the kernel at k - 1, as the (k-1)-cliques are the
-        ridges; the scan (|F| steps per F) decides, since the kernel steps
-        through every smaller clique.  It is computed once per graph.
-        """
+        common neighbors, v and one more, else (ridge, common neighbors) for
+        one that does not: with one maximal-clique size k, the least, which
+        is the link kernel's at k - 1, as the (k-1)-cliques are the ridges
+        and F is maximal, so the other common neighbor misses v."""
         # the common neighborhood of F - v is the AND of a prefix and a suffix
         # of F's rows; both start from the full mask, so a 1-vertex F (whose
-        # only ridge is the empty clique) works too
+        # only ridge is the empty clique) works too.  With one size, F's least
+        # ridge F[:-1] never decreases along the sorted cliques, and a later v
+        # leaves a smaller ridge of F.
         full = (1 << self.n) - 1
+        best = None
         for c in self.maximal_cliques():
+            if best is not None and best[0] <= c[:-1]:
+                break
             suffix = [full]
             for v in reversed(c):
                 suffix.append(suffix[-1] & self.masks[v])
             prefix = full
-            for v, rest in zip(c, reversed(suffix[:-1])):
-                if (prefix & rest).bit_count() != 2:
-                    return kernels.leveled_violation(self.masks, self.n, len(c) - 1)
-                prefix &= self.masks[v]
-        return None
+            for i, rest in enumerate(reversed(suffix[:-1])):
+                if (prefix & rest).bit_count() != 2 and (best is None or c[:i] + c[i + 1:] < best[0]):
+                    best = c[:i] + c[i + 1:], kernels.bits_of(prefix & rest)
+                prefix &= self.masks[c[i]]
+        return best
 
     def k_cliques(self, k):
         return kernels.k_cliques(self.masks, self.n, k)
@@ -291,14 +293,12 @@ class Graph:
 
         Returns (graph, vmap) with vmap[i] the original label of new vertex
         i.  link(g, ()) is g itself.  Raises NotAClique when sigma has a
-        missing pair.
+        missing pair, InvalidParameter when it has a vertex out of range.
         """
-        vs = sorted(set(sigma))
-        for a, b in combinations(vs, 2):
-            if not self.has_edge(a, b):
-                raise NotAClique(f"({a}, {b}) is not an edge")
+        if not self.is_clique(sigma):
+            raise NotAClique(f"{tuple(sorted(set(sigma)))} is not a clique")
         common = (1 << self.n) - 1
-        for v in vs:
+        for v in set(sigma):
             common &= self.masks[v]
         return self.induced(kernels.bits_of(common))
 

@@ -38,6 +38,7 @@ output is deterministic and byte-identical regardless of worker count.
 """
 
 import json
+import os
 import random
 from dataclasses import dataclass
 
@@ -179,7 +180,10 @@ def enumerate_classes(n_max, clique_cap=None, workers=1, level=None):
     with clique number <= clique_cap when a cap is given.  With a level d,
     only classes that pass prunes (a) and (b) of the module docstring are
     kept; every d-leveled class on at most n_max vertices is among them.
+    The pool holds at most one worker per CPU, as a forking pool starts
+    all of its workers at once.
     """
+    workers = min(workers, os.cpu_count() or 1)
     levels = {1: [0]}
     for k in range(1, n_max):
         keys = levels[k]

@@ -6,9 +6,9 @@ no tolerance parameters because every inequality is sharp at fixed n.
 
 The level test has one path, on the join factors (`Graph.join_factors`;
 a graph with a connected complement is its own single factor): their
-maximal-clique sizes, then one cached ridge scan per factor, and both
-witnesses are built from the factors' first cliques.  `detect_level`
-picks the one level a graph can pass and runs the same test there.
+maximal-clique sizes, then one cached ridge scan per factor, which both
+decides and names the least failing ridge.  `detect_level` picks the one
+level a graph can pass and runs the same test there.
 """
 
 import random
@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, count
 
 from . import kernels
-from .complexes import maximal_cliques_are_facets, require_face_budget
+from .complexes import maximal_cliques_are_facets
 from .errors import (
     InvalidParameter,
     InvalidPartition,
@@ -35,21 +35,22 @@ def is_flag(k):
     Yes exactly when every maximal clique of size >= 3 is a facet
     (`maximal_cliques_are_facets`).  Returns (True, None) or (False,
     witness) with witness the lexicographically first non-face clique of
-    the smallest size, a minimal non-face.  The witness search may visit
-    every face, so it runs only within require_face_budget.
+    the smallest size s, a minimal non-face: tau + (w,) for an (s-1)-face
+    tau and a common neighbor w > max tau, first in the walk over the
+    sorted faces (`faces_by_size`, within require_face_budget).
     """
     if maximal_cliques_are_facets(k):
         return True, None
-    require_face_budget(k)
-    g = k.one_skeleton()
-    containing = {}
-    for facet in k.facets:
-        for v in facet:
-            containing.setdefault(v, []).append(set(facet))
+    faces = k.faces_by_size()
+    masks = k.one_skeleton().masks
     for size in count(3):
-        for c in kernels.k_cliques(g.masks, g.n, size):
-            if not any(facet.issuperset(c) for facet in containing[c[0]]):
-                return False, c
+        for tau in sorted(faces[size - 1]):
+            common = -1 << (tau[-1] + 1)
+            for v in tau:
+                common &= masks[v]
+            for w in kernels.bits_of(common):
+                if tau + (w,) not in faces.get(size, ()):
+                    return False, tau + (w,)
 
 
 def is_weak_pseudomanifold(k, d):
@@ -107,15 +108,14 @@ def is_d_leveled(g, d):
     of one factor G_j with a maximal clique of every other G_i, which adds
     no common neighbor: the link condition holds exactly when every ridge
     F_j - v of every factor's maximal cliques has two common neighbors in
-    G_j (`Graph.ridge_violation`, which names the first violating
-    (k_j - 1)-clique of G_j with the link kernel).
+    G_j (`Graph.ridge_violation`, which also names the least failing one).
 
     Both witnesses are the lexicographically first violations.  Two unions
     of the same part sizes, or two maximal cliques, compare by the least
     element of their symmetric difference, so the least union takes the
     least part in every factor.  The link witness is the least, over the
-    failing factors G_j, of the kernel's clique in G_j with every other
-    factor's first maximal clique.  The union U of the first maximal
+    failing factors G_j, of G_j's failing ridge with every other factor's
+    first maximal clique.  The union U of the first maximal
     cliques is the least maximal clique, the wrong-size witness when
     |U| != d+1.  Otherwise a wrong-size union that differs from U in two
     or more factors can undo one change, stay wrong-size and get smaller,

@@ -18,8 +18,8 @@ def compiled_kernels(tmp_path_factory):
     directory and imported, whether or not an installed build exists.
 
     Skips only when there is no C compiler or no Python.h; a source that
-    fails to compile, or draws a warning under -Wall, fails the tests that
-    use it.
+    fails to compile, or draws a warning under -Wall -Wextra, fails the
+    tests that use it.
     """
     link = shlex.split(sysconfig.get_config_var("LDSHARED") or "cc -shared")
     include = sysconfig.get_paths()["include"]
@@ -29,7 +29,7 @@ def compiled_kernels(tmp_path_factory):
         pytest.skip(f"no Python.h in {include}")
     target = tmp_path_factory.mktemp("kernels_c") / ("_kernels_c" + sysconfig.get_config_var("EXT_SUFFIX"))
     flags = shlex.split(sysconfig.get_config_var("CCSHARED") or "")
-    done = subprocess.run([*link, *flags, "-O2", "-Wall", "-Werror", f"-I{include}", str(KERNELS_C),
+    done = subprocess.run([*link, *flags, "-O2", "-Wall", "-Wextra", "-Werror", f"-I{include}", str(KERNELS_C),
                            "-o", str(target)], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     spec = importlib.util.spec_from_file_location("_kernels_c", target)

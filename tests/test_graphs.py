@@ -129,6 +129,18 @@ def test_link_rejects_non_clique():
     assert g.link(()) [0] == g
 
 
+def test_clique_tests_reject_vertices_out_of_range():
+    # a negative vertex would index a row from the end, and one past n - 1
+    # would read a missing row or no bit at all
+    g = gen_cycle(5)
+    for sigma in ((-1,), (7,), (-1, 0), (0, 9), (0, 1, 5)):
+        with pytest.raises(InvalidParameter, match="out of range"):
+            g.is_clique(sigma)
+        with pytest.raises(InvalidParameter, match="out of range"):
+            g.link(sigma)
+    assert g.link((4,))[1] == (0, 3)
+
+
 def test_link_vs_induced_common_neighborhood():
     rng = random.Random(12)
     for _ in range(40):

@@ -231,31 +231,36 @@ def test_flag_test_of_join_skeletons_matches_the_whole_skeleton():
 
 
 def test_slow_whole_graph_instances_are_decided_per_factor(monkeypatch):
-    # the level test and the flag test on joins of up to ten cycles, whose
-    # whole-graph clique lists run to millions: no call of a clique-listing
-    # or link kernel sees the whole graph (is_flag then names its witness
-    # from the whole skeleton's triangles)
+    # the level test and the flag test on joins of up to forty cycles, whose
+    # whole-graph clique lists run to millions: the only kernel calls list
+    # the maximal cliques of single factors, and is_flag names its witness
+    # from the listed faces, not from the whole skeleton's triangles
     seen = []
-    for name in ("maximal_cliques", "leveled_violation", "clique_census", "clique_counts"):
-        def counted(masks, n, *rest, _kernel=getattr(kernels, name)):
-            seen.append(n)
+    for name in ("maximal_cliques", "leveled_violation", "clique_census", "clique_counts", "k_cliques"):
+        def counted(masks, n, *rest, _name=name, _kernel=getattr(kernels, name)):
+            seen.append((_name, n))
             return _kernel(masks, n, *rest)
         monkeypatch.setattr(kernels, name, counted)
+
+    def factor_cliques_only(g):
+        assert {name for name, _ in seen} == {"maximal_cliques"}, seen
+        assert max(n for _, n in seen) < g.n
+        seen.clear()
+
     g = gen_join_of_cycles(10, 50).without_edge(3, 4)
     assert is_d_leveled(g, 19).witness == (
         "link", (3, 5, 6, 10, 11, 15, 16, 20, 21, 25, 26, 30, 31, 35, 36, 40, 41, 45, 46), (2,))
-    assert max(seen) < g.n
-    seen.clear()
+    factor_cliques_only(g)
     g = Graph.from_edges(3, [(0, 1)])
     for _ in range(8):
         g = join(g, gen_cycle(5))
     assert is_d_leveled(g, 17).witness == (
         "maximal-clique", (2, 3, 4, 8, 9, 13, 14, 18, 19, 23, 24, 28, 29, 33, 34, 38, 39))
-    assert max(seen) < g.n
-    seen.clear()
-    g = gen_join_of_cycles(10, 50)
-    assert is_flag(SimplicialComplex.from_facets(g.n, g.edges())) == (False, (0, 1, 5))
-    assert max(seen) < g.n
+    factor_cliques_only(g)
+    for s in (10, 40):
+        g = gen_join_of_cycles(s, 5 * s)
+        assert is_flag(SimplicialComplex.from_facets(g.n, g.edges())) == (False, (0, 1, 5))
+        factor_cliques_only(g)
 
 
 def test_prime_graph_is_its_own_factor():

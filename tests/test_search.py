@@ -1,5 +1,7 @@
 """Enumeration, seeded local search, and corpus checking."""
 
+import concurrent.futures
+import os
 import random
 from functools import cached_property
 
@@ -55,6 +57,17 @@ def test_enumerate_classes_clique_cap():
 def test_enumerate_workers_byte_identical():
     assert enumerate_classes(5, workers=2) == enumerate_classes(5, workers=1)
     assert enumerate_classes(7, workers=2, level=2) == enumerate_classes(7, level=2)
+
+
+def test_enumerate_workers_capped_at_cpu_count(monkeypatch):
+    # on one CPU a request for many workers starts no process at all
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    assert enumerate_classes(6, workers=8) == enumerate_classes(6)
 
 
 @pytest.mark.parametrize("d,n_max", [(1, 8), (2, 7), (3, 7)])

@@ -185,11 +185,11 @@ def test_ridge_test_named_cases():
     assert is_d_leveled(Graph(3, (0, 0, 0)), 0).witness == ("link", (), (0, 1, 2))
 
 
-def test_ridge_scan_decides_and_the_link_kernel_only_names(monkeypatch):
+def test_ridge_scan_decides_and_names_without_the_link_kernel(monkeypatch):
     # two disjoint cross-polytope skeletons O_12: one join factor whose
     # 2 * 2^12 maximal cliques all have 12 vertices.  The ridge scan takes
     # 12 steps per clique; the link kernel at d = 11 would step through
-    # every smaller clique, about 3^12 per copy, so it runs only on a failure
+    # every smaller clique, about 3^12 per copy, so it never runs
     calls = []
     kernel = kernels.leveled_violation
 
@@ -202,13 +202,35 @@ def test_ridge_scan_decides_and_the_link_kernel_only_names(monkeypatch):
     g = disjoint_union(o, o)
     assert len(g.join_factors()) == 1
     assert detect_level(g) == (11, LeveledVerdict(True, 11))
-    assert calls == []
     # the kite is K1 * K1 * (two isolated vertices); the ridge of each K1
-    # is the empty clique, with one common neighbor, so the kernel names
-    # the witness in each K1 and never sees the whole graph
+    # is the empty clique, with one common neighbor, and the scan names it
     kite = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     assert is_d_leveled(kite, 2).witness == ("link", (0, 1), (2,))
-    assert calls == [(1, 0), (1, 0)]
+    # O_13 + K_13 fails late, at the clique K_13 after all 2^13 of O_13
+    o, k = gen_complete_multipartite([2] * 13), gen_complete_multipartite([1] * 13)
+    assert detect_level(disjoint_union(o, k)) == (12, LeveledVerdict(False, 12, ("link", tuple(range(26, 38)), (38,))))
+    assert detect_level(disjoint_union(k, o)) == (12, LeveledVerdict(False, 12, ("link", tuple(range(12)), (12,))))
+    assert calls == []
+
+
+def test_ridge_scan_names_the_link_kernel_witness():
+    # with one maximal-clique size k the (k-1)-cliques are exactly the
+    # ridges, so the least failing ridge is the link kernel's at k - 1
+    rng = random.Random(113)
+    graphs = []
+    for k in range(1, 7):
+        o, kk = gen_complete_multipartite([2] * k), gen_complete_multipartite([1] * k)
+        graphs += [disjoint_union(o, kk), disjoint_union(kk, o), disjoint_union(o, o)]
+    while len(graphs) < 400:
+        g = random_graph(rng.randrange(1, 11), rng.random(), rng)
+        if len(g.maximal_clique_sizes()) == 1:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs += [g, g.relabel(perm)]
+    for g in graphs:
+        k = g.maximal_clique_sizes()[0]
+        assert g.ridge_violation == kernels.leveled_violation(g.masks, g.n, k - 1), g.masks
+    assert sum(g.ridge_violation is None for g in graphs) > 20
 
 
 def test_link_leveled_property():
