@@ -79,22 +79,39 @@ from .search import (
 )
 from .structure import (
     LeveledVerdict,
-    PartitionDiagnostics,
-    PartitionWitness,
-    bollobas_lower_bound,
-    check_lemma_independent_bound,
-    default_alpha,
-    default_eta,
     detect_level,
-    extract_partition,
-    find_transversal_clique,
     is_d_leveled,
     is_flag,
     is_weak_pseudomanifold,
     link_leveled_property,
-    restrict_witness,
-    verify_type_partition,
-    witness_link,
 )
 
+# The stability machinery is library-only: importing it on first use keeps
+# it out of the command line's start-up.
+_STABILITY = frozenset((
+    "PartitionDiagnostics",
+    "PartitionWitness",
+    "bollobas_lower_bound",
+    "check_lemma_independent_bound",
+    "default_alpha",
+    "default_eta",
+    "extract_partition",
+    "find_transversal_clique",
+    "restrict_witness",
+    "verify_type_partition",
+    "witness_link",
+))
+
+
+def __getattr__(name):
+    if name in _STABILITY:
+        from . import stability
+
+        return getattr(stability, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 __version__ = "0.1.0"
+
+# what `from flagstone import *` binds: every public name, the lazy ones too
+__all__ = [name for name in globals() if not name.startswith("_")] + sorted(_STABILITY)

@@ -11,7 +11,7 @@ potential counterexample, not as a refutation: the proven statements are
 asymptotic, so a finite instance can at most be a candidate.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvalidParameter
@@ -78,15 +78,10 @@ def linear_excess(g, s):
     return (Fraction(g.edge_count) - Fraction(s - 1, 2 * s) * g.n * g.n) / g.n
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(namedtuple("BoundEntry", "value holds equality status slack")):
     # slack = value - quantity: >= 0 when an upper bound holds, <= 0 when a
     # lower bound does, 0 exactly at equality
-    value: Fraction
-    holds: bool
-    equality: bool
-    status: str
-    slack: Fraction
+    __slots__ = ()
 
     def to_json_dict(self):
         return {
@@ -98,20 +93,13 @@ class BoundEntry:
         }
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(namedtuple(
+    "BoundReport",
+    "instance n s edges bounds leveled_d leveled gamma notes potential_counterexample",
+)):
     """Everything checked about one instance, JSON-serializable."""
 
-    instance: str
-    n: int
-    s: int
-    edges: int
-    bounds: dict
-    leveled_d: int
-    leveled: bool
-    gamma: tuple
-    notes: tuple
-    potential_counterexample: bool
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

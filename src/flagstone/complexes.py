@@ -14,7 +14,6 @@ which has a (unique, integer) solution exactly when h is palindromic.  All
 arithmetic is exact: integers and fractions.Fraction, never floats.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
@@ -34,12 +33,32 @@ def require_face_budget(k):
         raise BudgetExceeded(f"facets span up to {total} faces, over the face budget {FACE_BUDGET}")
 
 
-@dataclass(frozen=True)
 class SimplicialComplex:
-    """Vertex count plus inclusion-maximal faces as sorted vertex tuples."""
+    """Vertex count plus inclusion-maximal faces as sorted vertex tuples.
 
-    n: int
-    facets: tuple
+    A value: equal, hashed and shown by n and facets, which cannot be
+    reassigned; the 1-skeleton is built once and kept in its `__dict__`.
+    """
+
+    def __init__(self, n, facets):
+        self.__dict__.update(n=n, facets=facets)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.facets == other.facets
+
+    def __hash__(self):
+        return hash((self.n, self.facets))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(n={self.n!r}, facets={self.facets!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_facets(cls, n, facets):

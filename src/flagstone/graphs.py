@@ -21,7 +21,6 @@ without) the counts: it is output-sensitive, while the census visits every
 clique.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -29,32 +28,29 @@ from . import kernels
 from .errors import InvalidParameter, NotAClique
 
 
-@dataclass(frozen=True)
 class Graph:
     """A finite simple graph: symmetric, irreflexive adjacency on 0..n-1.
 
-    The join factors, the maximal cliques, their sizes, the full
-    clique-count vector and the ridge violation are computed at most once
-    per graph and kept as immutable values.
+    A value: equal, hashed and shown by n and masks, which cannot be
+    reassigned.  The join factors, the maximal cliques, their sizes, the
+    full clique-count vector and the ridge violation are computed at most
+    once per graph and kept in its `__dict__` as immutable values.
     """
 
-    n: int
-    masks: tuple
-
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n, masks):
+        self.__dict__.update(n=n, masks=masks)
+        if n < 0:
             raise InvalidParameter("vertex count must be nonnegative")
-        if len(self.masks) != self.n:
+        if len(masks) != n:
             raise InvalidParameter("need one adjacency row per vertex")
-        masks = self.masks
-        full = (1 << self.n) - 1
+        full = (1 << n) - 1
         # every bit above the diagonal mirrored below it, and as many bits
         # below as above, makes the rows symmetric: one check per edge
         above = below = 0
         mirrored = True
         for v, row in enumerate(masks):
             if row & ~full:
-                raise InvalidParameter(f"row {v} mentions vertices outside 0..{self.n - 1}")
+                raise InvalidParameter(f"row {v} mentions vertices outside 0..{n - 1}")
             high = row >> v
             if high & 1:
                 raise InvalidParameter(f"self-loop at vertex {v}")
@@ -67,10 +63,27 @@ class Graph:
                 high ^= low
         if not mirrored or above != below:
             # name the first unmirrored pair in the order of the full scan
-            for v in range(self.n):
+            for v in range(n):
                 for u in kernels.bits_of(masks[v]):
                     if not (masks[u] >> v) & 1:
                         raise InvalidParameter(f"adjacency not symmetric at ({u}, {v})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.masks == other.masks
+
+    def __hash__(self):
+        return hash((self.n, self.masks))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(n={self.n!r}, masks={self.masks!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -84,13 +97,25 @@ class Graph:
 
     # -- basic accessors -------------------------------------------------
 
+    def _out_of_range(self, *vertices):
+        """The error naming the first of vertices outside 0..n-1: a negative
+        vertex would index a row from the end, a large one a missing row."""
+        v = next(v for v in vertices if not 0 <= v < self.n)
+        return InvalidParameter(f"vertex {v} out of range")
+
     def degree(self, v):
+        if not 0 <= v < self.n:
+            raise self._out_of_range(v)
         return self.masks[v].bit_count()
 
     def neighbors(self, v):
+        if not 0 <= v < self.n:
+            raise self._out_of_range(v)
         return kernels.bits_of(self.masks[v])
 
     def has_edge(self, u, v):
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise self._out_of_range(u, v)
         return bool((self.masks[u] >> v) & 1)
 
     def edges(self):
@@ -119,6 +144,8 @@ class Graph:
         return seen == (1 << self.n) - 1
 
     def with_edge(self, u, v):
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise self._out_of_range(u, v)
         if u == v:
             raise InvalidParameter("no self-loops")
         rows = list(self.masks)
@@ -127,6 +154,8 @@ class Graph:
         return Graph(self.n, tuple(rows))
 
     def without_edge(self, u, v):
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise self._out_of_range(u, v)
         rows = list(self.masks)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
@@ -137,7 +166,7 @@ class Graph:
     def is_clique(self, vertices):
         vs = sorted(set(vertices))
         if vs and not 0 <= vs[0] <= vs[-1] < self.n:
-            raise InvalidParameter(f"vertex {vs[0] if vs[0] < 0 else vs[-1]} out of range")
+            raise self._out_of_range(vs[0], vs[-1])
         return all(self.has_edge(a, b) for a, b in combinations(vs, 2))
 
     @cached_property
@@ -279,7 +308,7 @@ class Graph:
         vmap = tuple(sorted(set(vertices)))
         for v in vmap:
             if not 0 <= v < self.n:
-                raise InvalidParameter(f"vertex {v} out of range")
+                raise self._out_of_range(v)
         idx = {v: i for i, v in enumerate(vmap)}
         keep = sum(1 << v for v in vmap)
         rows = [0] * len(vmap)

@@ -40,7 +40,7 @@ output is deterministic and byte-identical regardless of worker count.
 import json
 import os
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import kernels
 from .bounds import (
@@ -73,30 +73,26 @@ def exhaustive_cap(d):
     return DEFAULT_CAP_LEVEL_ONE if d == 1 else DEFAULT_CAP
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    mode: str
-    d: int
-    n_min: int
-    n_max: int
-    seed: int = None
-    workers: int = 1
-    budget: int = 1000
-    allow_huge: bool = False
+class SearchConfig(namedtuple(
+    "SearchConfig",
+    "mode d n_min n_max seed workers budget allow_huge",
+)):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.mode not in ("exhaustive", "random"):
-            raise InvalidParameter(f"unknown search mode {self.mode!r}")
-        if self.d < 1:
+    def __new__(cls, mode, d, n_min, n_max, seed=None, workers=1, budget=1000, allow_huge=False):
+        if mode not in ("exhaustive", "random"):
+            raise InvalidParameter(f"unknown search mode {mode!r}")
+        if d < 1:
             raise InvalidParameter("need level d >= 1")
-        if not 1 <= self.n_min <= self.n_max:
+        if not 1 <= n_min <= n_max:
             raise InvalidParameter("need 1 <= n_min <= n_max")
-        if self.mode == "random" and self.seed is None:
+        if mode == "random" and seed is None:
             raise InvalidParameter("random mode needs an explicit seed")
-        if self.workers < 1:
+        if workers < 1:
             raise InvalidParameter("need workers >= 1")
-        if self.budget < 0:
+        if budget < 0:
             raise InvalidParameter("need budget >= 0")
+        return super().__new__(cls, mode, d, n_min, n_max, seed, workers, budget, allow_huge)
 
     @property
     def s_effective(self):
@@ -104,24 +100,17 @@ class SearchConfig:
         return (self.d + 1) // 2
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(namedtuple(
+    "SearchResult",
+    "mode d s n_min n_max seed budget per_n reports notes",
+)):
     """Per-n summaries plus full reports for the extremal instances.
 
     Serialization excludes the worker count on purpose: results must be
     byte-identical however the work was split.
     """
 
-    mode: str
-    d: int
-    s: int
-    n_min: int
-    n_max: int
-    seed: int
-    budget: int
-    per_n: tuple
-    reports: tuple
-    notes: tuple
+    __slots__ = ()
 
     def to_json_dict(self):
         return {

@@ -1,8 +1,12 @@
 """End-to-end runs of the command line entry point."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -418,3 +422,23 @@ def test_cli_output_does_not_depend_on_join_factors(tmp_path, monkeypatch, capsy
     monkeypatch.setattr(Graph, "join_factors", lambda self: ((self, tuple(range(self.n))),))
     whole = _cli_outputs(tmp_path, "whole", capsys)
     assert whole == factored
+
+
+def test_cli_imports_only_what_commands_run():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and no command
+    # runs the stability machinery; the package still re-exports it on use
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import flagstone.cli\n"
+        "print(sorted({'dataclasses', 'inspect', 'flagstone.stability'} & (set(sys.modules) - before)))\n"
+        "from flagstone import extract_partition, PartitionWitness\n"
+        "from flagstone import stability\n"
+        "print(extract_partition is stability.extract_partition, PartitionWitness is stability.PartitionWitness)\n"
+        "star = {}\n"
+        "exec('from flagstone import *', star)\n"
+        "print(star['witness_link'] is stability.witness_link, star['Graph'] is flagstone.cli.Graph)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-B", "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["[]", "True True", "True True"]

@@ -1,23 +1,38 @@
-"""Byte-identity of `check` output on a small fixed corpus.
+"""Byte-identity of `check` and `search` output on small fixed inputs.
 
 tests/data/golden holds a balanced cycle join and a suspended cycle (edge
 lists), the 6x6 grid torus and a non-flag complex (facet lists), and a
 graph6 file with a 7-cycle and a seeded random graph on 12 vertices.
 check.json and check.stdout are the bytes `flagstone check` wrote for them
-while Bron-Kerbosch and clique counting were still separate passes; a
-speedup must leave them unchanged.
+while Bron-Kerbosch and clique counting were still separate passes; the
+search-*.json and search-*.stdout files are the `--out` payload and the
+standard output of the three searches in SEARCHES, written while the value
+classes were still dataclasses.  A speedup must leave them all unchanged.
 Regenerate them (only for a deliberate output change) from that directory:
 
     python -m flagstone.cli check join.txt suspension.txt torus.facets \
         pair.g6 hollow.facets --json check.json > check.stdout
+    python -m flagstone.cli search --mode exhaustive --d 1 --n 3..7 \
+        --out search-d1.json > search-d1.stdout
+    python -m flagstone.cli search --mode exhaustive --d 2 --n 3..8 \
+        --out search-d2.json > search-d2.stdout
+    python -m flagstone.cli search --mode random --d 3 --n 10..30 --seed 1 \
+        --budget 100 --out search-random-d3.json > search-random-d3.stdout
 """
 
 from pathlib import Path
+
+import pytest
 
 from flagstone.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 FILES = ["join.txt", "suspension.txt", "torus.facets", "pair.g6", "hollow.facets"]
+SEARCHES = {
+    "search-d1": ["--mode", "exhaustive", "--d", "1", "--n", "3..7"],
+    "search-d2": ["--mode", "exhaustive", "--d", "2", "--n", "3..8"],
+    "search-random-d3": ["--mode", "random", "--d", "3", "--n", "10..30", "--seed", "1", "--budget", "100"],
+}
 
 
 def test_check_output_is_byte_identical(tmp_path, monkeypatch, capsys):
@@ -26,3 +41,11 @@ def test_check_output_is_byte_identical(tmp_path, monkeypatch, capsys):
     assert main(["check", *FILES, "--json", str(out_json)]) == 0
     assert capsys.readouterr().out == (GOLDEN / "check.stdout").read_text()
     assert out_json.read_bytes() == (GOLDEN / "check.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_search_output_is_byte_identical(name, tmp_path, capsys):
+    out = tmp_path / f"{name}.json"
+    assert main(["search", *SEARCHES[name], "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.stdout").read_text()
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

@@ -23,13 +23,15 @@ from helpers import brute_maximal_cliques, random_graph
 
 def test_construction_validates():
     Graph(2, (2, 1))
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match="^vertex count must be nonnegative$"):
+        Graph(-1, ())
+    with pytest.raises(InvalidParameter, match="^need one adjacency row per vertex$"):
         Graph(2, (2,))  # wrong length
-    with pytest.raises(InvalidParameter):
-        Graph(2, (3, 1))  # self-loop at 0
-    with pytest.raises(InvalidParameter):
-        Graph(2, (2, 0))  # asymmetric
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match="^self-loop at vertex 0$"):
+        Graph(2, (3, 1))
+    with pytest.raises(InvalidParameter, match=r"^adjacency not symmetric at \(1, 0\)$"):
+        Graph(2, (2, 0))
+    with pytest.raises(InvalidParameter, match=r"^row 0 mentions vertices outside 0\.\.0$"):
         Graph(1, (2,))  # out-of-range bit
 
 
@@ -139,6 +141,14 @@ def test_clique_tests_reject_vertices_out_of_range():
         with pytest.raises(InvalidParameter, match="out of range"):
             g.link(sigma)
     assert g.link((4,))[1] == (0, 3)
+    # the accessors and edge edits name the first vertex outside 0..4
+    for method, args, bad in (
+        ("has_edge", (-1, 0), -1), ("has_edge", (0, 5), 5), ("degree", (-1,), -1),
+        ("degree", (5,), 5), ("neighbors", (-1,), -1), ("with_edge", (-1, 2), -1),
+        ("with_edge", (2, 9), 9), ("without_edge", (7, 1), 7), ("without_edge", (1, -3), -3),
+    ):
+        with pytest.raises(InvalidParameter, match=f"^vertex {bad} out of range$"):
+            getattr(g, method)(*args)
 
 
 def test_link_vs_induced_common_neighborhood():

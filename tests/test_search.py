@@ -220,19 +220,20 @@ def test_random_search_matches_reference_walk(monkeypatch, d, n_min, n_max):
 
 
 def test_search_config_validation():
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match="^unknown search mode 'sideways'$"):
         SearchConfig(mode="sideways", d=1, n_min=1, n_max=2)
-    with pytest.raises(InvalidParameter):
-        SearchConfig(mode="random", d=1, n_min=1, n_max=2)  # no seed
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(InvalidParameter, match="^random mode needs an explicit seed$"):
+        SearchConfig(mode="random", d=1, n_min=1, n_max=2)
+    with pytest.raises(InvalidParameter, match="^need level d >= 1$"):
         SearchConfig(mode="exhaustive", d=0, n_min=1, n_max=2)
-    with pytest.raises(InvalidParameter):
-        SearchConfig(mode="exhaustive", d=1, n_min=3, n_max=2)
+    for n_min, n_max in ((3, 2), (0, 2)):
+        with pytest.raises(InvalidParameter, match="^need 1 <= n_min <= n_max$"):
+            SearchConfig("exhaustive", 1, n_min, n_max)
     for workers in (0, -1):
-        with pytest.raises(InvalidParameter, match="workers"):
+        with pytest.raises(InvalidParameter, match="^need workers >= 1$"):
             SearchConfig(mode="exhaustive", d=1, n_min=1, n_max=2, workers=workers)
     for budget in (-1, -5):
-        with pytest.raises(InvalidParameter, match="budget"):
+        with pytest.raises(InvalidParameter, match="^need budget >= 0$"):
             SearchConfig(mode="random", d=3, n_min=10, n_max=10, seed=1, budget=budget)
     assert SearchConfig(mode="random", d=3, n_min=10, n_max=10, seed=1, budget=0).budget == 0
     assert SearchConfig(mode="exhaustive", d=3, n_min=1, n_max=2).s_effective == 2
