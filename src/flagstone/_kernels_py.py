@@ -10,7 +10,8 @@ maximal_cliques, clique_census, leveled_violation, crowded_link,
 canonical_key) with the same contracts for n <= 64, and `flagstone.kernels`
 sends each call to one or the other; the rest run only here.  Graphs enter
 as a sequence of adjacency bitmask rows (row v = OR of 1<<u over neighbors
-u of v).
+u of v).  Canonical keys and graph6 bodies share one upper-triangle codec,
+triangle_bits and rows_of_bits.
 """
 
 
@@ -292,27 +293,40 @@ def canonical_key(masks, n):
     return best
 
 
-def key_to_masks(key, n):
-    """Inverse of canonical_key's encoding: bitstring -> adjacency rows."""
-    masks = [0] * n
-    total = n * (n - 1) // 2
+def triangle_bits(masks, n):
+    """The upper triangle as a 0/1 string, column by column: for j = 1..n-1,
+    the bits of (0,j),(1,j),...,(j-1,j).  graph6 bodies and canonical keys
+    share this order; column j is the low j bits of row j, reversed."""
+    return "".join(format(masks[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+
+
+def rows_of_bits(bits, n):
+    """Inverse of triangle_bits on the first n(n-1)/2 characters of bits:
+    each column is read as one integer, the low part of its vertex's row,
+    and its set bits are mirrored into the rows above."""
+    rows = [0] * n
     pos = 0
     for j in range(1, n):
-        for i in range(j):
-            if (key >> (total - 1 - pos)) & 1:
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-            pos += 1
-    return masks
+        col = int(bits[pos:pos + j][::-1], 2)
+        pos += j
+        rows[j] = col
+        bit = 1 << j
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= bit
+            col ^= low
+    return rows
+
+
+def key_to_masks(key, n):
+    """Inverse of canonical_key's encoding; bits above the triangle are ignored."""
+    total = n * (n - 1) // 2
+    return rows_of_bits(format(key & ((1 << total) - 1), f"0{total}b"), n)
 
 
 def masks_key(masks, n):
     """The adjacency bitstring of the labeling as given (no minimization)."""
-    key = 0
-    for j in range(1, n):
-        for i in range(j):
-            key = (key << 1) | ((masks[i] >> j) & 1)
-    return key
+    return int(triangle_bits(masks, n) or "0", 2)
 
 
 def bits_of(mask):

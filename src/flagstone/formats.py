@@ -11,18 +11,19 @@ would cost quadratic time and memory before anything is checked.  A facet
 of dimension above DIMENSION_CAP is a parse error too, with its line
 number, so it fails only its own file in a corpus run.
 
-The graph parsers build the bitmask adjacency rows directly.  An edge
-list sets the two bits of each edge as it is read (a bit already set is a
-duplicate edge).  A graph6 body becomes one bitstring, six bits per byte;
-each column of its upper triangle is read as one integer, the lower part
-of that vertex's row, and its set bits are mirrored into the rows above.
-A facet list's 1-skeleton is built from facet bitmasks by
-SimplicialComplex.one_skeleton.
+The edge and facet lists share one header reader.  The graph parsers
+build the bitmask adjacency rows directly.  An edge list sets the two bits
+of each edge as it is read (a bit already set is a duplicate edge).  A
+graph6 body becomes one bitstring, six bits per byte, read and written by
+the triangle codec that canonical keys use too (`kernels.rows_of_bits`,
+`kernels.triangle_bits`).  A facet list's 1-skeleton is built from facet
+bitmasks by SimplicialComplex.one_skeleton.
 """
 
 from .complexes import DIMENSION_CAP, VERTEX_LIMIT, SimplicialComplex
 from .errors import InvalidComplex, ParseError
 from .graphs import Graph
+from .kernels import rows_of_bits, triangle_bits
 
 
 def _ints(line, count, path, line_no, what):
@@ -44,12 +45,13 @@ def _check_vertex_count(n, path, line_no):
         )
 
 
-def parse_edge_list(text, path=None):
-    lines = text.splitlines()
-    stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    content = [(no, ln) for no, ln in stripped if ln]
+def _counted_lines(text, path, what):
+    """Check the "n m" header and that m lines follow it, blank ones dropped;
+    return n and those (line number, stripped line) pairs.  what ("edge" or
+    "facet") names the lines in the messages."""
+    content = [(no, ln) for no, ln in enumerate(map(str.strip, text.splitlines()), 1) if ln]
     if not content:
-        raise ParseError("empty edge-list input", path=path, line=1)
+        raise ParseError(f"empty {what}-list input", path=path, line=1)
     head_no, head = content[0]
     n, m = _ints(head, 2, path, head_no, "header")
     if n < 0 or m < 0:
@@ -57,12 +59,17 @@ def parse_edge_list(text, path=None):
     _check_vertex_count(n, path, head_no)
     if len(content) - 1 != m:
         raise ParseError(
-            f"header promises {m} edges but {len(content) - 1} edge lines follow",
+            f"header promises {m} {what}s but {len(content) - 1} {what} lines follow",
             path=path,
             line=head_no,
         )
+    return n, content[1:]
+
+
+def parse_edge_list(text, path=None):
+    n, lines = _counted_lines(text, path, "edge")
     rows = [0] * n
-    for no, ln in content[1:]:
+    for no, ln in lines:
         u, v = _ints(ln, 2, path, no, "edge")
         if not (0 <= u < v < n):
             raise ParseError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}", path=path, line=no)
@@ -89,17 +96,9 @@ def dump_graph6(g):
         head = chr(g.n + 63)
     else:
         head = chr(126) + "".join(chr(((g.n >> k) & 63) + 63) for k in (12, 6, 0))
-    bits = []
-    for j in range(1, g.n):
-        for i in range(j):
-            bits.append((g.masks[i] >> j) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = "".join(
-        chr(63 + (bits[k] << 5 | bits[k + 1] << 4 | bits[k + 2] << 3
-                  | bits[k + 3] << 2 | bits[k + 4] << 1 | bits[k + 5]))
-        for k in range(0, len(bits), 6)
-    )
+    bits = triangle_bits(g.masks, g.n)
+    bits += "0" * (-len(bits) % 6)
+    body = "".join(chr(63 + int(bits[k:k + 6], 2)) for k in range(0, len(bits), 6))
     return head + body
 
 
@@ -133,38 +132,13 @@ def parse_graph6_line(line, path=None, line_no=None):
     bits = "".join(map(_G6_CHUNKS.__getitem__, body))
     if "1" in bits[need:]:
         raise ParseError("nonzero padding bits in graph6 body", path=path, line=line_no)
-    rows = [0] * n
-    pos = 0
-    for j in range(1, n):
-        col = int(bits[pos:pos + j][::-1], 2)
-        pos += j
-        rows[j] = col
-        bit = 1 << j
-        while col:
-            low = col & -col
-            rows[low.bit_length() - 1] |= bit
-            col ^= low
-    return Graph(n, tuple(rows))
+    return Graph(n, tuple(rows_of_bits(bits, n)))
 
 
 def parse_facet_list(text, path=None):
-    lines = text.splitlines()
-    content = [(i + 1, ln.strip()) for i, ln in enumerate(lines) if ln.strip()]
-    if not content:
-        raise ParseError("empty facet-list input", path=path, line=1)
-    head_no, head = content[0]
-    n, k = _ints(head, 2, path, head_no, "header")
-    if n < 0 or k < 0:
-        raise ParseError("negative counts in header", path=path, line=head_no)
-    _check_vertex_count(n, path, head_no)
-    if len(content) - 1 != k:
-        raise ParseError(
-            f"header promises {k} facets but {len(content) - 1} facet lines follow",
-            path=path,
-            line=head_no,
-        )
+    n, lines = _counted_lines(text, path, "facet")
     facets = []
-    for no, ln in content[1:]:
+    for no, ln in lines:
         try:
             vs = tuple(map(int, ln.split()))
         except ValueError:

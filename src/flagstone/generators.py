@@ -54,6 +54,10 @@ def gen_complete_multipartite(parts):
 
 def cycle_part_sizes(s, n):
     """Balanced split of n into s parts of size floor(n/s) or ceil(n/s)."""
+    if s < 1:
+        raise InvalidParameter("need at least one cycle")
+    if n < 0:
+        raise InvalidParameter("vertex count must be nonnegative")
     q, r = divmod(n, s)
     return tuple([q + 1] * r + [q] * (s - r))
 

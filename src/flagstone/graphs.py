@@ -19,8 +19,12 @@ one pass of the capped counting kernel at the largest maximal-clique size.
 Bron-Kerbosch runs only when the maximal cliques are asked for before (or
 without) the counts: it is output-sensitive, while the census visits every
 clique.
+
+`unpaired_ridge` is the package's one ridge count, for a factor's maximal
+cliques (`Graph.ridge_violation`) and for a complex's facets.
 """
 
+from collections import Counter
 from functools import cached_property
 from itertools import combinations
 
@@ -270,30 +274,18 @@ class Graph:
 
     @cached_property
     def ridge_violation(self):
-        """None when every ridge F - v of every maximal clique F has two
-        common neighbors, v and one more, else (ridge, common neighbors) for
-        one that does not: with one maximal-clique size k, the least, which
-        is the link kernel's at k - 1, as the (k-1)-cliques are the ridges
-        and F is maximal, so the other common neighbor misses v."""
-        # the common neighborhood of F - v is the AND of a prefix and a suffix
-        # of F's rows; both start from the full mask, so a 1-vertex F (whose
-        # only ridge is the empty clique) works too.  With one size, F's least
-        # ridge F[:-1] never decreases along the sorted cliques, and a later v
-        # leaves a smaller ridge of F.
-        full = (1 << self.n) - 1
-        best = None
-        for c in self.maximal_cliques():
-            if best is not None and best[0] <= c[:-1]:
-                break
-            suffix = [full]
-            for v in reversed(c):
-                suffix.append(suffix[-1] & self.masks[v])
-            prefix = full
-            for i, rest in enumerate(reversed(suffix[:-1])):
-                if (prefix & rest).bit_count() != 2 and (best is None or c[:i] + c[i + 1:] < best[0]):
-                    best = c[:i] + c[i + 1:], kernels.bits_of(prefix & rest)
-                prefix &= self.masks[c[i]]
-        return best
+        """None when every ridge F - v of the maximal cliques lies in two of
+        them, else (ridge, common neighbors) for the least that does not.
+        With one maximal-clique size k, the (k-1)-cliques are the ridges and
+        the maximal cliques through R are R + w for its common neighbors w,
+        so this is the link kernel's witness at k - 1."""
+        hit = unpaired_ridge(self.maximal_cliques())
+        if hit is None:
+            return None
+        common = (1 << self.n) - 1
+        for v in hit[0]:
+            common &= self.masks[v]
+        return hit[0], kernels.bits_of(common)
 
     def k_cliques(self, k):
         return kernels.k_cliques(self.masks, self.n, k)
@@ -366,6 +358,14 @@ def _poly_product(polys, kmax=-1):
                 prod[i + j] += a * b
         out = tuple(prod)
     return out
+
+
+def unpaired_ridge(cells):
+    """(ridge, count) for the least ridge C - v of the cells C, sorted
+    tuples, that lies in a number of cells other than two, or None."""
+    # the ridges of a cell are its subsets one vertex short; () has none
+    incidence = Counter(r for cell in cells if cell for r in combinations(cell, len(cell) - 1))
+    return min(((ridge, count) for ridge, count in incidence.items() if count != 2), default=None)
 
 
 def join(g, h):

@@ -6,13 +6,15 @@ extension `_kernels_c` when it imported and n <= 64, since it carries a row
 in one 64-bit word; every other call, and every call on a machine where the
 extension was not built, runs the pure-Python reference `_kernels_py`.
 BACKEND is "c" when the extension imported, else "python".  k_cliques,
-clique_number, the key codecs and bits_of are pure Python only and are
-that module's functions.  Each kernel has one contract, stated on its
+clique_number, bits_of and the key and graph6 codecs (key_to_masks,
+masks_key, triangle_bits, rows_of_bits) are pure Python only and are that
+module's functions.  Each kernel has one contract, stated on its
 `_kernels_py` namesake.
 """
 
 from . import _kernels_py
-from ._kernels_py import bits_of, clique_number, k_cliques, key_to_masks, masks_key
+from ._kernels_py import (bits_of, clique_number, k_cliques, key_to_masks, masks_key, rows_of_bits,
+                          triangle_bits)
 
 try:
     from . import _kernels_c as _c

@@ -94,6 +94,11 @@ class SearchConfig(namedtuple(
             raise InvalidParameter("need budget >= 0")
         return super().__new__(cls, mode, d, n_min, n_max, seed, workers, budget, allow_huge)
 
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: both go through __new__'s checks
+        return cls(*iterable)
+
     @property
     def s_effective(self):
         """The s of the reports: (d+1)/2 at odd d, d/2 at even d."""

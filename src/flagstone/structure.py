@@ -5,7 +5,8 @@ The almost-join machinery of the paper's stability argument lives in
 
 The level test has one path, on the join factors (`Graph.join_factors`;
 a graph with a connected complement is its own single factor): their
-maximal-clique sizes, then one cached ridge scan per factor, which both
+maximal-clique sizes, then one cached ridge count per factor
+(`graphs.unpaired_ridge`, as in `is_weak_pseudomanifold`), which both
 decides and names the least failing ridge.  `detect_level` picks the one
 level a graph can pass and runs the same test there.
 """
@@ -16,6 +17,7 @@ from itertools import count
 from . import kernels
 from .complexes import maximal_cliques_are_facets
 from .errors import InvalidParameter
+from .graphs import unpaired_ridge
 
 
 # -- flagness and pseudomanifolds ---------------------------------------
@@ -50,21 +52,17 @@ def is_weak_pseudomanifold(k, d):
 
     Returns (True, None) or (False, witness); witness is ("empty",) for a
     complex with no facets, ("impure", facet) for a facet of the wrong
-    dimension, or ("ridge", ridge, count) for a ridge with incidence != 2.
+    dimension, or ("ridge", ridge, count) for the least ridge with incidence
+    != 2 (`unpaired_ridge`).
     """
     if not k.facets:
         return False, ("empty",)
     for facet in k.facets:
         if len(facet) != d + 1:
             return False, ("impure", facet)
-    incidence = {}
-    for facet in k.facets:
-        for i in range(len(facet)):
-            ridge = facet[:i] + facet[i + 1:]
-            incidence[ridge] = incidence.get(ridge, 0) + 1
-    for ridge in sorted(incidence):
-        if incidence[ridge] != 2:
-            return False, ("ridge", ridge, incidence[ridge])
+    hit = unpaired_ridge(k.facets)
+    if hit is not None:
+        return False, ("ridge", *hit)
     return True, None
 
 

@@ -172,6 +172,17 @@ def brute_is_weak_pseudomanifold(k, d):
     return True
 
 
+def brute_unpaired_ridge(facets):
+    """(ridge, count) for the least ridge of the facets, sets of one size,
+    that lies in a number of facets other than two, or None."""
+    ridges = sorted({r for f in facets for r in itertools.combinations(f, len(f) - 1)})
+    for ridge in ridges:
+        count = sum(1 for f in facets if set(ridge) <= set(f))
+        if count != 2:
+            return ridge, count
+    return None
+
+
 def reference_random_moves(g, rng, d, budget):
     """The edge-swap walk with fresh move lists and the full level test on
     every move, for comparison with the screened walk of the search.

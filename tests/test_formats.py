@@ -19,6 +19,7 @@ from flagstone import (
     parse_facet_list,
     parse_graph6_line,
 )
+from flagstone import kernels
 from helpers import random_graph
 
 
@@ -39,6 +40,18 @@ def test_graph6_round_trip():
         for p in (0.0, 0.5, 0.9, 1.0):
             g = random_graph(n, p, rng)
             assert parse_graph6_line(dump_graph6(g)) == g
+    # graph6 bodies and canonical keys share one bit order, past the
+    # one-byte size header too, and the key decoder ignores higher bits
+    for _ in range(40):
+        g = random_graph(rng.randrange(0, 71), rng.random(), rng)
+        s = dump_graph6(g)
+        assert parse_graph6_line(s) == g
+        total = g.n * (g.n - 1) // 2
+        bits = "".join(format(ord(ch) - 63, "06b") for ch in s[1 if g.n <= 62 else 4:])[:total]
+        key = kernels.masks_key(g.masks, g.n)
+        assert key == int(bits or "0", 2)
+        assert kernels.key_to_masks(key, g.n) == list(g.masks)
+        assert kernels.key_to_masks(key | rng.getrandbits(9) << total, g.n) == list(g.masks)
 
 
 def test_graph6_long_size_header():

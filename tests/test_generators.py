@@ -43,6 +43,9 @@ def test_cycle_part_sizes():
     assert cycle_part_sizes(3, 13) == (5, 4, 4)
     assert cycle_part_sizes(2, 9) == (5, 4)
     assert sum(cycle_part_sizes(4, 23)) == 23
+    for s, n in ((0, 5), (-1, 5), (2, -3)):
+        with pytest.raises(InvalidParameter):
+            cycle_part_sizes(s, n)
 
 
 def test_join_of_cycles_edge_formula():

@@ -235,6 +235,11 @@ def test_search_config_validation():
     for budget in (-1, -5):
         with pytest.raises(InvalidParameter, match="^need budget >= 0$"):
             SearchConfig(mode="random", d=3, n_min=10, n_max=10, seed=1, budget=budget)
+    # _replace and _make build through the same checks
+    with pytest.raises(InvalidParameter, match="^unknown search mode 'sideways'$"):
+        SearchConfig("random", 3, 10, 12, seed=1)._replace(workers=0, mode="sideways")
+    with pytest.raises(InvalidParameter, match="^need level d >= 1$"):
+        SearchConfig._make(["exhaustive", 0, 5, 2, None, 1, 1000, False])
     assert SearchConfig(mode="random", d=3, n_min=10, n_max=10, seed=1, budget=0).budget == 0
     assert SearchConfig(mode="exhaustive", d=3, n_min=1, n_max=2).s_effective == 2
     assert SearchConfig(mode="exhaustive", d=4, n_min=1, n_max=2).s_effective == 2

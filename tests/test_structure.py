@@ -47,6 +47,7 @@ from helpers import (
     brute_flag_witness,
     brute_is_d_leveled,
     brute_is_weak_pseudomanifold,
+    brute_unpaired_ridge,
     random_graph,
     reference_is_d_leveled,
 )
@@ -122,11 +123,20 @@ def test_wpm_examples():
 
 def test_wpm_matches_brute():
     rng = random.Random(33)
-    for _ in range(80):
-        g = random_graph(rng.randrange(1, 7), rng.random(), rng)
-        k = clique_complex(g)
+    complexes = [clique_complex(random_graph(rng.randrange(1, 7), rng.random(), rng)) for _ in range(80)]
+    # random pure complexes, and simplex boundaries, which pass
+    for _ in range(300):
+        n, size = rng.randrange(1, 8), rng.randrange(2, 5)
+        cells = list(itertools.combinations(range(n), size))
+        complexes.append(SimplicialComplex.from_facets(n, [c for c in cells if rng.random() < 0.5]))
+    complexes += [SimplicialComplex.from_facets(d + 2, itertools.combinations(range(d + 2), d + 1)) for d in (1, 2, 3)]
+    for k in complexes:
         for d in (1, 2, 3):
-            assert is_weak_pseudomanifold(k, d)[0] == brute_is_weak_pseudomanifold(k, d)
+            ok, witness = is_weak_pseudomanifold(k, d)
+            assert ok == brute_is_weak_pseudomanifold(k, d)
+            if k.facets and all(len(f) == d + 1 for f in k.facets):
+                ridge = brute_unpaired_ridge(k.facets)
+                assert witness == (None if ridge is None else ("ridge", *ridge)), k
 
 
 # -- the level test -----------------------------------------------------
@@ -187,9 +197,9 @@ def test_ridge_test_named_cases():
 
 def test_ridge_scan_decides_and_names_without_the_link_kernel(monkeypatch):
     # two disjoint cross-polytope skeletons O_12: one join factor whose
-    # 2 * 2^12 maximal cliques all have 12 vertices.  The ridge scan takes
-    # 12 steps per clique; the link kernel at d = 11 would step through
-    # every smaller clique, about 3^12 per copy, so it never runs
+    # 2 * 2^12 maximal cliques all have 12 vertices.  The ridge count reads
+    # the 12 ridges of each clique; the link kernel at d = 11 would step
+    # through every smaller clique, about 3^12 per copy, so it never runs
     calls = []
     kernel = kernels.leveled_violation
 
@@ -203,7 +213,7 @@ def test_ridge_scan_decides_and_names_without_the_link_kernel(monkeypatch):
     assert len(g.join_factors()) == 1
     assert detect_level(g) == (11, LeveledVerdict(True, 11))
     # the kite is K1 * K1 * (two isolated vertices); the ridge of each K1
-    # is the empty clique, with one common neighbor, and the scan names it
+    # is the empty clique, in one maximal clique, and the count names it
     kite = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
     assert is_d_leveled(kite, 2).witness == ("link", (0, 1), (2,))
     # O_13 + K_13 fails late, at the clique K_13 after all 2^13 of O_13
