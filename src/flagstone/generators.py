@@ -73,10 +73,17 @@ def gen_join_of_cycles(s, n):
     if n < 4 * s:
         raise InvalidParameter(f"n={n} too small: each of the {s} cycles needs >= 4 vertices")
     _check_size(n)
-    g = gen_cycle(cycle_part_sizes(s, n)[0])
-    for size in cycle_part_sizes(s, n)[1:]:
-        g = join(g, gen_cycle(size))
-    return g
+    # parts are blocks of consecutive labels; a vertex sees everything
+    # outside its block and its two cycle neighbours inside it
+    full = (1 << n) - 1
+    rows = []
+    start = 0
+    for size in cycle_part_sizes(s, n):
+        outside = full & ~(((1 << size) - 1) << start)
+        for i in range(size):
+            rows.append(outside | 1 << start + (i + 1) % size | 1 << start + (i - 1) % size)
+        start += size
+    return Graph(n, tuple(rows))
 
 
 def gen_suspension_sphere(k):

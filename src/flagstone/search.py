@@ -271,7 +271,10 @@ def exhaustive_search(cfg):
 
 def _move_lists(g):
     """Edges and non-edges of g, each as sorted (u, v) pairs with u < v."""
-    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    full = (1 << g.n) - 1
+    # a row's non-neighbours above the diagonal: complement, clear bits 0..u
+    non_edges = [(u, v) for u, row in enumerate(g.masks)
+                 for v in kernels.bits_of(full & ~row >> (u + 1) << (u + 1))]
     return g.edges(), non_edges
 
 
@@ -280,9 +283,14 @@ def _swap(g, drop, add, d):
     passes the level test at d, else None.
 
     A d-clique whose common neighborhood is not two nonadjacent vertices
-    fails the level test wherever it sits, so the link kernel rejects most
-    swaps on the edited rows; only a swap it lets through becomes a Graph
-    and goes through the full test.
+    fails the level test wherever it sits.  The first one checked is a
+    ridge the swap breaks: a (d+1)-clique K of g through the dropped edge
+    ab, grown from the lowest common neighbours.  sigma = K - b is still a
+    d-clique after the swap (b is not in it, and the added non-edge of g
+    lies inside no clique of g), but b is no longer a common neighbour.
+    When g has no such K, or sigma passes, the link kernel screens the
+    edited rows; only a swap that passes both becomes a Graph and goes
+    through the full test.
     """
     rows = list(g.masks)
     (a, b), (u, v) = drop, add
@@ -290,6 +298,18 @@ def _swap(g, drop, add, d):
     rows[b] &= ~(1 << a)
     rows[u] |= 1 << v
     rows[v] |= 1 << u
+    # grow sigma from a, ANDing its edited rows as it grows
+    cand, common = g.masks[a] & g.masks[b], rows[a]
+    for _ in range(d - 1):
+        if not cand:
+            break
+        w = (cand & -cand).bit_length() - 1
+        cand &= g.masks[w]
+        common &= rows[w]
+    else:  # K = sigma + b has d + 1 vertices
+        low = common & -common
+        if common.bit_count() != 2 or rows[low.bit_length() - 1] & common:
+            return None
     if kernels.leveled_violation(rows, g.n, d) is not None:
         return None
     candidate = Graph(g.n, tuple(rows))

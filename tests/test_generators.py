@@ -13,6 +13,7 @@ from flagstone import (
     gen_suspension_sphere,
     graph_f_vector,
     euler_characteristic,
+    join,
 )
 from flagstone.complexes import VERTEX_LIMIT
 
@@ -63,6 +64,17 @@ def test_join_of_cycles_edge_formula():
 def test_join_of_cycles_unbalanced():
     g = gen_join_of_cycles(2, 9)  # parts 5 and 4
     assert g.edge_count == 5 + 4 + 20
+
+
+def test_join_of_cycles_is_the_join_fold():
+    # the one-pass rows equal the pairwise join of the balanced cycles
+    for s in range(1, 7):
+        for n in range(4 * s, 4 * s + 8):
+            sizes = cycle_part_sizes(s, n)
+            g = gen_cycle(sizes[0])
+            for size in sizes[1:]:
+                g = join(g, gen_cycle(size))
+            assert gen_join_of_cycles(s, n) == g
 
 
 def test_suspension_sphere_is_octahedron():

@@ -15,6 +15,7 @@ from flagstone import (
     check_instance,
     corpus_summary,
     detect_level,
+    disjoint_union,
     dump_edge_list,
     dump_facet_list,
     dump_graph6,
@@ -181,18 +182,37 @@ def test_random_search_skips_too_small_and_budget_zero():
 # which only the full level test rejects
 _JOIN_WITH_STRAYS = Graph.from_edges(11, gen_join_of_cycles(2, 8).edges() + [(8, 9)])
 
+# two octahedra with an edge moved across: the bridge lies in no triangle,
+# so dropping it skips the ridge check, and the one swap that puts the edge
+# back must still be accepted
+_OCTAHEDRA_BRIDGED = disjoint_union(gen_suspension_sphere(4), gen_suspension_sphere(4)).without_edge(
+    0, 2).with_edge(0, 6)
 
-@pytest.mark.parametrize(
+_SWAP_CASES = pytest.mark.parametrize(
     "g,d,accepted",
-    [(gen_grid_torus(4, 4), 2, 48), (gen_join_of_cycles(2, 10), 3, 0), (_JOIN_WITH_STRAYS, 3, 0)],
-    ids=["torus-4x4", "join-C5-C5", "join-with-strays"],
+    [
+        (gen_grid_torus(4, 4), 2, 48),
+        (gen_join_of_cycles(2, 10), 3, 0),
+        (_JOIN_WITH_STRAYS, 3, 0),
+        (disjoint_union(gen_cycle(4), gen_cycle(5)), 1, 0),
+        (gen_join_of_cycles(3, 12), 5, 0),
+        # C4*C5 is 3-leveled: at d=4 there is no 5-clique to grow a ridge from
+        (gen_join_of_cycles(2, 9), 4, 0),
+        (_OCTAHEDRA_BRIDGED, 2, 1),
+    ],
+    ids=["torus-4x4", "join-C5-C5", "join-with-strays", "C4+C5", "join-C4-C4-C4", "join-C4-C5-d4",
+         "octahedra-bridged"],
 )
-def test_swap_matches_level_test(g, d, accepted):
-    edges = g.edges()
-    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+
+
+def _non_edges(g):
+    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+
+
+def _check_every_swap(g, d, accepted):
     hits = 0
-    for drop in edges:
-        for add in non_edges:
+    for drop in g.edges():
+        for add in _non_edges(g):
             swapped = g.without_edge(*drop).with_edge(*add)
             got = search._swap(g, drop, add, d)
             if is_d_leveled(swapped, d).is_leveled:
@@ -203,6 +223,51 @@ def test_swap_matches_level_test(g, d, accepted):
     assert hits == accepted
 
 
+@_SWAP_CASES
+def test_swap_matches_level_test(g, d, accepted):
+    _check_every_swap(g, d, accepted)
+
+
+@_SWAP_CASES
+def test_swap_matches_level_test_compiled(monkeypatch, compiled_kernels, g, d, accepted):
+    monkeypatch.setattr(kernels, "_c", compiled_kernels)
+    _check_every_swap(g, d, accepted)
+
+
+@pytest.mark.parametrize(
+    "g,d,screened,swaps",
+    [
+        (gen_join_of_cycles(2, 10), 3, 35, 350),
+        (gen_join_of_cycles(3, 12), 5, 0, 360),
+        (gen_join_of_cycles(2, 9), 4, 203, 203),
+    ],
+    ids=["join-C5-C5", "join-C4-C4-C4", "join-C4-C5-d4"],
+)
+def test_swap_ridge_check_spares_the_link_kernel(monkeypatch, g, d, screened, swaps):
+    # the ridge through the dropped edge rejects most swaps before the link
+    # kernel runs; at even d the join has no (d+1)-clique to grow, so every
+    # swap reaches the kernel
+    calls = []
+    kernel = kernels.leveled_violation
+
+    def counted(masks, n, level):
+        calls.append(n)
+        return kernel(masks, n, level)
+
+    monkeypatch.setattr(kernels, "leveled_violation", counted)
+    proposed = [(drop, add) for drop in g.edges() for add in _non_edges(g)]
+    assert all(search._swap(g, drop, add, d) is None for drop, add in proposed)
+    assert (len(calls), len(proposed)) == (screened, swaps)
+
+
+@pytest.mark.parametrize(
+    "g", [gen_cycle(5), gen_grid_torus(4, 4), gen_join_of_cycles(3, 13), _JOIN_WITH_STRAYS, Graph(1, (0,))],
+    ids=["C5", "torus-4x4", "join-C4-C4-C5", "join-with-strays", "K1"],
+)
+def test_move_lists_match_has_edge(g):
+    assert search._move_lists(g) == (g.edges(), _non_edges(g))
+
+
 def test_random_moves_match_reference_walk():
     g = gen_grid_torus(4, 4)
     got = search._random_moves(g, random.Random(5), 2, 200)
@@ -211,12 +276,25 @@ def test_random_moves_match_reference_walk():
     assert len(got) == 6
 
 
-@pytest.mark.parametrize("d,n_min,n_max", [(1, 4, 12), (3, 8, 14)])
-def test_random_search_matches_reference_walk(monkeypatch, d, n_min, n_max):
+_WALK_CASES = pytest.mark.parametrize("d,n_min,n_max", [(1, 4, 12), (3, 8, 14), (5, 12, 18)])
+
+
+def _check_search_matches_reference_walk(monkeypatch, d, n_min, n_max):
     cfg = SearchConfig(mode="random", d=d, n_min=n_min, n_max=n_max, seed=3, budget=150)
     screened = random_search(cfg).to_json_bytes()
     monkeypatch.setattr(search, "_random_moves", reference_random_moves)
     assert screened == random_search(cfg).to_json_bytes()
+
+
+@_WALK_CASES
+def test_random_search_matches_reference_walk(monkeypatch, d, n_min, n_max):
+    _check_search_matches_reference_walk(monkeypatch, d, n_min, n_max)
+
+
+@_WALK_CASES
+def test_random_search_matches_reference_walk_compiled(monkeypatch, compiled_kernels, d, n_min, n_max):
+    monkeypatch.setattr(kernels, "_c", compiled_kernels)
+    _check_search_matches_reference_walk(monkeypatch, d, n_min, n_max)
 
 
 def test_search_config_validation():
