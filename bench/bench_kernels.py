@@ -36,7 +36,7 @@ def instances(seed):
         (f"random n=24 p=0.3", random_masks(24, 0.3, rng), 24),
         (f"random n=32 p=0.2", random_masks(32, 0.2, rng), 32),
     ]
-    # 3-leveled, so the d=3 level scan cannot short-circuit
+    # 3-leveled, so no 3-clique is crowded and the d=3 scan cannot short-circuit
     g = gen_join_of_cycles(2, 24)
     out.append(("join s=2 n=24", list(g.masks), g.n))
     return out
@@ -46,7 +46,8 @@ def operations():
     ops = [
         ("clique_counts", lambda mod, masks, n: mod.clique_counts(masks, n, n)),
         ("maximal_cliques", lambda mod, masks, n: mod.maximal_cliques(masks, n)),
-        ("leveled_violation d=3", lambda mod, masks, n: mod.leveled_violation(masks, n, 3)),
+        # the exhaustive search's prune, here over every vertex
+        ("crowded_link d=3", lambda mod, masks, n: mod.crowded_link(masks, n, 3, (1 << n) - 1)),
     ]
     # canonical labeling explodes past n ~ 11; bench it on a trimmed prefix
     ops.append(

@@ -1,11 +1,11 @@
 /* Compiled bitset kernels for graphs on at most 64 vertices.
 
-   The six hot kernels of _kernels_py (clique_counts, maximal_cliques,
-   clique_census, leveled_violation, crowded_link, canonical_key), each with
-   the contract of its namesake there; that module is the reference.  An
-   adjacency row travels as one 64-bit word.  A call copies its rows into a
-   context struct on the C stack and hands it down the recursion, so the
-   module keeps no state between calls.  Arguments are checked where Python
+   The five hot kernels of _kernels_py (clique_counts, maximal_cliques,
+   clique_census, crowded_link, canonical_key), each with the contract of
+   its namesake there; that module is the reference.  An adjacency row
+   travels as one 64-bit word.  A call copies its rows into a context
+   struct on the C stack and hands it down the recursion, so the module
+   keeps no state between calls.  Arguments are checked where Python
    calls in: n must lie in 0..64, masks must hold at least n rows, and every
    row (and crowded_link's `within`) must fit in n bits; anything else
    raises ValueError, OverflowError or TypeError.
@@ -28,8 +28,7 @@ typedef struct {
     Py_ssize_t kmax;           /* clique_counts: largest size counted */
     int path[MAXN];            /* the vertices chosen so far, in order */
     int found;                 /* a witness was found: the search is over */
-    int hit_len;               /* leveled_violation: length of the witness */
-    word hit;                  /* the witness's common neighbourhood or set */
+    word hit;                  /* crowded_link: the witness clique */
     word *cliques;             /* maximal_cliques: growable result buffer */
     size_t count, cap;
     PyObject *out;             /* clique_census: list of maximal cliques */
@@ -339,54 +338,6 @@ py_clique_census(PyObject *Py_UNUSED(self), PyObject *args)
     return result;
 }
 
-/* -- leveled_violation ------------------------------------------------ */
-
-/* A d-clique passes when its common neighbourhood is exactly two
-   nonadjacent vertices. */
-static void
-violation_rec(Ctx *c, int depth, word cand, word common, Py_ssize_t need)
-{
-    if (need == 0) {
-        if (popcount(common) != 2 ||
-                (c->rows[lowest(common)] >> lowest(common & (common - 1))) & 1) {
-            c->found = 1;
-            c->hit_len = depth;
-            c->hit = common;
-        }
-        return;
-    }
-    while (cand && !c->found) {
-        int v = lowest(cand);
-        cand &= cand - 1;
-        c->path[depth] = v;
-        violation_rec(c, depth + 1, cand & c->rows[v], common & c->rows[v], need - 1);
-    }
-}
-
-static PyObject *
-py_leveled_violation(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    PyObject *masks;
-    Py_ssize_t n, d;
-    Ctx c;
-    if (!PyArg_ParseTuple(args, "Onn:leveled_violation", &masks, &n, &d))
-        return NULL;
-    if (load(&c, masks, n) < 0)
-        return NULL;
-    if (d < 0)
-        Py_RETURN_NONE;  /* no clique has a negative size */
-    c.found = 0;
-    violation_rec(&c, 0, full_mask(c.n), full_mask(c.n), d);
-    if (!c.found)
-        Py_RETURN_NONE;
-    PyObject *sigma = tuple_of_path(c.path, c.hit_len);
-    PyObject *link = sigma ? tuple_of_mask(c.hit) : NULL;
-    PyObject *result = link ? PyTuple_Pack(2, sigma, link) : NULL;
-    Py_XDECREF(sigma);
-    Py_XDECREF(link);
-    return result;
-}
-
 /* -- crowded_link ----------------------------------------------------- */
 
 /* More than two vertices, or two adjacent ones. */
@@ -549,8 +500,6 @@ static PyMethodDef methods[] = {
      "maximal_cliques(masks, n): inclusion-maximal cliques, sorted."},
     {"clique_census", py_clique_census, METH_VARARGS,
      "clique_census(masks, n): (full clique counts, maximal cliques) from one pass."},
-    {"leveled_violation", py_leveled_violation, METH_VARARGS,
-     "leveled_violation(masks, n, d): first failing d-clique and its link, or None."},
     {"crowded_link", py_crowded_link, METH_VARARGS,
      "crowded_link(masks, n, d, within): first crowded d-clique inside within, or None."},
     {"canonical_key", py_canonical_key, METH_VARARGS,

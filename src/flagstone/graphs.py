@@ -124,11 +124,8 @@ class Graph:
 
     def edges(self):
         """Edge list as sorted (u, v) pairs with u < v."""
-        out = []
-        for v in range(self.n):
-            for u in kernels.bits_of(self.masks[v] >> (v + 1) << (v + 1)):
-                out.append((v, u))
-        return sorted(out)
+        return [(v, u) for v, row in enumerate(self.masks)
+                for u in kernels.bits_of(row >> (v + 1) << (v + 1))]
 
     @property
     def edge_count(self):

@@ -1,20 +1,20 @@
 """Backend dispatch for the bitset kernels.
 
-The six hot kernels (clique_counts, maximal_cliques, clique_census,
-leveled_violation, crowded_link, canonical_key) run in the compiled
-extension `_kernels_c` when it imported and n <= 64, since it carries a row
-in one 64-bit word; every other call, and every call on a machine where the
-extension was not built, runs the pure-Python reference `_kernels_py`.
-BACKEND is "c" when the extension imported, else "python".  k_cliques,
-clique_number, bits_of and the key and graph6 codecs (key_to_masks,
-masks_key, triangle_bits, rows_of_bits) are pure Python only and are that
-module's functions.  Each kernel has one contract, stated on its
-`_kernels_py` namesake.
+The five hot kernels (clique_counts, maximal_cliques, clique_census,
+crowded_link, canonical_key) run in the compiled extension `_kernels_c`
+when it imported and n <= 64, since it carries a row in one 64-bit word;
+every other call, and every call on a machine where the extension was not
+built, runs the pure-Python reference `_kernels_py`.  BACKEND is "c" when
+the extension imported, else "python".  k_cliques, clique_number, bits_of,
+the key and graph6 codecs (key_to_masks, masks_key, triangle_bits,
+rows_of_bits) and leveled_violation, the link test the level test is
+checked against, are pure Python only and are that module's functions.
+Each kernel has one contract, stated on its `_kernels_py` namesake.
 """
 
 from . import _kernels_py
-from ._kernels_py import (bits_of, clique_number, k_cliques, key_to_masks, masks_key, rows_of_bits,
-                          triangle_bits)
+from ._kernels_py import (bits_of, clique_number, k_cliques, key_to_masks, leveled_violation, masks_key,
+                          rows_of_bits, triangle_bits)
 
 try:
     from . import _kernels_c as _c
@@ -42,12 +42,6 @@ def clique_census(masks, n):
     if _c is not None and n <= _C_MAX_N:
         return _c.clique_census(masks, n)
     return _kernels_py.clique_census(masks, n)
-
-
-def leveled_violation(masks, n, d):
-    if _c is not None and n <= _C_MAX_N:
-        return _c.leveled_violation(masks, n, d)
-    return _kernels_py.leveled_violation(masks, n, d)
 
 
 def crowded_link(masks, n, d, within):

@@ -1,4 +1,5 @@
-"""Exhaustive and randomized searches plus corpus checking.
+"""Exhaustive search, the cycle-join report of random mode, and corpus
+checking.
 
 The exhaustive enumerator walks graphs up to isomorphism by vertex
 extension: every class on k+1 vertices arises by attaching a new vertex to
@@ -35,11 +36,14 @@ do all its induced subgraphs, and each class kept on k+1 vertices is still
 reached from a kept class on k vertices.  Prune (b) also fixes part of the
 new neighborhood: a vertex one short of the bound must be in it.  Search
 output is deterministic and byte-identical regardless of worker count.
+
+Random mode reports the balanced cycle join at each size when it passes
+the level test: no single edge swap of that join passes it
+(`random_search` gives the proof), so there is no walk to run.
 """
 
 import json
 import os
-import random
 from collections import namedtuple
 
 from . import kernels
@@ -269,73 +273,56 @@ def exhaustive_search(cfg):
     )
 
 
-def _move_lists(g):
-    """Edges and non-edges of g, each as sorted (u, v) pairs with u < v."""
-    full = (1 << g.n) - 1
-    # a row's non-neighbours above the diagonal: complement, clear bits 0..u
-    non_edges = [(u, v) for u, row in enumerate(g.masks)
-                 for v in kernels.bits_of(full & ~row >> (u + 1) << (u + 1))]
-    return g.edges(), non_edges
-
-
-def _swap(g, drop, add, d):
-    """g with the edge `drop` replaced by the non-edge `add` when the result
-    passes the level test at d, else None.
-
-    A d-clique whose common neighborhood is not two nonadjacent vertices
-    fails the level test wherever it sits.  The first one checked is a
-    ridge the swap breaks: a (d+1)-clique K of g through the dropped edge
-    ab, grown from the lowest common neighbours.  sigma = K - b is still a
-    d-clique after the swap (b is not in it, and the added non-edge of g
-    lies inside no clique of g), but b is no longer a common neighbour.
-    When g has no such K, or sigma passes, the link kernel screens the
-    edited rows; only a swap that passes both becomes a Graph and goes
-    through the full test.
-    """
-    rows = list(g.masks)
-    (a, b), (u, v) = drop, add
-    rows[a] &= ~(1 << b)
-    rows[b] &= ~(1 << a)
-    rows[u] |= 1 << v
-    rows[v] |= 1 << u
-    # grow sigma from a, ANDing its edited rows as it grows
-    cand, common = g.masks[a] & g.masks[b], rows[a]
-    for _ in range(d - 1):
-        if not cand:
-            break
-        w = (cand & -cand).bit_length() - 1
-        cand &= g.masks[w]
-        common &= rows[w]
-    else:  # K = sigma + b has d + 1 vertices
-        low = common & -common
-        if common.bit_count() != 2 or rows[low.bit_length() - 1] & common:
-            return None
-    if kernels.leveled_violation(rows, g.n, d) is not None:
-        return None
-    candidate = Graph(g.n, tuple(rows))
-    return candidate if is_d_leveled(candidate, d).is_leveled else None
-
-
-def _random_moves(g, rng, d, budget):
-    """Walk by single edge swaps, staying on graphs that pass the level test."""
-    found = []
-    current = g
-    edges, non_edges = _move_lists(current)
-    for _ in range(budget):
-        if not edges or not non_edges:
-            break
-        drop = edges[rng.randrange(len(edges))]
-        add = non_edges[rng.randrange(len(non_edges))]
-        candidate = _swap(current, drop, add, d)
-        if candidate is not None:
-            found.append(candidate)
-            current = candidate
-            edges, non_edges = _move_lists(current)
-    return found
-
-
 def random_search(cfg):
-    """Seeded local search around balanced cycle joins; reproducible."""
+    """The balanced cycle join G = gen_join_of_cycles(s, n) for each n >= 4s,
+    reported when it passes the level test at d; reproducible.
+
+    The seed and the budget only appear in the payload (a zero budget
+    reports no sizes): by the theorem below, a walk from G by single edge
+    swaps would never move.
+
+    Theorem.  Let G be the join of s cycles, each on at least 4 vertices.
+    Drop one edge ab of G and add one non-edge uv.  The result H fails the
+    level test at d = 2s - 1 and at d = 2s.  (tests/test_search.py checks
+    every swap for s <= 3.)
+
+    Proof.  Split H as a join of parts (any grouping of its join factors).
+    H passes at d exactly when every part has one maximal-clique size, the
+    sizes sum to d+1, and every part passes its own ridge test
+    (`is_d_leveled`).  A cycle on at least 4 vertices has the one size 2
+    and passes at 1.  The non-edges of G lie inside the cycles, so uv is a
+    chord of a single cycle C.
+
+    Even d = 2s.  G has clique number d, so every (d+1)-clique of H
+    contains u and v.  If H passed, every vertex would lie in such a
+    clique, so u would be adjacent to every other vertex.  Then for a
+    (d+1)-clique K the ridge K - u has u and a second common neighbour,
+    and these two are adjacent.
+
+    Odd d = 2s - 1, so the sizes must sum to 2s.
+    (i) ab lies on C.  With the other s - 1 cycles as parts, C - ab + uv
+        must have the one size 2 and pass at 1: be 2-regular with no
+        triangles.  But a or b has lost a neighbour and does not get one
+        back, since uv is not ab.
+    (ii) ab lies on another cycle D.  D - ab becomes a path part, whose
+        maximal cliques are its edges, and its end vertex a lies in only
+        one edge.
+    (iii) ab is a cross edge between cycles D and E, neither of them C.
+        The part C + uv fails in one of three ways: it has no triangle
+        and a degree-3 vertex (u and v at distance 3 or more on C); it has
+        maximal cliques of sizes 2 and 3 (distance 2 on at least 5
+        vertices); or it is C4 plus a diagonal, of size 3.  In the last
+        case the block D * E - ab still has 4-cliques (an edge of D and an
+        edge of E avoiding a and b), so the sizes sum to 3 + 4 + 2(s - 3)
+        = d + 2.
+    (iv) ab is a cross edge from a on C to b on another cycle D.  Take a
+        cycle neighbour a' of a and a facet K of G containing a, a' and b.
+        The ridge K - a loses its common neighbour a.  It can gain one only
+        through uv, with one end in K - a, whose only vertex on C is a'.
+        So a' is u or v for both cycle neighbours a1, a2 of a, and uv =
+        a1a2.  Then {a, a1, a2}, plus an edge of D that avoids b, plus an
+        edge of every other cycle, is a (d+2)-clique.
+    """
     if cfg.mode != "random":
         raise InvalidParameter("config is not in random mode")
     s = cfg.s_effective
@@ -350,13 +337,9 @@ def random_search(cfg):
             if n < 4 * s:
                 notes.append(f"n={n} skipped: below the smallest {s}-cycle-join size {4 * s}")
                 continue
-            rng = random.Random(1000003 * cfg.seed + n)
             base = gen_join_of_cycles(s, n)
-            candidates = [base] if is_d_leveled(base, cfg.d).is_leveled else []
-            candidates += _random_moves(base, rng, cfg.d, cfg.budget)
-            # max keeps the first of the tied graphs in walk order
-            best = max(candidates, key=lambda g: g.edge_count) if candidates else None
-            entry, report = _extremal_entry(cfg, s, n, best, candidates_found=len(candidates))
+            best = base if is_d_leveled(base, cfg.d).is_leveled else None
+            entry, report = _extremal_entry(cfg, s, n, best, candidates_found=0 if best is None else 1)
             per_n.append(entry)
             if report is not None:
                 reports.append(report)

@@ -7,9 +7,8 @@ Only usable for small n.
 """
 
 import itertools
-import random
 
-from flagstone import Graph, is_d_leveled, kernels
+from flagstone import Graph, kernels
 
 
 def random_graph(n, p, rng):
@@ -181,33 +180,6 @@ def brute_unpaired_ridge(facets):
         if count != 2:
             return ridge, count
     return None
-
-
-def reference_random_moves(g, rng, d, budget):
-    """The edge-swap walk with fresh move lists and the full level test on
-    every move, for comparison with the screened walk of the search.
-
-    Uses the package's `is_d_leveled`, which the structure tests pin to
-    `brute_is_d_leveled`; the brute test is too slow for a walk."""
-    found = []
-    current = g
-    for _ in range(budget):
-        edges = current.edges()
-        non_edges = [
-            (u, v)
-            for u in range(current.n)
-            for v in range(u + 1, current.n)
-            if not current.has_edge(u, v)
-        ]
-        if not edges or not non_edges:
-            break
-        drop = edges[rng.randrange(len(edges))]
-        add = non_edges[rng.randrange(len(non_edges))]
-        candidate = current.without_edge(*drop).with_edge(*add)
-        if is_d_leveled(candidate, d).is_leveled:
-            found.append(candidate)
-            current = candidate
-    return found
 
 
 def all_graphs(n):

@@ -6,8 +6,9 @@ graph6 file with a 7-cycle and a seeded random graph on 12 vertices.
 check.json and check.stdout are the bytes `flagstone check` wrote for them
 while Bron-Kerbosch and clique counting were still separate passes; the
 search-*.json and search-*.stdout files are the `--out` payload and the
-standard output of the three searches in SEARCHES, written while the value
-classes were still dataclasses.  A speedup must leave them all unchanged.
+standard output of the searches in SEARCHES: search-random-d2 and
+search-random-d5 were written while random mode still walked by edge
+swaps, the others while the value classes were still dataclasses.  A speedup must leave them all unchanged.
 Regenerate them (only for a deliberate output change) from that directory:
 
     python -m flagstone.cli check join.txt suspension.txt torus.facets \
@@ -18,6 +19,10 @@ Regenerate them (only for a deliberate output change) from that directory:
         --out search-d2.json > search-d2.stdout
     python -m flagstone.cli search --mode random --d 3 --n 10..30 --seed 1 \
         --budget 100 --out search-random-d3.json > search-random-d3.stdout
+    python -m flagstone.cli search --mode random --d 2 --n 4..16 --seed 1 \
+        --budget 100 --out search-random-d2.json > search-random-d2.stdout
+    python -m flagstone.cli search --mode random --d 5 --n 12..24 --seed 2 \
+        --budget 100 --out search-random-d5.json > search-random-d5.stdout
 """
 
 from pathlib import Path
@@ -32,6 +37,8 @@ SEARCHES = {
     "search-d1": ["--mode", "exhaustive", "--d", "1", "--n", "3..7"],
     "search-d2": ["--mode", "exhaustive", "--d", "2", "--n", "3..8"],
     "search-random-d3": ["--mode", "random", "--d", "3", "--n", "10..30", "--seed", "1", "--budget", "100"],
+    "search-random-d2": ["--mode", "random", "--d", "2", "--n", "4..16", "--seed", "1", "--budget", "100"],
+    "search-random-d5": ["--mode", "random", "--d", "5", "--n", "12..24", "--seed", "2", "--budget", "100"],
 }
 
 

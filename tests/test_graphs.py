@@ -14,6 +14,8 @@ from flagstone import (
     disjoint_union,
     gen_complete_multipartite,
     gen_cycle,
+    gen_grid_torus,
+    gen_join_of_cycles,
     gen_suspension_sphere,
     join,
     verify_multipartite_witness,
@@ -72,6 +74,22 @@ def test_from_edges_and_accessors():
         Graph.from_edges(2, [(0, 0)])
     with pytest.raises(InvalidParameter):
         Graph.from_edges(2, [(0, 5)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        gen_cycle(5),
+        gen_grid_torus(4, 4),
+        gen_join_of_cycles(3, 13),
+        # C4*C4 beside an edge and an isolated vertex
+        Graph.from_edges(11, gen_join_of_cycles(2, 8).edges() + [(8, 9)]),
+        Graph(1, (0,)),
+    ],
+    ids=["C5", "torus-4x4", "join-C4-C4-C5", "join-with-strays", "K1"],
+)
+def test_edges_match_has_edge(g):
+    assert g.edges() == [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
 
 
 def test_edge_editing():

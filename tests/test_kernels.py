@@ -29,8 +29,7 @@ from helpers import (
     random_graph,
 )
 
-HOT = ("clique_counts", "maximal_cliques", "clique_census", "leveled_violation",
-       "crowded_link", "canonical_key")
+HOT = ("clique_counts", "maximal_cliques", "clique_census", "crowded_link", "canonical_key")
 
 
 @pytest.fixture(params=["py", "c"])
@@ -183,7 +182,6 @@ def test_backends_agree_randomized(compiled_kernels):
         assert c.clique_census(m, n) == _kernels_py.clique_census(m, n)
         for d in (-1, 0, 1, 2, 3):
             within = rng.randrange(1 << n) if n else 0
-            assert c.leveled_violation(m, n, d) == _kernels_py.leveled_violation(m, n, d)
             assert c.crowded_link(m, n, d, within) == _kernels_py.crowded_link(m, n, d, within)
         if n <= 12:
             assert c.canonical_key(m, n) == _kernels_py.canonical_key(m, n)
@@ -197,7 +195,6 @@ def test_compiled_full_word_rows(compiled_kernels):
     assert c.maximal_cliques(complete, 64) == [tuple(range(64))]
     assert c.clique_counts(complete, 64, 2) == [1, 64, 2016]
     assert c.canonical_key(complete, 64) == (1 << 2016) - 1
-    assert c.leveled_violation(complete, 64, 1) == ((0,), tuple(range(1, 64)))
     assert c.crowded_link(complete, 64, 1, 1 << 63) == (63,)
     empty = [0] * 64
     assert c.clique_census(empty, 64) == ([1, 64], [(v,) for v in range(64)])
@@ -263,7 +260,7 @@ def test_compiled_canonical_key_past_12_vertices(compiled_kernels, n):
 @pytest.mark.parametrize("name", HOT)
 def test_compiled_rejects_bad_sizes(compiled_kernels, name):
     fn = getattr(compiled_kernels, name)
-    extra = {"clique_counts": (2,), "leveled_violation": (2,), "crowded_link": (2, 0)}.get(name, ())
+    extra = {"clique_counts": (2,), "crowded_link": (2, 0)}.get(name, ())
     with pytest.raises(ValueError):
         fn([0] * 65, 65, *extra)  # more vertices than a word holds
     with pytest.raises(OverflowError):
@@ -298,7 +295,6 @@ def test_dispatcher_routes_to_compiled(compiled_kernels, monkeypatch):
     kernels.clique_counts(m, 6, 2)
     kernels.maximal_cliques(m, 6)
     kernels.clique_census(m, 6)
-    kernels.leveled_violation(m, 6, 1)
     kernels.crowded_link(m, 6, 1, 63)
     kernels.canonical_key(m, 6)
     assert calls == list(HOT)

@@ -1,8 +1,7 @@
-"""Enumeration, seeded local search, and corpus checking."""
+"""Enumeration, random mode's cycle-join report, and corpus checking."""
 
 import concurrent.futures
 import os
-import random
 from functools import cached_property
 
 import pytest
@@ -15,7 +14,6 @@ from flagstone import (
     check_instance,
     corpus_summary,
     detect_level,
-    disjoint_union,
     dump_edge_list,
     dump_facet_list,
     dump_graph6,
@@ -33,7 +31,7 @@ from flagstone import (
 )
 from flagstone import kernels, search
 from flagstone.complexes import SimplicialComplex
-from helpers import all_graphs, partitions, reference_random_moves
+from helpers import all_graphs, partitions
 
 
 def test_enumerate_classes_counts():
@@ -135,7 +133,7 @@ def test_exhaustive_workers_byte_identical():
     assert one.to_json_bytes() == two.to_json_bytes()
 
 
-def test_search_tie_breaks(monkeypatch):
+def test_search_tie_breaks():
     # at level 1 every leveled graph on n vertices (a union of cycles) has
     # n edges: exhaustive mode reports the least canonical key
     res = exhaustive_search(SearchConfig(mode="exhaustive", d=1, n_min=8, n_max=9))
@@ -145,16 +143,6 @@ def test_search_tie_breaks(monkeypatch):
         leveled = [key for key in levels[n] if is_d_leveled(graph_from_key(key, n), 1).is_leveled]
         best = Graph.from_edges(n, [tuple(e) for e in entry["argmax_edges"]])
         assert len(leveled) > 1 and kernels.canonical_key(list(best.masks), n) == min(leveled)
-    # random mode reports the first graph in walk order: the starting join,
-    # ahead of two relabelings of it the stubbed walk finds
-    monkeypatch.setattr(search, "_random_moves", lambda g, rng, d, budget: [
-        g.relabel([(v + k) % g.n for v in range(g.n)]) for k in (1, 2)
-    ])
-    res = random_search(SearchConfig(mode="random", d=3, n_min=8, n_max=10, seed=3, budget=1))
-    for entry in res.per_n:
-        assert entry["candidates_found"] == 3
-        base = gen_join_of_cycles(2, entry["n"])
-        assert entry["argmax_edges"] == [list(e) for e in base.edges()]
 
 
 def test_random_search_reproducible():
@@ -177,124 +165,16 @@ def test_random_search_skips_too_small_and_budget_zero():
     assert res.per_n == ()
 
 
-# C4*C4 beside an edge and an isolated vertex: swaps that move the lone edge
-# leave every 3-clique's link intact but keep a 2-vertex maximal clique,
-# which only the full level test rejects
-_JOIN_WITH_STRAYS = Graph.from_edges(11, gen_join_of_cycles(2, 8).edges() + [(8, 9)])
-
-# two octahedra with an edge moved across: the bridge lies in no triangle,
-# so dropping it skips the ridge check, and the one swap that puts the edge
-# back must still be accepted
-_OCTAHEDRA_BRIDGED = disjoint_union(gen_suspension_sphere(4), gen_suspension_sphere(4)).without_edge(
-    0, 2).with_edge(0, 6)
-
-_SWAP_CASES = pytest.mark.parametrize(
-    "g,d,accepted",
-    [
-        (gen_grid_torus(4, 4), 2, 48),
-        (gen_join_of_cycles(2, 10), 3, 0),
-        (_JOIN_WITH_STRAYS, 3, 0),
-        (disjoint_union(gen_cycle(4), gen_cycle(5)), 1, 0),
-        (gen_join_of_cycles(3, 12), 5, 0),
-        # C4*C5 is 3-leveled: at d=4 there is no 5-clique to grow a ridge from
-        (gen_join_of_cycles(2, 9), 4, 0),
-        (_OCTAHEDRA_BRIDGED, 2, 1),
-    ],
-    ids=["torus-4x4", "join-C5-C5", "join-with-strays", "C4+C5", "join-C4-C4-C4", "join-C4-C5-d4",
-         "octahedra-bridged"],
-)
-
-
-def _non_edges(g):
-    return [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
-
-
-def _check_every_swap(g, d, accepted):
-    hits = 0
+@pytest.mark.parametrize("s,n", [(s, n) for s in (1, 2, 3) for n in range(4 * s, 4 * s + 4)])
+def test_no_edge_swap_of_a_cycle_join_is_leveled(s, n):
+    # the theorem of random_search: a walk from the join never moves
+    g = gen_join_of_cycles(s, n)
+    non_edges = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
     for drop in g.edges():
-        for add in _non_edges(g):
+        for add in non_edges:
             swapped = g.without_edge(*drop).with_edge(*add)
-            got = search._swap(g, drop, add, d)
-            if is_d_leveled(swapped, d).is_leveled:
-                assert got == swapped
-                hits += 1
-            else:
-                assert got is None
-    assert hits == accepted
-
-
-@_SWAP_CASES
-def test_swap_matches_level_test(g, d, accepted):
-    _check_every_swap(g, d, accepted)
-
-
-@_SWAP_CASES
-def test_swap_matches_level_test_compiled(monkeypatch, compiled_kernels, g, d, accepted):
-    monkeypatch.setattr(kernels, "_c", compiled_kernels)
-    _check_every_swap(g, d, accepted)
-
-
-@pytest.mark.parametrize(
-    "g,d,screened,swaps",
-    [
-        (gen_join_of_cycles(2, 10), 3, 35, 350),
-        (gen_join_of_cycles(3, 12), 5, 0, 360),
-        (gen_join_of_cycles(2, 9), 4, 203, 203),
-    ],
-    ids=["join-C5-C5", "join-C4-C4-C4", "join-C4-C5-d4"],
-)
-def test_swap_ridge_check_spares_the_link_kernel(monkeypatch, g, d, screened, swaps):
-    # the ridge through the dropped edge rejects most swaps before the link
-    # kernel runs; at even d the join has no (d+1)-clique to grow, so every
-    # swap reaches the kernel
-    calls = []
-    kernel = kernels.leveled_violation
-
-    def counted(masks, n, level):
-        calls.append(n)
-        return kernel(masks, n, level)
-
-    monkeypatch.setattr(kernels, "leveled_violation", counted)
-    proposed = [(drop, add) for drop in g.edges() for add in _non_edges(g)]
-    assert all(search._swap(g, drop, add, d) is None for drop, add in proposed)
-    assert (len(calls), len(proposed)) == (screened, swaps)
-
-
-@pytest.mark.parametrize(
-    "g", [gen_cycle(5), gen_grid_torus(4, 4), gen_join_of_cycles(3, 13), _JOIN_WITH_STRAYS, Graph(1, (0,))],
-    ids=["C5", "torus-4x4", "join-C4-C4-C5", "join-with-strays", "K1"],
-)
-def test_move_lists_match_has_edge(g):
-    assert search._move_lists(g) == (g.edges(), _non_edges(g))
-
-
-def test_random_moves_match_reference_walk():
-    g = gen_grid_torus(4, 4)
-    got = search._random_moves(g, random.Random(5), 2, 200)
-    assert got == reference_random_moves(g, random.Random(5), 2, 200)
-    # several accepted moves, so draws after an acceptance are compared too
-    assert len(got) == 6
-
-
-_WALK_CASES = pytest.mark.parametrize("d,n_min,n_max", [(1, 4, 12), (3, 8, 14), (5, 12, 18)])
-
-
-def _check_search_matches_reference_walk(monkeypatch, d, n_min, n_max):
-    cfg = SearchConfig(mode="random", d=d, n_min=n_min, n_max=n_max, seed=3, budget=150)
-    screened = random_search(cfg).to_json_bytes()
-    monkeypatch.setattr(search, "_random_moves", reference_random_moves)
-    assert screened == random_search(cfg).to_json_bytes()
-
-
-@_WALK_CASES
-def test_random_search_matches_reference_walk(monkeypatch, d, n_min, n_max):
-    _check_search_matches_reference_walk(monkeypatch, d, n_min, n_max)
-
-
-@_WALK_CASES
-def test_random_search_matches_reference_walk_compiled(monkeypatch, compiled_kernels, d, n_min, n_max):
-    monkeypatch.setattr(kernels, "_c", compiled_kernels)
-    _check_search_matches_reference_walk(monkeypatch, d, n_min, n_max)
+            assert not is_d_leveled(swapped, 2 * s - 1).is_leveled, (drop, add)
+            assert not is_d_leveled(swapped, 2 * s).is_leveled, (drop, add)
 
 
 def test_search_config_validation():
