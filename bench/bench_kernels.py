@@ -44,7 +44,7 @@ def instances(seed):
 
 def operations():
     ops = [
-        ("clique_counts", lambda mod, masks, n: mod.clique_counts(masks, n, n)),
+        ("clique_census", lambda mod, masks, n: mod.clique_census(masks, n)),
         ("maximal_cliques", lambda mod, masks, n: mod.maximal_cliques(masks, n)),
         # the exhaustive search's prune, here over every vertex
         ("crowded_link d=3", lambda mod, masks, n: mod.crowded_link(masks, n, 3, (1 << n) - 1)),

@@ -1,11 +1,11 @@
 /* Compiled bitset kernels for graphs on at most 64 vertices.
 
-   The five hot kernels of _kernels_py (clique_counts, maximal_cliques,
-   clique_census, crowded_link, canonical_key), each with the contract of
-   its namesake there; that module is the reference.  An adjacency row
-   travels as one 64-bit word.  A call copies its rows into a context
-   struct on the C stack and hands it down the recursion, so the module
-   keeps no state between calls.  Arguments are checked where Python
+   The four hot kernels of _kernels_py (maximal_cliques, clique_census,
+   crowded_link, canonical_key), each with the contract of its namesake
+   there; that module is the reference.  An adjacency row travels as one
+   64-bit word.  A call copies its rows into a context struct on the C
+   stack and hands it down the recursion, so the module keeps no state
+   between calls.  Arguments are checked where Python
    calls in: n must lie in 0..64, masks must hold at least n rows, and every
    row (and crowded_link's `within`) must fit in n bits; anything else
    raises ValueError, OverflowError or TypeError.
@@ -24,8 +24,7 @@ typedef uint64_t word;
 typedef struct {
     int n;
     word rows[MAXN];
-    int64_t counts[MAXN + 2];  /* counts[k]: k-vertex cliques seen so far */
-    Py_ssize_t kmax;           /* clique_counts: largest size counted */
+    int64_t counts[MAXN + 2];  /* clique_census: k-vertex cliques seen so far */
     int path[MAXN];            /* the vertices chosen so far, in order */
     int found;                 /* a witness was found: the search is over */
     word hit;                  /* crowded_link: the witness clique */
@@ -124,13 +123,15 @@ tuple_of_path(const int *path, int len)
     return t;
 }
 
-/* counts[0..len-1] as a list, zero past `top`. */
+/* counts[0..top] as a list without its trailing zeros, at least one entry. */
 static PyObject *
-list_of_counts(const int64_t *counts, Py_ssize_t top, Py_ssize_t len)
+list_of_counts(const int64_t *counts, Py_ssize_t top)
 {
-    PyObject *out = PyList_New(len);
-    for (Py_ssize_t i = 0; out != NULL && i < len; i++) {
-        PyObject *v = PyLong_FromLongLong(i <= top ? counts[i] : 0);
+    while (top > 0 && counts[top] == 0)
+        top--;
+    PyObject *out = PyList_New(top + 1);
+    for (Py_ssize_t i = 0; out != NULL && i <= top; i++) {
+        PyObject *v = PyLong_FromLongLong(counts[i]);
         if (v == NULL) {
             Py_CLEAR(out);
             break;
@@ -138,59 +139,6 @@ list_of_counts(const int64_t *counts, Py_ssize_t top, Py_ssize_t len)
         PyList_SET_ITEM(out, i, v);
     }
     return out;
-}
-
-/* Length of counts[0..top] without its trailing zeros, at least 1. */
-static Py_ssize_t
-trimmed(const int64_t *counts, Py_ssize_t top)
-{
-    while (top > 0 && counts[top] == 0)
-        top--;
-    return top + 1;
-}
-
-/* -- clique_counts ---------------------------------------------------- */
-
-/* cand: vertices above the last chosen one, adjacent to all chosen; each
-   closes one clique of this size. */
-static void
-count_rec(Ctx *c, word cand, Py_ssize_t size)
-{
-    c->counts[size] += popcount(cand);
-    if (size >= c->kmax)
-        return;
-    while (cand) {
-        int v = lowest(cand);
-        cand &= cand - 1;
-        word sub = cand & c->rows[v];
-        if (sub)
-            count_rec(c, sub, size + 1);
-    }
-}
-
-static PyObject *
-py_clique_counts(PyObject *Py_UNUSED(self), PyObject *args)
-{
-    PyObject *masks;
-    Py_ssize_t n, kmax;
-    Ctx c;
-    if (!PyArg_ParseTuple(args, "Onn:clique_counts", &masks, &n, &kmax))
-        return NULL;
-    if (load(&c, masks, n) < 0)
-        return NULL;
-    if (kmax < 0) {
-        PyErr_Format(PyExc_ValueError, "kmax=%zd is negative", kmax);
-        return NULL;
-    }
-    if (kmax == PY_SSIZE_T_MAX)
-        return PyErr_NoMemory();
-    /* no clique has more than n vertices */
-    c.kmax = kmax > n ? n : kmax;
-    memset(c.counts, 0, sizeof c.counts);
-    c.counts[0] = 1;
-    if (c.kmax >= 1)
-        count_rec(&c, full_mask(c.n), 1);
-    return list_of_counts(c.counts, c.kmax, kmax + 1);
 }
 
 /* -- maximal_cliques -------------------------------------------------- */
@@ -328,7 +276,7 @@ py_clique_census(PyObject *Py_UNUSED(self), PyObject *args)
     c.counts[0] = 1;
     c.failed = 0;
     census_rec(&c, full_mask(c.n), full_mask(c.n), 1);
-    if (c.failed || (counts = list_of_counts(c.counts, n, trimmed(c.counts, n))) == NULL) {
+    if (c.failed || (counts = list_of_counts(c.counts, n)) == NULL) {
         Py_DECREF(c.out);
         return NULL;
     }
@@ -494,8 +442,6 @@ py_canonical_key(PyObject *Py_UNUSED(self), PyObject *args)
 }
 
 static PyMethodDef methods[] = {
-    {"clique_counts", py_clique_counts, METH_VARARGS,
-     "clique_counts(masks, n, kmax): result[k] = number of k-vertex cliques, k <= kmax."},
     {"maximal_cliques", py_maximal_cliques, METH_VARARGS,
      "maximal_cliques(masks, n): inclusion-maximal cliques, sorted."},
     {"clique_census", py_clique_census, METH_VARARGS,

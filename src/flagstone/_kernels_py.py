@@ -6,12 +6,13 @@ census giving the full count vector and the maximal cliques, the first
 d-clique that fails the link test of the leveled predicate (the reference
 the tests hold the level test to), and canonical forms for isomorphism
 dedup.  Each kernel has one contract.  The C extension `_kernels_c`
-implements the five hot ones (clique_counts, maximal_cliques,
-clique_census, crowded_link, canonical_key) with the same contracts for
-n <= 64, and `flagstone.kernels` sends each call to one or the other; the
-rest run only here.  Graphs enter as a sequence of adjacency bitmask rows
-(row v = OR of 1<<u over neighbors u of v).  Canonical keys and graph6
-bodies share one upper-triangle codec, triangle_bits and rows_of_bits.
+implements the four hot ones (maximal_cliques, clique_census,
+crowded_link, canonical_key) with the same contracts for n <= 64, and
+`flagstone.kernels` sends each call to one or the other; the rest,
+clique_counts among them, run only here.  Graphs enter as a sequence of
+adjacency bitmask rows (row v = OR of 1<<u over neighbors u of v).
+Canonical keys and graph6 bodies share one upper-triangle codec,
+triangle_bits and rows_of_bits.
 """
 
 

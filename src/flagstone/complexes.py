@@ -24,6 +24,7 @@ from .errors import BudgetExceeded, DimensionMismatch, InvalidComplex, InvalidPa
 DIMENSION_CAP = 24
 FACE_BUDGET = 1 << 17  # caps sum(2^|F|) over facets; a 16-simplex facet fits
 VERTEX_LIMIT = 1 << 16  # caps the vertex count a parsed file may declare
+EDGE_LIMIT = 1 << 21  # caps the edges of a generated dense graph, whose rows grow as n^2
 
 
 def require_face_budget(k):

@@ -1,14 +1,17 @@
 """Deterministic labeled graph families used throughout the toolkit."""
 
-from .complexes import VERTEX_LIMIT
+from .complexes import EDGE_LIMIT, VERTEX_LIMIT
 from .errors import InvalidParameter
 from .graphs import Graph, join
 
 
-def _check_size(n):
-    """Refuse a family member over the vertex limit before building a row."""
+def _check_size(n, edges=0):
+    """Refuse a family member over the vertex limit, then one over the edge
+    limit, before building a row."""
     if n > VERTEX_LIMIT:
         raise InvalidParameter(f"{n} vertices, over the vertex limit {VERTEX_LIMIT}")
+    if edges > EDGE_LIMIT:
+        raise InvalidParameter(f"{edges} edges, over the edge limit {EDGE_LIMIT}")
 
 
 def gen_cycle(k):
@@ -37,7 +40,8 @@ def gen_complete_multipartite(parts):
     if not parts or any(p < 1 for p in parts):
         raise InvalidParameter("need at least one part, all sizes >= 1")
     n = sum(parts)
-    _check_size(n)
+    # every pair of vertices in different parts
+    _check_size(n, (n * n - sum(p * p for p in parts)) // 2)
     starts = []
     acc = 0
     for p in parts:
@@ -62,17 +66,25 @@ def cycle_part_sizes(s, n):
     return tuple([q + 1] * r + [q] * (s - r))
 
 
+def check_join_of_cycles(s, n):
+    """Raise InvalidParameter where gen_join_of_cycles(s, n) would, without
+    building a row."""
+    if s < 1:
+        raise InvalidParameter("need at least one cycle")
+    if n < 4 * s:
+        raise InvalidParameter(f"n={n} too small: each of the {s} cycles needs >= 4 vertices")
+    # n cycle edges, plus every pair of vertices in different cycles
+    q, r = divmod(n, s)
+    _check_size(n, n + (n * n - r * (q + 1) ** 2 - (s - r) * q * q) // 2)
+
+
 def gen_join_of_cycles(s, n):
     """Join of s cycles whose lengths are as balanced as possible.
 
     Requires n >= 4s so every part has at least 4 vertices.  When s divides
     n the edge count is exactly ((s-1)/2s) n^2 + n.
     """
-    if s < 1:
-        raise InvalidParameter("need at least one cycle")
-    if n < 4 * s:
-        raise InvalidParameter(f"n={n} too small: each of the {s} cycles needs >= 4 vertices")
-    _check_size(n)
+    check_join_of_cycles(s, n)
     # parts are blocks of consecutive labels; a vertex sees everything
     # outside its block and its two cycle neighbours inside it
     full = (1 << n) - 1

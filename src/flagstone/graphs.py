@@ -13,12 +13,13 @@ the sums of one maximal-clique size per factor.  `clique_counts`,
 when there are two or more; `maximal_cliques()` lists the whole graph's.
 
 A single factor's full count vector comes from one clique census, which
-lists every clique and keeps the maximal ones as the `maximal_cliques()`
-cache on the way; when that cache is already filled, the counts come from
-one pass of the capped counting kernel at the largest maximal-clique size.
-Bron-Kerbosch runs only when the maximal cliques are asked for before (or
-without) the counts: it is output-sensitive, while the census visits every
-clique.
+lists every clique and fills the `maximal_cliques()` cache on the way
+unless Bron-Kerbosch filled it first.  Bron-Kerbosch runs only when the
+maximal cliques are asked for before (or without) the counts: it is
+output-sensitive, while the census visits every clique.  A truncated
+vector, `clique_counts(kmax)` or `clique_count(k)`, is a slice of the full
+one once that is cached, and otherwise one capped count that stops at
+kmax: on a dense graph the full vector can be huge.
 
 `unpaired_ridge` is the package's one ridge count, for a factor's maximal
 cliques (`Graph.ridge_violation`) and for a complex's facets.
@@ -208,14 +209,9 @@ class Graph:
         factors = self.join_factors()
         if len(factors) > 1:
             return _poly_product([f.clique_counts() for f, _ in factors])
-        cliques = self.__dict__.get("_maximal_cliques")
-        if cliques is not None:
-            # no clique outgrows the largest maximal one: one capped count
-            omega = max(map(len, cliques), default=0)
-            return tuple(kernels.clique_counts(self.masks, self.n, omega))
         # the pass that counts every clique also finds the maximal ones
         counts, cliques = kernels.clique_census(self.masks, self.n)
-        self.__dict__["_maximal_cliques"] = tuple(cliques)
+        self.__dict__.setdefault("_maximal_cliques", tuple(cliques))
         return tuple(counts)
 
     @cached_property
@@ -226,11 +222,15 @@ class Graph:
         """Vector c with c[k] = number of k-vertex cliques (c[0] = 1).
 
         With kmax < 0 it runs to the clique number and is computed once;
-        with kmax >= 0 it has length kmax+1 (zero-padded).  A join
-        multiplies its factors' vectors.
+        with kmax >= 0 it has length kmax+1 (zero-padded), sliced from
+        the full vector when that is cached.  A join multiplies its
+        factors' vectors.
         """
         if kmax < 0:
             return self._clique_counts
+        full = self.__dict__.get("_clique_counts")
+        if full is not None:
+            return full[:kmax + 1] + (0,) * (kmax + 1 - len(full))
         factors = self.join_factors()
         if len(factors) == 1:
             return tuple(kernels.clique_counts(self.masks, self.n, kmax))
@@ -241,10 +241,6 @@ class Graph:
             raise InvalidParameter("clique size must be nonnegative")
         if k > self.n:
             return 0
-        if "_clique_counts" in self.__dict__:
-            full = self._clique_counts
-            return full[k] if k < len(full) else 0
-        # count only up to k: on a dense graph the full vector can be huge
         return self.clique_counts(k)[k]
 
     def maximal_cliques(self):

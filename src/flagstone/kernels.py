@@ -1,20 +1,21 @@
 """Backend dispatch for the bitset kernels.
 
-The five hot kernels (clique_counts, maximal_cliques, clique_census,
-crowded_link, canonical_key) run in the compiled extension `_kernels_c`
-when it imported and n <= 64, since it carries a row in one 64-bit word;
-every other call, and every call on a machine where the extension was not
-built, runs the pure-Python reference `_kernels_py`.  BACKEND is "c" when
-the extension imported, else "python".  k_cliques, clique_number, bits_of,
-the key and graph6 codecs (key_to_masks, masks_key, triangle_bits,
-rows_of_bits) and leveled_violation, the link test the level test is
-checked against, are pure Python only and are that module's functions.
-Each kernel has one contract, stated on its `_kernels_py` namesake.
+The four hot kernels (maximal_cliques, clique_census, crowded_link,
+canonical_key) run in the compiled extension `_kernels_c` when it imported
+and n <= 64, since it carries a row in one 64-bit word; every other call,
+and every call on a machine where the extension was not built, runs the
+pure-Python reference `_kernels_py`.  BACKEND is "c" when the extension
+imported, else "python".  clique_counts (the count capped at a size, for a
+truncated vector), k_cliques, clique_number, bits_of, the key and graph6
+codecs (key_to_masks, masks_key, triangle_bits, rows_of_bits) and
+leveled_violation, the link test the level test is checked against, are
+pure Python only and are that module's functions.  Each kernel has one
+contract, stated on its `_kernels_py` namesake.
 """
 
 from . import _kernels_py
-from ._kernels_py import (bits_of, clique_number, k_cliques, key_to_masks, leveled_violation, masks_key,
-                          rows_of_bits, triangle_bits)
+from ._kernels_py import (bits_of, clique_counts, clique_number, k_cliques, key_to_masks, leveled_violation,
+                          masks_key, rows_of_bits, triangle_bits)
 
 try:
     from . import _kernels_c as _c
@@ -24,12 +25,6 @@ except ImportError:
 BACKEND = "c" if _c is not None else "python"
 
 _C_MAX_N = 64
-
-
-def clique_counts(masks, n, kmax):
-    if _c is not None and n <= _C_MAX_N:
-        return _c.clique_counts(masks, n, kmax)
-    return _kernels_py.clique_counts(masks, n, kmax)
 
 
 def maximal_cliques(masks, n):

@@ -64,7 +64,7 @@ from .complexes import (
 )
 from .errors import BudgetExceeded, InvalidParameter, NotPalindromic, ParseError
 from .formats import load_instances
-from .generators import gen_join_of_cycles
+from .generators import check_join_of_cycles, gen_join_of_cycles
 from .graphs import Graph
 from .structure import detect_level, is_d_leveled, is_flag, is_weak_pseudomanifold
 
@@ -178,10 +178,16 @@ def enumerate_classes(n_max, clique_cap=None, workers=1, level=None):
     with clique number <= clique_cap when a cap is given.  With a level d,
     only classes that pass prunes (a) and (b) of the module docstring are
     kept; every d-leveled class on at most n_max vertices is among them.
-    The pool holds at most one worker per CPU, as a forking pool starts
-    all of its workers at once.
+    The pool holds at most one worker per CPU this process may run on, as
+    a forking pool starts all of its workers at once.
     """
-    workers = min(workers, os.cpu_count() or 1)
+    if n_max < 1:
+        raise InvalidParameter(f"n_max={n_max}: need n_max >= 1")
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = min(workers, cpus)
     levels = {1: [0]}
     for k in range(1, n_max):
         keys = levels[k]
@@ -333,6 +339,9 @@ def random_search(cfg):
         "findings are samples, not exhaustive claims",
     ]
     if cfg.budget > 0:
+        if cfg.n_max >= 4 * s:
+            # the join grows with n: refuse the largest before the first
+            check_join_of_cycles(s, cfg.n_max)
         for n in range(cfg.n_min, cfg.n_max + 1):
             if n < 4 * s:
                 notes.append(f"n={n} skipped: below the smallest {s}-cycle-join size {4 * s}")

@@ -82,6 +82,25 @@ def test_gen_vertex_limit_exit(capsys, family, params):
     assert "vertices, over the vertex limit" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "join_of_cycles", "2", "3000"],
+        ["gen", "complete_multipartite", "1500,1500"],
+        # the join at n_max is refused before the first size is reported
+        ["search", "--mode", "random", "--d", "3", "--n", "8..4000", "--seed", "1", "--budget", "1"],
+    ],
+    ids=["gen-join", "gen-multipartite", "search-random"],
+)
+def test_edge_limit_exit(capsys, argv):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "edges, over the edge limit" in err
+
+
 def test_check_ok_and_json(tmp_path, capsys):
     f = tmp_path / "j.g6"
     f.write_text(dump_graph6(gen_join_of_cycles(2, 10)) + "\n")

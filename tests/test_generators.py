@@ -15,7 +15,8 @@ from flagstone import (
     euler_characteristic,
     join,
 )
-from flagstone.complexes import VERTEX_LIMIT
+from flagstone import generators
+from flagstone.complexes import EDGE_LIMIT, VERTEX_LIMIT
 
 
 def test_cycle():
@@ -107,3 +108,30 @@ def test_generators_refuse_sizes_over_the_vertex_limit():
                   lambda: gen_grid_torus(10**6, 10**6)):
         with pytest.raises(InvalidParameter, match="over the vertex limit"):
             build()
+
+
+def test_dense_generators_refuse_sizes_over_the_edge_limit():
+    # about n^2/4 edges on n vertices, far below the vertex limit; each
+    # raises before building a row
+    for build in (lambda: gen_complete_multipartite((1500, 1500)), lambda: gen_join_of_cycles(2, 3000),
+                  lambda: gen_join_of_cycles(3, VERTEX_LIMIT)):
+        with pytest.raises(InvalidParameter, match=f"edges, over the edge limit {EDGE_LIMIT}$"):
+            build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: gen_complete_multipartite((3, 1, 4, 1, 5)),
+    lambda: gen_complete_multipartite((7,)),
+    lambda: gen_join_of_cycles(1, 9),
+    lambda: gen_join_of_cycles(3, 14),
+    lambda: gen_join_of_cycles(4, 19),
+], ids=["multipartite-31415", "multipartite-7", "join-1-9", "join-3-14", "join-4-19"])
+def test_edge_limit_check_counts_the_edges_exactly(monkeypatch, build):
+    # the closed-form count is the built graph's: a limit at it passes, one
+    # below it refuses
+    edges = build().edge_count
+    monkeypatch.setattr(generators, "EDGE_LIMIT", edges)
+    assert build().edge_count == edges
+    monkeypatch.setattr(generators, "EDGE_LIMIT", edges - 1)
+    with pytest.raises(InvalidParameter, match=f"^{edges} edges, over the edge limit {edges - 1}$"):
+        build()

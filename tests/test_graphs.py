@@ -20,6 +20,7 @@ from flagstone import (
     join,
     verify_multipartite_witness,
 )
+from flagstone import kernels
 from helpers import brute_maximal_cliques, random_graph
 
 
@@ -283,6 +284,35 @@ def test_clique_counts_complete_graph():
     n = 9
     g = gen_complete_multipartite((1,) * n)
     assert g.clique_counts() == tuple(math.comb(n, k) for k in range(n + 1))
+
+
+@pytest.mark.parametrize("make", [lambda: gen_grid_torus(4, 5), lambda: gen_join_of_cycles(2, 9)],
+                         ids=["prime", "join"])
+def test_truncated_counts_slice_the_cached_vector(monkeypatch, make):
+    g = make()
+    full = g.clique_counts()
+
+    def refuse(*args):
+        raise AssertionError("a kernel was called")
+
+    for name in ("clique_counts", "clique_census", "maximal_cliques"):
+        monkeypatch.setattr(kernels, name, refuse)
+    for kmax in range(len(full) + 3):
+        assert g.clique_counts(kmax) == (full + (0, 0, 0))[:kmax + 1]
+    assert [g.clique_count(k) for k in range(len(full) + 3)] == list(full) + [0, 0, 0]
+
+
+def test_census_keeps_the_cached_maximal_cliques(monkeypatch):
+    # Bron-Kerbosch first: the full vector still comes from the census, which
+    # leaves the cached tuple in place
+    def refuse(*args):
+        raise AssertionError("capped count called")
+
+    monkeypatch.setattr(kernels, "clique_counts", refuse)
+    g = gen_grid_torus(4, 5)
+    cliques = g.maximal_cliques()
+    assert g.clique_counts() == (1, 20, 60, 40)
+    assert g.maximal_cliques() is cliques
 
 
 def test_is_connected():

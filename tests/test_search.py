@@ -64,9 +64,21 @@ def test_enumerate_workers_capped_at_cpu_count(monkeypatch):
         def __init__(self, *args, **kwargs):
             raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
+    # pinned to one CPU of eight: the affinity mask is the cap
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert enumerate_classes(6, workers=8) == enumerate_classes(6)
+    # where the platform has no affinity mask, the CPU count is
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert enumerate_classes(6, workers=8) == enumerate_classes(6)
+
+
+@pytest.mark.parametrize("n_max,level", [(0, None), (-3, 2)])
+def test_enumerate_classes_rejects_n_max_below_one(n_max, level):
+    with pytest.raises(InvalidParameter, match="need n_max >= 1"):
+        enumerate_classes(n_max, level=level)
 
 
 @pytest.mark.parametrize("d,n_max", [(1, 8), (2, 7), (3, 7)])
@@ -265,10 +277,10 @@ def test_check_instance_flag_complex_delegates():
         (lambda: gen_join_of_cycles(2, 10), {"clique_census": [5, 5]}),
         (lambda: gen_suspension_sphere(5), {"clique_census": [2, 5]}),
         # the torus is prime, and is_flag lists its maximal cliques before
-        # the counts are asked for: Bron-Kerbosch once, counts once
+        # the counts are asked for: Bron-Kerbosch once, the census once
         (
             lambda: SimplicialComplex.from_facets(16, gen_grid_torus(4, 4).maximal_cliques()),
-            {"maximal_cliques": [16], "clique_counts": [16]},
+            {"maximal_cliques": [16], "clique_census": [16]},
         ),
     ],
     ids=["join-odd-report", "sphere-even-entry", "torus-facets"],
