@@ -7,10 +7,10 @@ output path that cannot be written.
 """
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .bounds import verify_theorem_instance
 from .errors import FlagstoneError
@@ -85,6 +85,70 @@ def _opened_for_writing(path, mode, **kwargs):
         raise FlagstoneError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
+_FLUSH_PARTS = 4096  # pieces write_json holds before it writes them out
+
+
+def write_json(fh, obj):
+    """Write obj as `json.dump(obj, fh, indent=2, sort_keys=True)` does,
+    byte for byte, but without the stdlib's pure-Python indenting encoder
+    (its C encoder cannot indent).
+
+    It takes dicts with str keys, lists and tuples, str, int, bool and
+    None; any other value, a float too, raises TypeError.  A list of
+    plain ints is one join.  The text goes to fh in chunks, so the whole
+    report is never held at once.
+    """
+    parts = []
+    _encode(obj, "\n", parts, fh)
+    fh.write("".join(parts))
+
+
+def _encode(value, pad, parts, fh):
+    """Append the text of value, which starts a line indented as pad (a
+    newline plus spaces) says, to parts; write parts out once they pile up."""
+    if value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            # raises TypeError on a key that is not a str
+            parts.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            _encode(value[key], inner, parts, fh)
+            sep = "," + inner
+        parts.append(pad + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = pad + "  "
+        if set(map(type, value)) == {int}:
+            parts.append(f"[{inner}{(',' + inner).join(map(str, value))}{pad}]")
+            return
+        sep = "[" + inner
+        for item in value:
+            parts.append(sep)
+            _encode(item, inner, parts, fh)
+            sep = "," + inner
+            if len(parts) > _FLUSH_PARTS:
+                fh.write("".join(parts))
+                parts.clear()
+        parts.append(pad + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _describe(entry):
     if entry["kind"] == "error":
         err = entry["error"]
@@ -124,8 +188,7 @@ def _cmd_check(args):
     )
     if args.json:
         with _opened_for_writing(args.json, "w", encoding="ascii") as fh:
-            # streamed: building the whole text first raises the peak RSS
-            json.dump({"entries": entries, "summary": summary}, fh, indent=2, sort_keys=True)
+            write_json(fh, {"entries": entries, "summary": summary})
             fh.write("\n")
     if summary["parse_errors"]:
         return 2
@@ -149,7 +212,8 @@ def _cmd_bounds(args):
             print(f"bounds: {instance}: no vertices; the edge bounds need n >= 1", file=sys.stderr)
             return 2
         report = verify_theorem_instance(obj, args.s, cap=args.C, instance=instance)
-        print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
+        write_json(sys.stdout, report.to_json_dict())
+        sys.stdout.write("\n")
         if report.potential_counterexample:
             code = 1
     return code

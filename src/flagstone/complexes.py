@@ -147,7 +147,7 @@ class SimplicialComplex:
             mask = _vertex_mask(facet)
             for v in facet:
                 rows[v] |= mask ^ (1 << v)
-        return Graph(self.n, tuple(rows))
+        return Graph._of_rows(self.n, tuple(rows))
 
 
 def _vertex_mask(vertices):
@@ -168,13 +168,15 @@ def maximal_cliques_are_facets(k):
     That holds exactly when k is flag: vertices and edges of the skeleton
     are faces by construction, and ambient vertices that lie in no facet
     are 1-vertex maximal cliques, so they are ignored.  The maximal cliques
-    of the skeleton are the unions of one maximal clique per join factor
-    (a prime skeleton is its own single factor); they are built one at a
-    time and the first non-facet stops the scan, so at most one more than
-    the facets are built.
+    of the skeleton are the unions of one maximal clique per join factor;
+    they are built one at a time and the first non-facet stops the scan,
+    so at most one more than the facets are built.  A prime skeleton is
+    its own single factor, and its maximal cliques are compared as listed.
     """
     facets = set(k.facets)
     factors = k.one_skeleton().join_factors()
+    if len(factors) == 1:
+        return all(len(c) < 3 or c in facets for c in factors[0][0].maximal_cliques())
     mapped = [[tuple(vmap[v] for v in c) for c in f.maximal_cliques()] for f, vmap in factors]
     cliques = (tuple(sorted(chain.from_iterable(parts))) for parts in product(*mapped))
     return all(len(c) < 3 or c in facets for c in cliques)

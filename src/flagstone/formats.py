@@ -16,7 +16,9 @@ build the bitmask adjacency rows directly.  An edge list sets the two bits
 of each edge as it is read (a bit already set is a duplicate edge).  A
 graph6 body becomes one bitstring, six bits per byte, read and written by
 the triangle codec that canonical keys use too (`kernels.rows_of_bits`,
-`kernels.triangle_bits`).  A facet list's 1-skeleton is built from facet
+`kernels.triangle_bits`).  Both sets of rows are symmetric, irreflexive and
+in range once these checks pass, so the graph is built without the
+constructor's scan.  A facet list's 1-skeleton is built from facet
 bitmasks by SimplicialComplex.one_skeleton.
 """
 
@@ -77,7 +79,7 @@ def parse_edge_list(text, path=None):
             raise ParseError(f"duplicate edge ({u}, {v})", path=path, line=no)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph._of_rows(n, tuple(rows))
 
 
 def dump_edge_list(g):
@@ -132,7 +134,7 @@ def parse_graph6_line(line, path=None, line_no=None):
     bits = "".join(map(_G6_CHUNKS.__getitem__, body))
     if "1" in bits[need:]:
         raise ParseError("nonzero padding bits in graph6 body", path=path, line=line_no)
-    return Graph(n, tuple(rows_of_bits(bits, n)))
+    return Graph._of_rows(n, tuple(rows_of_bits(bits, n)))
 
 
 def parse_facet_list(text, path=None):

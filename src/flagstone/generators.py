@@ -31,7 +31,7 @@ def gen_independent(k):
     if k < 0:
         raise InvalidParameter("vertex count must be nonnegative")
     _check_size(k)
-    return Graph(k, (0,) * k)
+    return Graph._of_rows(k, (0,) * k)
 
 
 def gen_complete_multipartite(parts):
@@ -53,7 +53,7 @@ def gen_complete_multipartite(parts):
         block = ((1 << p) - 1) << start
         for v in range(start, start + p):
             rows[v] = full & ~block
-    return Graph(n, tuple(rows))
+    return Graph._of_rows(n, tuple(rows))
 
 
 def cycle_part_sizes(s, n):
@@ -95,7 +95,7 @@ def gen_join_of_cycles(s, n):
         for i in range(size):
             rows.append(outside | 1 << start + (i + 1) % size | 1 << start + (i - 1) % size)
         start += size
-    return Graph(n, tuple(rows))
+    return Graph._of_rows(n, tuple(rows))
 
 
 def gen_suspension_sphere(k):

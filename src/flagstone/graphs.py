@@ -37,9 +37,18 @@ class Graph:
     """A finite simple graph: symmetric, irreflexive adjacency on 0..n-1.
 
     A value: equal, hashed and shown by n and masks, which cannot be
-    reassigned.  The join factors, the maximal cliques, their sizes, the
-    full clique-count vector and the ridge violation are computed at most
-    once per graph and kept in its `__dict__` as immutable values.
+    reassigned.  The edge count, the join factors, the maximal cliques,
+    their sizes, the full clique-count vector and the ridge violation are
+    computed at most once per graph and kept in its `__dict__` as
+    immutable values.
+
+    The public constructor `Graph(n, masks)` validates the rows: one scan
+    of every edge rejects rows out of range, self-loops and asymmetry.
+    Rows the package builds itself (the parsers after their own checks,
+    the generators, `from_edges`, the derived graphs, joins and unions,
+    1-skeletons of complexes and graphs decoded from canonical keys) are
+    symmetric, irreflexive and in range by construction, so they go
+    through `_of_rows`, which skips the scan.
     """
 
     def __init__(self, n, masks):
@@ -73,6 +82,14 @@ class Graph:
                     if not (masks[u] >> v) & 1:
                         raise InvalidParameter(f"adjacency not symmetric at ({u}, {v})")
 
+    @classmethod
+    def _of_rows(cls, n, rows):
+        """The graph on rows that are symmetric, irreflexive and within
+        0..n-1 by construction, a tuple of n ints, stored without a scan."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, masks=rows)
+        return g
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -92,13 +109,15 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edges):
+        if n < 0:
+            raise InvalidParameter("vertex count must be nonnegative")
         rows = [0] * n
         for u, v in edges:
             if u == v or not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameter(f"bad edge ({u}, {v}) for n={n}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, tuple(rows))
+        return cls._of_rows(n, tuple(rows))
 
     # -- basic accessors -------------------------------------------------
 
@@ -128,7 +147,7 @@ class Graph:
         return [(v, u) for v, row in enumerate(self.masks)
                 for u in kernels.bits_of(row >> (v + 1) << (v + 1))]
 
-    @property
+    @cached_property
     def edge_count(self):
         return sum(row.bit_count() for row in self.masks) // 2
 
@@ -153,7 +172,7 @@ class Graph:
         rows = list(self.masks)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
+        return Graph._of_rows(self.n, tuple(rows))
 
     def without_edge(self, u, v):
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -161,7 +180,7 @@ class Graph:
         rows = list(self.masks)
         rows[u] &= ~(1 << v)
         rows[v] &= ~(1 << u)
-        return Graph(self.n, tuple(rows))
+        return Graph._of_rows(self.n, tuple(rows))
 
     # -- clique machinery ------------------------------------------------
 
@@ -300,7 +319,7 @@ class Graph:
         for i, v in enumerate(vmap):
             for u in kernels.bits_of(self.masks[v] & keep):
                 rows[i] |= 1 << idx[u]
-        return Graph(len(vmap), tuple(rows)), vmap
+        return Graph._of_rows(len(vmap), tuple(rows)), vmap
 
     def link(self, sigma):
         """Induced subgraph on the common neighborhood of a clique.
@@ -324,7 +343,7 @@ class Graph:
         for v in range(self.n):
             for u in kernels.bits_of(self.masks[v]):
                 rows[perm[v]] |= 1 << perm[u]
-        return Graph(self.n, tuple(rows))
+        return Graph._of_rows(self.n, tuple(rows))
 
     def canonical_key(self):
         """Isomorphism-invariant integer key; feasible for small n only.
@@ -371,12 +390,12 @@ def join(g, h):
         rows.append(g.masks[v] | hmask)
     for v in range(h.n):
         rows.append((h.masks[v] << g.n) | gmask)
-    return Graph(n, tuple(rows))
+    return Graph._of_rows(n, tuple(rows))
 
 
 def disjoint_union(g, h):
     rows = list(g.masks) + [row << g.n for row in h.masks]
-    return Graph(g.n + h.n, tuple(rows))
+    return Graph._of_rows(g.n + h.n, tuple(rows))
 
 
 def verify_multipartite_witness(g, pattern, witness):

@@ -206,7 +206,9 @@ def enumerate_classes(n_max, clique_cap=None, workers=1, level=None):
 
 
 def graph_from_key(key, n):
-    return Graph(n, tuple(kernels.key_to_masks(key, n)))
+    if n < 0:
+        raise InvalidParameter("vertex count must be nonnegative")
+    return Graph._of_rows(n, tuple(kernels.key_to_masks(key, n)))
 
 
 def _bound_for(n, d, s):

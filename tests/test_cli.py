@@ -1,5 +1,6 @@
 """End-to-end runs of the command line entry point."""
 
+import io
 import json
 import os
 import random
@@ -21,9 +22,11 @@ from flagstone import (
     gen_join_of_cycles,
     gen_suspension_sphere,
     h_vector,
+    corpus_summary,
     parse_facet_list,
+    run_corpus_checks,
 )
-from flagstone.cli import main
+from flagstone.cli import main, write_json
 from flagstone.complexes import VERTEX_LIMIT
 from helpers import random_graph
 
@@ -461,3 +464,70 @@ def test_cli_imports_only_what_commands_run():
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     done = subprocess.run([sys.executable, "-B", "-c", script], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == ["[]", "True True", "True True"]
+
+
+_STRINGS = ["", "plain", 'say "hi"', "back\\slash", "tab\tline\nfeed\x00\x1f\x7f", "caf\u00e9",
+            "\u2603 \U0001f600", "/slash/", "\ud800 lone surrogate"]
+
+
+def _payload(rng, depth=0):
+    """A random JSON value of the kinds the report writer takes; a list,
+    tuple or dict at the top, scalars only below depth 3."""
+    kind = rng.randrange(5, 9) if depth == 0 else rng.randrange(5 if depth > 3 else 9)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice([0, -1, 1 << 63, -(1 << 64) - 1, 3 ** 90, rng.randint(-999, 999)])
+    if kind == 3:
+        return rng.choice(_STRINGS)
+    if kind == 4:
+        return [rng.randint(-(1 << 70), 1 << 70) for _ in range(rng.randrange(5))]
+    if kind == 5:
+        return [_payload(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return tuple(_payload(rng, depth + 1) for _ in range(rng.randrange(3)))
+    if kind == 7:
+        return [[rng.randint(-5, 5) for _ in range(rng.randrange(3))] for _ in range(rng.randrange(4))]
+    return {rng.choice(_STRINGS) + str(rng.randrange(3)): _payload(rng, depth + 1)
+            for _ in range(rng.randrange(5))}
+
+
+def _written(obj):
+    out = io.StringIO()
+    write_json(out, obj)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_report_writer_matches_json_dumps(seed):
+    obj = _payload(random.Random(seed))
+    assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+def test_report_writer_edge_cases_match_json_dumps():
+    objs = [{}, [], (), [{}], {"a": []}, [[], [[]]], [True, 1, False, 0], [None], -(1 << 100),
+            {"z": 1, "a": {"y": [1, -2], "b": "\u00e9\"\\"}},
+            # past the point where the writer hands its pieces to the file
+            {"entries": [{"k": i, "v": [i, -i], "s": str(i)} for i in range(3000)]}]
+    for obj in objs:
+        assert _written(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("bad", [1.5, {1, 2}, [0, 0.0], {"a": {"b": {3}}}, {1: "int key"}])
+def test_report_writer_refuses_other_types(bad):
+    with pytest.raises(TypeError):
+        _written(bad)
+
+
+def test_check_json_on_a_non_ascii_file_name(tmp_path, capsys):
+    f = tmp_path / "zyklus-\u00e9\u2603.txt"
+    f.write_text(dump_edge_list(gen_join_of_cycles(2, 9)))
+    out_json = tmp_path / "report.json"
+    assert main(["check", str(f), "--json", str(out_json)]) == 0
+    capsys.readouterr()
+    entries = run_corpus_checks([str(f)])
+    expected = json.dumps({"entries": entries, "summary": corpus_summary(entries)}, indent=2, sort_keys=True)
+    assert out_json.read_text(encoding="ascii") == expected + "\n"
+    assert entries[0]["instance"] == str(f)

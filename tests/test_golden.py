@@ -1,4 +1,4 @@
-"""Byte-identity of `check` and `search` output on small fixed inputs.
+"""Byte-identity of `check`, `search` and `bounds` output on small fixed inputs.
 
 tests/data/golden holds a balanced cycle join and a suspended cycle (edge
 lists), the 6x6 grid torus and a non-flag complex (facet lists), and a
@@ -8,7 +8,10 @@ while Bron-Kerbosch and clique counting were still separate passes; the
 search-*.json and search-*.stdout files are the `--out` payload and the
 standard output of the searches in SEARCHES: search-random-d2 and
 search-random-d5 were written while random mode still walked by edge
-swaps, the others while the value classes were still dataclasses.  A speedup must leave them all unchanged.
+swaps, the others while the value classes were still dataclasses.
+bounds-*.stdout are the reports of `flagstone bounds` on the files in
+BOUNDS, written while that command still printed through `json.dumps`.
+A speedup must leave them all unchanged.
 Regenerate them (only for a deliberate output change) from that directory:
 
     python -m flagstone.cli check join.txt suspension.txt torus.facets \
@@ -23,6 +26,8 @@ Regenerate them (only for a deliberate output change) from that directory:
         --budget 100 --out search-random-d2.json > search-random-d2.stdout
     python -m flagstone.cli search --mode random --d 5 --n 12..24 --seed 2 \
         --budget 100 --out search-random-d5.json > search-random-d5.stdout
+    python -m flagstone.cli bounds join.txt --s 2 > bounds-join.stdout
+    python -m flagstone.cli bounds torus.facets --s 1 > bounds-torus.stdout
 """
 
 from pathlib import Path
@@ -40,6 +45,10 @@ SEARCHES = {
     "search-random-d2": ["--mode", "random", "--d", "2", "--n", "4..16", "--seed", "1", "--budget", "100"],
     "search-random-d5": ["--mode", "random", "--d", "5", "--n", "12..24", "--seed", "2", "--budget", "100"],
 }
+BOUNDS = {
+    "bounds-join": ["join.txt", "--s", "2"],
+    "bounds-torus": ["torus.facets", "--s", "1"],
+}
 
 
 def test_check_output_is_byte_identical(tmp_path, monkeypatch, capsys):
@@ -56,3 +65,10 @@ def test_search_output_is_byte_identical(name, tmp_path, capsys):
     assert main(["search", *SEARCHES[name], "--out", str(out)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.stdout").read_text()
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_bounds_output_is_byte_identical(name, monkeypatch, capsys):
+    monkeypatch.chdir(GOLDEN)
+    assert main(["bounds", *BOUNDS[name]]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.stdout").read_text()

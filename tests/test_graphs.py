@@ -10,14 +10,21 @@ from flagstone import (
     Graph,
     InvalidParameter,
     NotAClique,
+    SimplicialComplex,
     contains_multipartite_subgraph,
     disjoint_union,
+    dump_edge_list,
+    dump_graph6,
     gen_complete_multipartite,
     gen_cycle,
     gen_grid_torus,
+    gen_independent,
     gen_join_of_cycles,
     gen_suspension_sphere,
+    graph_from_key,
     join,
+    parse_edge_list,
+    parse_graph6_line,
     verify_multipartite_witness,
 )
 from flagstone import kernels
@@ -327,3 +334,56 @@ def test_is_connected():
         for _ in range(g.n):
             reach |= {u for v in reach for u in g.neighbors(v)}
         assert g.is_connected() == (len(reach) == g.n)
+
+
+def _trusted_builds(rng):
+    """(name, graph) for every builder whose rows skip the constructor's
+    scan, on inputs drawn from rng."""
+    n = rng.randint(1, 12)
+    g = random_graph(n, rng.random(), rng)
+    h = random_graph(rng.randint(0, 6), rng.random(), rng)
+    u, v = rng.sample(range(n), 2) if n > 1 else (0, 0)
+    clique = rng.choice(g.maximal_cliques())
+    facets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(rng.randint(0, 5))]
+    perm = rng.sample(range(n), n)
+    yield "gen_cycle", gen_cycle(rng.randint(3, 12))
+    yield "gen_independent", gen_independent(rng.randint(0, 6))
+    yield "gen_complete_multipartite", gen_complete_multipartite(
+        [rng.randint(1, 4) for _ in range(rng.randint(1, 4))])
+    s = rng.randint(1, 3)
+    yield "gen_join_of_cycles", gen_join_of_cycles(s, rng.randint(4 * s, 4 * s + 5))
+    yield "gen_suspension_sphere", gen_suspension_sphere(rng.randint(4, 9))
+    yield "gen_grid_torus", gen_grid_torus(rng.randint(4, 6), rng.randint(4, 6))
+    yield "parse_edge_list", parse_edge_list(dump_edge_list(g))
+    yield "parse_graph6_line", parse_graph6_line(dump_graph6(g))
+    yield "one_skeleton", SimplicialComplex.from_facets(n, facets).one_skeleton()
+    yield "induced", g.induced(rng.sample(range(n), rng.randint(0, n)))[0]
+    yield "link", g.link(clique[:rng.randint(0, len(clique))])[0]
+    yield "relabel", g.relabel(perm)
+    if u != v:
+        yield "with_edge", g.with_edge(u, v)
+        yield "without_edge", g.without_edge(u, v)
+    yield "join", join(g, h)
+    yield "disjoint_union", disjoint_union(g, h)
+    yield "from_edges", Graph.from_edges(n, g.edges())
+    yield "graph_from_key", graph_from_key(rng.getrandbits(n * (n - 1) // 2 + 3), n)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_trusted_builders_yield_rows_the_constructor_accepts(seed):
+    for name, g in _trusted_builds(random.Random(seed)):
+        assert type(g) is Graph and type(g.masks) is tuple, name
+        assert Graph(g.n, g.masks) == g, name
+
+
+def test_negative_vertex_count_is_refused_without_the_scan():
+    with pytest.raises(InvalidParameter, match="^vertex count must be nonnegative$"):
+        Graph.from_edges(-1, [])
+    with pytest.raises(InvalidParameter, match="^vertex count must be nonnegative$"):
+        graph_from_key(0, -1)
+
+
+def test_edge_count_is_cached():
+    g = gen_join_of_cycles(2, 9)
+    assert "edge_count" not in g.__dict__
+    assert g.edge_count == len(g.edges()) == g.__dict__["edge_count"]
