@@ -263,8 +263,8 @@ def _cmd_search(args):
                 bound=entry["bound"],
             )
         )
-    bad = [e for e in result.per_n if e["bound_holds"] is False]
-    return 1 if bad else 0
+    # only the odd-level bound is a theorem; reports exist at odd d alone
+    return 1 if any(r["potential_counterexample"] for r in result.reports) else 0
 
 
 def build_parser():

@@ -1,12 +1,14 @@
 """Simplicial complexes and their enumerative algebra.
 
 Face-count vectors are plain tuples indexed from the empty face: a complex
-of dimension d has f = (f_-1, f_0, ..., f_d) with f[0] = f_-1 = 1.  The
-h-vector is the binomial transform defined by
+of dimension d has f = (f_-1, f_0, ..., f_d) with f[0] = f_-1 = 1.  Read
+as coefficients from the highest degree down, f(x) = sum_i f_i x^(d-i)
+over i = -1..d, and the h-vector is the Taylor shift h(x) = f(x - 1):
 
-    sum_i h_i x^(d+1-i) = sum_i f_i (x-1)^(d-i)
+    sum_i h_i x^(d+1-i) = sum_i f_i (x-1)^(d-i),
 
-and the gamma-vector is the further change of basis
+which f(x) = h(x + 1) inverts.  The gamma-vector is one more change of
+basis,
 
     sum_i h_i x^i = sum_i gamma_i x^i (x+1)^(d+1-2i),
 
@@ -20,6 +22,7 @@ from itertools import chain, product
 from math import comb
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidComplex, InvalidParameter, NotPalindromic
+from .graphs import Graph, _Value
 
 DIMENSION_CAP = 24
 FACE_BUDGET = 1 << 17  # caps sum(2^|F|) over facets; a 16-simplex facet fits
@@ -34,32 +37,20 @@ def require_face_budget(k):
         raise BudgetExceeded(f"facets span up to {total} faces, over the face budget {FACE_BUDGET}")
 
 
-class SimplicialComplex:
+class SimplicialComplex(_Value):
     """Vertex count plus inclusion-maximal faces as sorted vertex tuples.
 
     A value: equal, hashed and shown by n and facets, which cannot be
     reassigned; the 1-skeleton is built once and kept in its `__dict__`.
+    The constructor stores the facets as given, as `clique_complex` does
+    with a graph's sorted maximal cliques; `from_facets` sorts, checks
+    and reduces arbitrary facet lists first.
     """
+
+    _fields = ("n", "facets")
 
     def __init__(self, n, facets):
         self.__dict__.update(n=n, facets=facets)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.facets == other.facets
-
-    def __hash__(self):
-        return hash((self.n, self.facets))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(n={self.n!r}, facets={self.facets!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_facets(cls, n, facets):
@@ -140,8 +131,6 @@ class SimplicialComplex:
 
     @cached_property
     def _one_skeleton(self):
-        from .graphs import Graph
-
         rows = [0] * self.n
         for facet in self.facets:
             mask = _vertex_mask(facet)
@@ -205,40 +194,32 @@ def graph_f_vector(g):
     return g.clique_counts()
 
 
-def h_vector(f, d):
-    """Binomial transform of an f-vector of a d-dimensional complex.
+def _taylor_shift(coeffs, c):
+    """Coefficients of p(x + c), given and returned from the highest degree
+    down: Horner's rule applied once per degree, in exact integers."""
+    out = list(coeffs)
+    for top in range(len(out) - 1, 0, -1):
+        for j in range(1, top + 1):
+            out[j] += c * out[j - 1]
+    return tuple(out)
 
-    h_k = sum_i f_i C(d-i, d+1-k) (-1)^(k-i-1), an exact integer identity.
-    """
+
+def h_vector(f, d):
+    """The h-vector of an f-vector of a d-dimensional complex: h(x) = f(x - 1)."""
     f = tuple(f)
     if len(f) != d + 2:
         raise DimensionMismatch(f"f-vector of a {d}-complex needs {d + 2} entries, got {len(f)}")
     if f[0] != 1:
         raise InvalidParameter("f_-1 must be 1")
-    out = []
-    for k in range(d + 2):
-        total = 0
-        for i in range(-1, d + 1):
-            c = comb(d - i, d + 1 - k) if 0 <= d + 1 - k <= d - i else 0
-            if c:
-                total += f[i + 1] * c * (-1) ** ((k - i - 1) % 2)
-        out.append(total)
-    return tuple(out)
+    return _taylor_shift(f, -1)
 
 
 def inverse_h_vector(h, d):
-    """Recover the f-vector: f_i = sum_k h_k C(d+1-k, d-i)."""
+    """Recover the f-vector: f(x) = h(x + 1)."""
     h = tuple(h)
     if len(h) != d + 2:
         raise DimensionMismatch(f"h-vector of a {d}-complex needs {d + 2} entries, got {len(h)}")
-    out = []
-    for i in range(-1, d + 1):
-        total = 0
-        for k in range(d + 2):
-            if 0 <= d - i <= d + 1 - k:
-                total += h[k] * comb(d + 1 - k, d - i)
-        out.append(total)
-    return tuple(out)
+    return _taylor_shift(h, 1)
 
 
 def euler_characteristic(f):
@@ -306,19 +287,12 @@ def h_from_gamma(gamma, d):
     return tuple(out)
 
 
-def _h_row_in_f_basis(k, d):
-    """Coefficients (index i = -1..d) of f_i in h_k."""
-    return {
-        i: (comb(d - i, d + 1 - k) if 0 <= d + 1 - k <= d - i else 0) * (-1) ** ((k - i - 1) % 2)
-        for i in range(-1, d + 1)
-    }
-
-
 def middle_ds_coefficients(d):
     """Express f_s as a linear form in f_-1..f_(s-1), s = floor((d+1)/2).
 
     The middle palindromy equation (h_(s-1) = h_(s+1) for odd d, h_s =
-    h_(s+1) for even d) is expanded symbolically in the f-basis; the f_s
+    h_(s+1) for even d) is expanded in the f-basis, where the coefficient
+    of f_i is read from the h-vector of the unit f-vector at f_i; the f_s
     coefficient is 1, so solving for f_s is a single normalization.
     Returns ({i: a_i for i = -1..s-1}, sum of |a_i|), all exact rationals.
     """
@@ -326,10 +300,10 @@ def middle_ds_coefficients(d):
         raise InvalidParameter("need dimension >= 1")
     s = (d + 1) // 2
     a_idx = s - 1 if d % 2 else s
-    b_idx = s + 1
-    row_a = _h_row_in_f_basis(a_idx, d)
-    row_b = _h_row_in_f_basis(b_idx, d)
-    diff = {i: row_b[i] - row_a[i] for i in range(-1, d + 1)}
+    diff = {}
+    for i in range(-1, d + 1):
+        h = _taylor_shift((0,) * (i + 1) + (1,) + (0,) * (d - i), -1)
+        diff[i] = h[s + 1] - h[a_idx]
     if diff[s] != 1 or any(diff[i] for i in range(s + 1, d + 1)):
         raise AssertionError("middle palindromy row is not triangular in the f-basis")
     coeffs = {i: Fraction(-diff[i]) for i in range(-1, s)}

@@ -33,7 +33,36 @@ from . import kernels
 from .errors import InvalidParameter, NotAClique
 
 
-class Graph:
+class _Value:
+    """Equality, hash and repr by the fields named in `_fields`, which are
+    kept in the instance `__dict__` and cannot be reassigned or deleted;
+    cached properties may still add entries there."""
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Graph(_Value):
     """A finite simple graph: symmetric, irreflexive adjacency on 0..n-1.
 
     A value: equal, hashed and shown by n and masks, which cannot be
@@ -42,14 +71,17 @@ class Graph:
     computed at most once per graph and kept in its `__dict__` as
     immutable values.
 
-    The public constructor `Graph(n, masks)` validates the rows: one scan
-    of every edge rejects rows out of range, self-loops and asymmetry.
-    Rows the package builds itself (the parsers after their own checks,
-    the generators, `from_edges`, the derived graphs, joins and unions,
-    1-skeletons of complexes and graphs decoded from canonical keys) are
-    symmetric, irreflexive and in range by construction, so they go
-    through `_of_rows`, which skips the scan.
+    The public constructor `Graph(n, masks)` checks the rows in one plain
+    pass: first each row's range and self-loop bit, row by row, then the
+    mirror of each edge in scan order, so the first unmirrored pair is the
+    one named.  The package's own builders skip it: the parsers after
+    their own checks, the generators, `from_edges`, the derived graphs,
+    joins and unions, 1-skeletons of complexes and graphs decoded from
+    canonical keys make rows that are symmetric, irreflexive and in range
+    by construction, and store them through `_of_rows`.
     """
+
+    _fields = ("n", "masks")
 
     def __init__(self, n, masks):
         self.__dict__.update(n=n, masks=masks)
@@ -58,29 +90,15 @@ class Graph:
         if len(masks) != n:
             raise InvalidParameter("need one adjacency row per vertex")
         full = (1 << n) - 1
-        # every bit above the diagonal mirrored below it, and as many bits
-        # below as above, makes the rows symmetric: one check per edge
-        above = below = 0
-        mirrored = True
         for v, row in enumerate(masks):
             if row & ~full:
                 raise InvalidParameter(f"row {v} mentions vertices outside 0..{n - 1}")
-            high = row >> v
-            if high & 1:
+            if (row >> v) & 1:
                 raise InvalidParameter(f"self-loop at vertex {v}")
-            count = high.bit_count()
-            above += count
-            below += row.bit_count() - count
-            while mirrored and high:
-                low = high & -high
-                mirrored = (masks[v + low.bit_length() - 1] >> v) & 1
-                high ^= low
-        if not mirrored or above != below:
-            # name the first unmirrored pair in the order of the full scan
-            for v in range(n):
-                for u in kernels.bits_of(masks[v]):
-                    if not (masks[u] >> v) & 1:
-                        raise InvalidParameter(f"adjacency not symmetric at ({u}, {v})")
+        for v, row in enumerate(masks):
+            for u in kernels.bits_of(row):
+                if not (masks[u] >> v) & 1:
+                    raise InvalidParameter(f"adjacency not symmetric at ({u}, {v})")
 
     @classmethod
     def _of_rows(cls, n, rows):
@@ -89,23 +107,6 @@ class Graph:
         g = object.__new__(cls)
         g.__dict__.update(n=n, masks=rows)
         return g
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.n == other.n and self.masks == other.masks
-
-    def __hash__(self):
-        return hash((self.n, self.masks))
-
-    def __repr__(self):
-        return f"{type(self).__qualname__}(n={self.n!r}, masks={self.masks!r})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @classmethod
     def from_edges(cls, n, edges):

@@ -225,7 +225,7 @@ def _extremal_entry(cfg, s, n, best, **counts):
     if best is None:
         return entry, None
     entry["max_edges"] = best.edge_count
-    entry["argmax_edges"] = [[u, v] for u, v in best.edges()]
+    entry["argmax_edges"] = best.edges()
     entry["bound_holds"] = best.edge_count <= bound
     if cfg.d % 2 == 0:
         return entry, None

@@ -7,6 +7,8 @@ Only usable for small n.
 """
 
 import itertools
+from fractions import Fraction
+from math import comb
 
 from flagstone import Graph, kernels
 
@@ -180,6 +182,34 @@ def brute_unpaired_ridge(facets):
         if count != 2:
             return ridge, count
     return None
+
+
+def _h_coefficient(k, i, d):
+    """The coefficient of f_i in h_k: C(d-i, d+1-k) (-1)^(k-i-1)."""
+    if not 0 <= d + 1 - k <= d - i:
+        return 0
+    return comb(d - i, d + 1 - k) * (-1) ** ((k - i - 1) % 2)
+
+
+def reference_h_vector(f, d):
+    """h_k = sum_i f_i C(d-i, d+1-k) (-1)^(k-i-1) over i = -1..d."""
+    return tuple(sum(f[i + 1] * _h_coefficient(k, i, d) for i in range(-1, d + 1))
+                 for k in range(d + 2))
+
+
+def reference_inverse_h_vector(h, d):
+    """f_i = sum_k h_k C(d+1-k, d-i) over k = 0..d+1."""
+    return tuple(sum(h[k] * comb(d + 1 - k, d - i) for k in range(d + 2) if d - i <= d + 1 - k)
+                 for i in range(-1, d + 1))
+
+
+def reference_middle_ds_coefficients(d):
+    """The middle palindromy row h_(s+1) - h_a, a = s-1 at odd d and s at
+    even d, written in the f-basis and solved for f_s: ({i: a_i}, sum |a_i|)."""
+    s = (d + 1) // 2
+    a = s - 1 if d % 2 else s
+    coeffs = {i: Fraction(_h_coefficient(a, i, d) - _h_coefficient(s + 1, i, d)) for i in range(-1, s)}
+    return coeffs, sum(abs(c) for c in coeffs.values())
 
 
 def all_graphs(n):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,17 @@ def test_check_parse_error_exit(tmp_path, capsys):
     assert f"{f}: PARSE ERROR line 2: {message}\n" in capsys.readouterr().out
     [entry] = json.loads(out_json.read_text())["entries"]
     assert entry["error"] == {"stage": "parse", "message": message, "path": str(f), "line": 2}
+
+
+def test_check_blank_graph6_file_is_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "blank.g6"
+    f.write_text("\n  \n\n")
+    out_json = tmp_path / "report.json"
+    assert main(["check", str(f), "--json", str(out_json)]) == 2
+    assert f"{f}: PARSE ERROR line 1: no graph6 lines found\n" in capsys.readouterr().out
+    [entry] = json.loads(out_json.read_text())["entries"]
+    assert entry["error"] == {"stage": "parse", "message": "no graph6 lines found",
+                              "path": str(f), "line": 1}
 
 
 def test_check_non_ascii_file_is_a_parse_error(tmp_path, capsys):
@@ -384,6 +396,23 @@ def test_search_random(capsys):
                  "--budget", "20"])
     assert code == 0
     assert "max_edges=35" in capsys.readouterr().out
+
+
+def test_search_exits_1_only_on_a_failed_theorem_bound(tmp_path, monkeypatch, capsys):
+    # every bound stubbed to 0, so every leveled extreme breaks it
+    zero = lambda n, s: Fraction(0)  # noqa: E731
+    for name in ("search.edge_bound_even_conjecture", "search.edge_bound_odd", "bounds.edge_bound_odd"):
+        monkeypatch.setattr(f"flagstone.{name}", zero)
+    out = tmp_path / "res.json"
+    # at even d the broken bound is the conjecture: recorded, not a candidate
+    assert main(["search", "--mode", "exhaustive", "--d", "2", "--n", "6..6", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["per_n"][0]["bound_holds"] is False and payload["reports"] == []
+    # at odd d the theorem-status bound fails in the report
+    assert main(["search", "--mode", "exhaustive", "--d", "1", "--n", "4..4", "--out", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert payload["per_n"][0]["bound_holds"] is False
+    assert [r["potential_counterexample"] for r in payload["reports"]] == [True]
 
 
 def test_search_usage_errors(capsys):

@@ -37,7 +37,14 @@ from flagstone import (
     middle_ds_coefficients,
     sphere_euler_characteristic,
 )
-from helpers import brute_faces, brute_maximal_facets, random_graph
+from helpers import (
+    brute_faces,
+    brute_maximal_facets,
+    random_graph,
+    reference_h_vector,
+    reference_inverse_h_vector,
+    reference_middle_ds_coefficients,
+)
 
 
 def test_from_facets_normalizes():
@@ -110,6 +117,18 @@ def test_h_roundtrip_random():
         f = (1,) + tuple(rng.randrange(0, 500) for _ in range(d + 1))
         h = h_vector(f, d)
         assert inverse_h_vector(h, d) == f
+
+
+@pytest.mark.parametrize("d", range(-1, 21))
+def test_h_transforms_match_the_defining_sums(d):
+    rng = random.Random(100 + d)
+    for _ in range(25):
+        f = (1,) + tuple(rng.randrange(-10 ** 6, 10 ** 6) for _ in range(d + 1))
+        assert h_vector(f, d) == reference_h_vector(f, d)
+        h = tuple(rng.randrange(-10 ** 6, 10 ** 6) for _ in range(d + 2))
+        assert inverse_h_vector(h, d) == reference_inverse_h_vector(h, d)
+    if d >= 1:
+        assert middle_ds_coefficients(d) == reference_middle_ds_coefficients(d)
 
 
 def test_gamma_examples():

@@ -117,6 +117,8 @@ def test_clique_predicates():
     assert g.clique_counts() == (1, 5, 5)
     assert g.clique_count(2) == 5
     assert g.clique_count(9) == 0
+    with pytest.raises(InvalidParameter, match="^clique size must be nonnegative$"):
+        g.clique_count(-1)
 
 
 def test_maximal_cliques_match_brute():
