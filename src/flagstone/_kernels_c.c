@@ -36,6 +36,8 @@ typedef struct {
     int placed[MAXN];          /* canonical_key: vertex put in each slot */
     unsigned long updates;     /* canonical_key: times best was lowered */
     int failed;                /* a Python error is set: unwind */
+    int over;                  /* clique_census: past the limit: unwind */
+    int64_t left;              /* clique_census: nonempty cliques still allowed, or -1 for no limit */
 } Ctx;
 
 static inline int
@@ -237,12 +239,19 @@ py_maximal_cliques(PyObject *Py_UNUSED(self), PyObject *args)
 
 /* Every clique in lexicographic order: cand holds the vertices above the
    last chosen one adjacent to all chosen, common every vertex adjacent to
-   all chosen.  A clique is maximal exactly when common & row is empty. */
+   all chosen.  A clique is maximal exactly when common & row is empty.
+   The candidates are counted before any is visited, so a capped pass
+   visits at most its limit of cliques. */
 static void
 census_rec(Ctx *c, word cand, word common, int size)
 {
-    c->counts[size] += popcount(cand);
-    while (cand && !c->failed) {
+    int k = popcount(cand);
+    c->counts[size] += k;
+    if (c->left >= 0 && (c->left -= k) < 0) {
+        c->over = 1;
+        return;
+    }
+    while (cand && !c->failed && !c->over) {
         int v = lowest(cand);
         cand &= cand - 1;
         word row = c->rows[v];
@@ -263,19 +272,26 @@ static PyObject *
 py_clique_census(PyObject *Py_UNUSED(self), PyObject *args)
 {
     PyObject *masks, *counts;
-    Py_ssize_t n;
+    Py_ssize_t n, limit = -1;
     Ctx c;
-    if (!PyArg_ParseTuple(args, "On:clique_census", &masks, &n))
+    if (!PyArg_ParseTuple(args, "On|n:clique_census", &masks, &n, &limit))
         return NULL;
     if (load(&c, masks, n) < 0)
         return NULL;
+    if (limit == 0)
+        Py_RETURN_NONE;  /* the empty clique is already one too many */
     c.out = PyList_New(0);
     if (c.out == NULL)
         return NULL;
     memset(c.counts, 0, sizeof c.counts);
     c.counts[0] = 1;
-    c.failed = 0;
+    c.failed = c.over = 0;
+    c.left = limit > 0 ? (int64_t)limit - 1 : -1;
     census_rec(&c, full_mask(c.n), full_mask(c.n), 1);
+    if (c.over) {
+        Py_DECREF(c.out);
+        Py_RETURN_NONE;
+    }
     if (c.failed || (counts = list_of_counts(c.counts, n)) == NULL) {
         Py_DECREF(c.out);
         return NULL;
@@ -445,7 +461,8 @@ static PyMethodDef methods[] = {
     {"maximal_cliques", py_maximal_cliques, METH_VARARGS,
      "maximal_cliques(masks, n): inclusion-maximal cliques, sorted."},
     {"clique_census", py_clique_census, METH_VARARGS,
-     "clique_census(masks, n): (full clique counts, maximal cliques) from one pass."},
+     "clique_census(masks, n, limit=-1): (full clique counts, maximal cliques) from one pass,\n"
+     "or None once more than limit cliques, the empty one included, are counted (limit >= 0)."},
     {"crowded_link", py_crowded_link, METH_VARARGS,
      "crowded_link(masks, n, d, within): first crowded d-clique inside within, or None."},
     {"canonical_key", py_canonical_key, METH_VARARGS,

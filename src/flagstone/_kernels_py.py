@@ -2,17 +2,17 @@
 
 Reference implementation of the hot loops: clique counting up to a size
 cap, maximal-clique enumeration (Bron-Kerbosch with pivoting), a one-pass
-census giving the full count vector and the maximal cliques, the first
-d-clique that fails the link test of the leveled predicate (the reference
-the tests hold the level test to), and canonical forms for isomorphism
-dedup.  Each kernel has one contract.  The C extension `_kernels_c`
-implements the four hot ones (maximal_cliques, clique_census,
-crowded_link, canonical_key) with the same contracts for n <= 64, and
-`flagstone.kernels` sends each call to one or the other; the rest,
-clique_counts among them, run only here.  Graphs enter as a sequence of
-adjacency bitmask rows (row v = OR of 1<<u over neighbors u of v).
-Canonical keys and graph6 bodies share one upper-triangle codec,
-triangle_bits and rows_of_bits.
+census giving the full count vector and the maximal cliques (or None
+past a limit on the number of cliques), the first d-clique that fails
+the link test of the leveled predicate (the reference the tests hold the
+level test to), and canonical forms for isomorphism dedup.  Each kernel
+has one contract.  The C extension `_kernels_c` implements the four hot
+ones (maximal_cliques, clique_census, crowded_link, canonical_key) with
+the same contracts for n <= 64, and `flagstone.kernels` sends each call
+to one or the other; the rest, clique_counts among them, run only here.
+Graphs enter as a sequence of adjacency bitmask rows (row v = OR of 1<<u
+over neighbors u of v).  Canonical keys and graph6 bodies share one
+upper-triangle codec, triangle_bits and rows_of_bits.
 """
 
 
@@ -79,24 +79,40 @@ def maximal_cliques(masks, n):
     return out
 
 
-def clique_census(masks, n):
+class _OverLimit(Exception):
+    """Unwinds clique_census once it has counted more than its limit."""
+
+
+def clique_census(masks, n, limit=-1):
     """(counts, maximal_cliques(masks, n)) from one pass, where counts[k] is
-    the number of k-vertex cliques for k = 0 up to the clique number.
+    the number of k-vertex cliques for k = 0 up to the clique number; None
+    once more than `limit` cliques, the empty one included, are counted.
+    A negative limit means no limit.
 
     Lists every clique in lexicographic order (Chiba-Nishizeki), keeping
     the candidates above the last vertex and the full common neighbourhood;
     a clique is maximal exactly when its common neighbourhood is empty, so
-    the maximal cliques come out already sorted.
+    the maximal cliques come out already sorted.  Each call counts its
+    candidates before it visits any, so a capped pass visits at most
+    `limit` cliques.
     """
+    if limit == 0:
+        return None  # the empty clique is already one too many
     counts = [0] * (n + 2)  # room for counts[1] when n = 0
     counts[0] = 1
     out = []
+    left = limit - 1 if limit > 0 else 1 << n  # nonempty cliques still allowed; 2^n never run out
 
     def rec(cand, common, prefix, size):
         # cand: vertices above the last chosen one, adjacent to all chosen;
         # common: every vertex adjacent to all chosen.  Each candidate
         # closes one clique of this size.
-        counts[size] += cand.bit_count()
+        nonlocal left
+        k = cand.bit_count()
+        counts[size] += k
+        left -= k
+        if left < 0:
+            raise _OverLimit
         while cand:
             low = cand & -cand
             cand ^= low
@@ -109,7 +125,10 @@ def clique_census(masks, n):
                 out.append(prefix + (v,))
 
     full = (1 << n) - 1
-    rec(full, full, (), 1)
+    try:
+        rec(full, full, (), 1)
+    except _OverLimit:
+        return None
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return counts, out
@@ -245,21 +264,12 @@ def canonical_key(masks, n):
         return 0
     total = n * (n - 1) // 2
     best = None
-    placed = [0] * n
 
-    def rec(depth, prefix, length, unplaced):
+    def rec(depth, prefix, length, unplaced, items):
+        # items: (pattern, v) for each unplaced v, sorted, where the pattern
+        # is v's adjacency to the placed slots, the first slot's bit most
+        # significant; a child shifts in the bit of the slot it fills
         nonlocal best
-        items = []
-        m = unplaced
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            pat = 0
-            for a in range(depth):
-                pat = (pat << 1) | ((masks[placed[a]] >> v) & 1)
-            items.append((pat, v))
-        items.sort()
         seen = []
         for pat, v in items:
             bit_v = 1 << v
@@ -286,11 +296,11 @@ def canonical_key(masks, n):
                 if best is None or new_prefix < best:
                     best = new_prefix
             else:
-                placed[depth] = v
-                rec(depth + 1, new_prefix, new_len, rest)
-        return
+                row = masks[v]
+                rec(depth + 1, new_prefix, new_len, rest,
+                    sorted([((p << 1) | ((row >> u) & 1), u) for p, u in items if u != v]))
 
-    rec(0, 0, 0, (1 << n) - 1)
+    rec(0, 0, 0, (1 << n) - 1, [(0, v) for v in range(n)])
     return best
 
 

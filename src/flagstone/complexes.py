@@ -54,28 +54,33 @@ class SimplicialComplex(_Value):
 
     @classmethod
     def from_facets(cls, n, facets):
-        """Normalize: sort each facet, drop duplicates and contained faces."""
-        masks = {}
-        containing = {}
+        """Normalize: sort each facet, drop duplicates and contained faces.
+
+        A facet can lie only in a larger one, so only the facets below the
+        largest size are scanned; a pure complex needs no scan.
+        """
+        unique = {}  # a dict keeps the input order: sorted() below is linear on sorted input
         for facet in facets:
             fs = tuple(sorted(set(facet)))
             if fs and not (0 <= fs[0] and fs[-1] < n):
                 raise InvalidComplex(f"facet {fs} out of range for n={n}")
             if len(fs) - 1 > DIMENSION_CAP:
                 raise InvalidComplex(f"facet of dimension {len(fs) - 1} exceeds cap {DIMENSION_CAP}")
-            if fs not in masks:
-                masks[fs] = mask = _vertex_mask(fs)
+            unique[fs] = None
+        top = max(map(len, unique), default=0)
+        small = [fs for fs in unique if len(fs) < top]
+        if small:
+            containing = {}
+            for fs in unique:
+                mask = _vertex_mask(fs)
                 for v in fs:
                     containing.setdefault(v, []).append(mask)
-        maximal = []
-        for fs, mask in masks.items():
-            # a facet containing fs contains its lowest vertex; () lies in every facet
-            for other in containing[fs[0]] if fs else masks.values():
-                if other != mask and other | mask == other:
-                    break
-            else:
-                maximal.append(fs)
-        return cls(n, tuple(sorted(maximal)))
+            for fs in small:
+                # a facet containing fs contains its lowest vertex; () lies in every facet
+                mask = _vertex_mask(fs)
+                if not fs or any(other != mask and other | mask == other for other in containing[fs[0]]):
+                    del unique[fs]
+        return cls(n, tuple(sorted(unique)))
 
     @property
     def dimension(self):
@@ -135,8 +140,9 @@ class SimplicialComplex(_Value):
         for facet in self.facets:
             mask = _vertex_mask(facet)
             for v in facet:
-                rows[v] |= mask ^ (1 << v)
-        return Graph._of_rows(self.n, tuple(rows))
+                rows[v] |= mask
+        # each row also took its own vertex from its facets' masks
+        return Graph._of_rows(self.n, tuple(row & ~(1 << v) for v, row in enumerate(rows)))
 
 
 def _vertex_mask(vertices):
@@ -157,16 +163,27 @@ def maximal_cliques_are_facets(k):
     That holds exactly when k is flag: vertices and edges of the skeleton
     are faces by construction, and ambient vertices that lie in no facet
     are 1-vertex maximal cliques, so they are ignored.  The maximal cliques
-    of the skeleton are the unions of one maximal clique per join factor;
-    they are built one at a time and the first non-facet stops the scan,
-    so at most one more than the facets are built.  A prime skeleton is
-    its own single factor, and its maximal cliques are compared as listed.
+    of the skeleton are the unions of one maximal clique per join factor,
+    and each factor's come from one clique census (`Graph.census`), which
+    also caches the factor's count vector for the f-vector.  The census
+    is capped: in a flag complex every clique is a face, at most
+    sum(2^|F|) of them, except the ambient vertices, at most n, and the
+    empty clique when there are no facets, so a factor with more than
+    sum(2^|F|) + n + 1 cliques decides "not flag" and no census lists
+    more: no more than the f-vector of a flag complex with the same
+    facets could list anyway.  The unions are built one at a time and
+    the first non-facet stops the scan; a prime skeleton is its own
+    single factor, and its maximal cliques are compared as listed.
     """
-    facets = set(k.facets)
+    limit = sum(1 << len(f) for f in k.facets) + k.n + 1
     factors = k.one_skeleton().join_factors()
+    listed = [f.census(limit) for f, _ in factors]
+    if None in listed:
+        return False
+    facets = set(k.facets)
     if len(factors) == 1:
-        return all(len(c) < 3 or c in facets for c in factors[0][0].maximal_cliques())
-    mapped = [[tuple(vmap[v] for v in c) for c in f.maximal_cliques()] for f, vmap in factors]
+        return all(len(c) < 3 or c in facets for c in listed[0])
+    mapped = [[tuple(vmap[v] for v in c) for c in cliques] for cliques, (_, vmap) in zip(listed, factors)]
     cliques = (tuple(sorted(chain.from_iterable(parts))) for parts in product(*mapped))
     return all(len(c) < 3 or c in facets for c in cliques)
 

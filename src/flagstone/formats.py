@@ -72,7 +72,10 @@ def parse_edge_list(text, path=None):
     n, lines = _counted_lines(text, path, "edge")
     rows = [0] * n
     for no, ln in lines:
-        u, v = _ints(ln, 2, path, no, "edge")
+        try:
+            u, v = map(int, ln.split())
+        except ValueError:  # _ints raises the ParseError that names the bad count or field
+            u, v = _ints(ln, 2, path, no, "edge")
         if not (0 <= u < v < n):
             raise ParseError(f"edge ({u}, {v}) violates 0 <= u < v < n={n}", path=path, line=no)
         if (rows[u] >> v) & 1:
@@ -147,7 +150,7 @@ def parse_facet_list(text, path=None):
             raise ParseError("non-integer facet field", path=path, line=no) from None
         if min(vs) < 0 or max(vs) >= n:
             raise ParseError(f"facet vertex outside 0..{n - 1}", path=path, line=no)
-        if vs != tuple(sorted(set(vs))):
+        if any(map(int.__ge__, vs, vs[1:])):
             raise ParseError("facet vertices must be strictly increasing", path=path, line=no)
         if len(vs) - 1 > DIMENSION_CAP:
             raise ParseError(

@@ -12,14 +12,17 @@ the sums of one maximal-clique size per factor.  `clique_counts`,
 `clique_count`, `maximal_clique_sizes` and the level test work per factor
 when there are two or more; `maximal_cliques()` lists the whole graph's.
 
-A single factor's full count vector comes from one clique census, which
-lists every clique and fills the `maximal_cliques()` cache on the way
-unless Bron-Kerbosch filled it first.  Bron-Kerbosch runs only when the
-maximal cliques are asked for before (or without) the counts: it is
-output-sensitive, while the census visits every clique.  A truncated
-vector, `clique_counts(kmax)` or `clique_count(k)`, is a slice of the full
-one once that is cached, and otherwise one capped count that stops at
-kmax: on a dense graph the full vector can be huge.
+A single factor's full count vector comes from one clique census,
+`Graph.census`, which lists every clique and fills the `maximal_cliques()`
+cache on the way unless Bron-Kerbosch filled it first.  The census takes
+a limit on the number of cliques: the flag test of a complex passes one,
+reads the maximal cliques of each factor of its skeleton from the census,
+and leaves the counts cached for the f-vector.  Bron-Kerbosch runs only
+when the maximal cliques are asked for before (or without) the counts:
+it is output-sensitive, while the census visits every clique.  A
+truncated vector, `clique_counts(kmax)` or `clique_count(k)`, is a slice
+of the full one once that is cached, and otherwise one capped count that
+stops at kmax: on a dense graph the full vector can be huge.
 
 `unpaired_ridge` is the package's one ridge count, for a factor's maximal
 cliques (`Graph.ridge_violation`) and for a complex's facets.
@@ -27,7 +30,7 @@ cliques (`Graph.ridge_violation`) and for a complex's facets.
 
 from collections import Counter
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import kernels
 from .errors import InvalidParameter, NotAClique
@@ -229,10 +232,24 @@ class Graph(_Value):
         factors = self.join_factors()
         if len(factors) > 1:
             return _poly_product([f.clique_counts() for f, _ in factors])
-        # the pass that counts every clique also finds the maximal ones
-        counts, cliques = kernels.clique_census(self.masks, self.n)
-        self.__dict__.setdefault("_maximal_cliques", tuple(cliques))
-        return tuple(counts)
+        self.census()
+        return self.__dict__["_clique_counts"]
+
+    def census(self, limit=-1):
+        """The maximal cliques, from one clique census of the whole graph
+        that caches them and the full count vector; None, caching nothing,
+        when limit >= 0 and the graph has more than `limit` cliques, the
+        empty one included.  Once the counts are cached it returns
+        `maximal_cliques()` without a census.  Maximal cliques that
+        Bron-Kerbosch cached first are kept; the census lists the same.
+        """
+        if "_clique_counts" not in self.__dict__:
+            found = kernels.clique_census(self.masks, self.n, limit)
+            if found is None:
+                return None
+            self.__dict__["_clique_counts"] = tuple(found[0])
+            self.__dict__.setdefault("_maximal_cliques", tuple(found[1]))
+        return self.maximal_cliques()
 
     @cached_property
     def _maximal_cliques(self):
@@ -377,7 +394,8 @@ def unpaired_ridge(cells):
     """(ridge, count) for the least ridge C - v of the cells C, sorted
     tuples, that lies in a number of cells other than two, or None."""
     # the ridges of a cell are its subsets one vertex short; () has none
-    incidence = Counter(r for cell in cells if cell for r in combinations(cell, len(cell) - 1))
+    cells = [cell for cell in cells if cell]
+    incidence = Counter(chain.from_iterable(map(combinations, cells, [len(cell) - 1 for cell in cells])))
     return min(((ridge, count) for ridge, count in incidence.items() if count != 2), default=None)
 
 

@@ -10,7 +10,8 @@ truncated vector), k_cliques, clique_number, bits_of, the key and graph6
 codecs (key_to_masks, masks_key, triangle_bits, rows_of_bits) and
 leveled_violation, the link test the level test is checked against, are
 pure Python only and are that module's functions.  Each kernel has one
-contract, stated on its `_kernels_py` namesake.
+contract, stated on its `_kernels_py` namesake; clique_census's limit
+on the number of cliques is passed to whichever backend runs.
 """
 
 from . import _kernels_py
@@ -33,10 +34,10 @@ def maximal_cliques(masks, n):
     return _kernels_py.maximal_cliques(masks, n)
 
 
-def clique_census(masks, n):
+def clique_census(masks, n, limit=-1):
     if _c is not None and n <= _C_MAX_N:
-        return _c.clique_census(masks, n)
-    return _kernels_py.clique_census(masks, n)
+        return _c.clique_census(masks, n, limit)
+    return _kernels_py.clique_census(masks, n, limit)
 
 
 def crowded_link(masks, n, d, within):

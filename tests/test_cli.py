@@ -376,6 +376,32 @@ def test_check_zero_vertex_instances(tmp_path, capsys):
         assert entry["leveled"] == {"d": 0, "verdict": False}
 
 
+def test_check_facet_files_at_the_census_limit(tmp_path, capsys):
+    # no facets on three and on five vertices, where every clique of the
+    # skeleton is the empty one or an ambient vertex, the n + 1 that the
+    # census limit adds to the faces; an empty triangle beside an ambient
+    # vertex; a repeated facet
+    files = {
+        "three.facets": "3 0\n",
+        "five.facets": "5 0\n",
+        "hollow.facets": "4 3\n0 1\n1 2\n0 2\n",
+        "twice.facets": "4 3\n0 1 2\n1 2 3\n0 1 2\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out_json = tmp_path / "report.json"
+    assert main(["check", *(str(tmp_path / name) for name in files), "--json", str(out_json)]) == 0
+    assert "4 ok" in capsys.readouterr().out
+    three, five, hollow, twice = json.loads(out_json.read_text())["entries"]
+    for entry, n in ((three, 3), (five, 5)):
+        assert (entry["n"], entry["facets"], entry["flag"], entry["f"]) == (n, 0, {"verdict": True}, [])
+        assert entry["pseudomanifold_witness"] == ["empty"]
+    assert hollow["flag"] == {"verdict": False, "witness": [0, 1, 2]}
+    assert hollow["f"] == [1, 3, 3] and hollow["leveled"] is None
+    assert (twice["facets"], twice["flag"], twice["f"]) == (2, {"verdict": True}, [1, 4, 5, 2])
+    assert twice["leveled"] == {"d": 2, "verdict": False}
+
+
 def test_bounds_missing_file(tmp_path, capsys):
     assert main(["bounds", str(tmp_path / "absent.txt"), "--s", "1"]) == 2
     assert "cannot read" in capsys.readouterr().err

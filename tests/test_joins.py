@@ -230,11 +230,43 @@ def test_flag_test_of_join_skeletons_matches_the_whole_skeleton():
         assert maximal_cliques_are_facets(k) == want, (g.masks, kind)
 
 
+def test_flag_test_of_prime_skeletons_matches_the_whole_skeleton():
+    # the same on random prime skeletons, whose one factor's maximal cliques
+    # come from the capped census: the clique complex, one facet of three or
+    # more vertices hollowed out, the edges alone, and the clique complex on
+    # a vertex set with ambient vertices
+    rng = random.Random(70)
+    kinds = [0] * 4
+    while min(kinds) < 40:
+        g = random_graph(rng.randrange(1, 11), rng.random(), rng)
+        if len(g.join_factors()) > 1:
+            continue
+        facets = list(kernels.maximal_cliques(g.masks, g.n))
+        n, kind = g.n, rng.randrange(4)
+        big = [c for c in facets if len(c) >= 3]
+        if kind == 1 and big:
+            hollow = rng.choice(big)
+            facets.remove(hollow)
+            facets += combinations(hollow, len(hollow) - 1)
+        elif kind == 2:
+            facets = g.edges()
+        elif kind == 3:
+            n += rng.randrange(1, 4)
+        kinds[kind] += 1
+        k = SimplicialComplex.from_facets(n, facets)
+        whole = k.one_skeleton()
+        assert len(whole.join_factors()) == 1
+        cliques = kernels.maximal_cliques(whole.masks, whole.n)
+        want = all(len(c) < 3 or c in set(k.facets) for c in cliques)
+        assert maximal_cliques_are_facets(k) == want, (g.masks, n, kind)
+
+
 def test_slow_whole_graph_instances_are_decided_per_factor(monkeypatch):
     # the level test and the flag test on joins of up to forty cycles, whose
     # whole-graph clique lists run to millions: the only kernel calls list
-    # the maximal cliques of single factors, and is_flag names its witness
-    # from the listed faces, not from the whole skeleton's triangles
+    # the maximal cliques of single factors, by Bron-Kerbosch in the level
+    # test and by the capped census in the flag test, and is_flag names its
+    # witness from the listed faces, not from the whole skeleton's triangles
     seen = []
     for name in ("maximal_cliques", "leveled_violation", "clique_census", "clique_counts", "k_cliques"):
         def counted(masks, n, *rest, _name=name, _kernel=getattr(kernels, name)):
@@ -242,8 +274,8 @@ def test_slow_whole_graph_instances_are_decided_per_factor(monkeypatch):
             return _kernel(masks, n, *rest)
         monkeypatch.setattr(kernels, name, counted)
 
-    def factor_cliques_only(g):
-        assert {name for name, _ in seen} == {"maximal_cliques"}, seen
+    def factor_cliques_only(g, kernel="maximal_cliques"):
+        assert {name for name, _ in seen} == {kernel}, seen
         assert max(n for _, n in seen) < g.n
         seen.clear()
 
@@ -260,7 +292,7 @@ def test_slow_whole_graph_instances_are_decided_per_factor(monkeypatch):
     for s in (10, 40):
         g = gen_join_of_cycles(s, 5 * s)
         assert is_flag(SimplicialComplex.from_facets(g.n, g.edges())) == (False, (0, 1, 5))
-        factor_cliques_only(g)
+        factor_cliques_only(g, "clique_census")
 
 
 def test_prime_graph_is_its_own_factor():

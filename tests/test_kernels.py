@@ -128,6 +128,29 @@ def test_graph_counts_and_cliques_agree_in_either_order():
         assert counts_first == (tuple(brute_clique_counts(g)), tuple(brute_maximal_cliques(g)))
 
 
+def test_capped_census_stops_just_past_its_limit(backend):
+    # the limit counts every clique, the empty one included: the census
+    # finishes at the exact count, gives None one below it, and -1 is no limit
+    for g in _census_cases():
+        m = list(g.masks)
+        full = backend.clique_census(m, g.n)
+        total = sum(full[0])
+        assert backend.clique_census(m, g.n, total) == full
+        assert backend.clique_census(m, g.n, total - 1) is None
+        assert backend.clique_census(m, g.n, -1) == full
+    assert backend.clique_census([], 0, 0) is None
+
+
+def test_dispatcher_passes_the_census_limit(backend, monkeypatch):
+    # a cycle on n vertices has 2n + 1 cliques; C70 is past the compiled
+    # kernel's 64 vertices and always runs in Python
+    monkeypatch.setattr(kernels, "_c", None if backend is _kernels_py else backend)
+    for g in (gen_cycle(9), gen_cycle(70)):
+        m = list(g.masks)
+        assert kernels.clique_census(m, g.n, 2 * g.n) is None
+        assert kernels.clique_census(m, g.n, 2 * g.n + 1) == kernels.clique_census(m, g.n)
+
+
 def test_level_test_never_runs_the_census(monkeypatch):
     # the complement of a 30-vertex path is prime and has about 2.2 million
     # cliques but only 4 410 maximal ones: only Bron-Kerbosch is affordable

@@ -41,7 +41,7 @@ from flagstone import (
     verify_type_partition,
     witness_link,
 )
-from flagstone import kernels
+from flagstone import _kernels_py, kernels
 from helpers import (
     all_graphs,
     brute_flag_witness,
@@ -101,6 +101,30 @@ def test_flag_matches_brute():
     assert is_flag(complexes[6]) == (False, (0, 1, 2, 3, 4))
     assert is_flag(complexes[7]) == (False, (0, 1, 2))
     assert is_flag(complexes[8]) == (False, (4, 5, 6))
+
+
+def test_flag_test_lists_at_most_its_limit_of_cliques(monkeypatch):
+    # the edges of the complement of a 30-vertex path: a prime skeleton with
+    # about 2.2 million cliques, while a flag complex with these 406 edge
+    # facets has at most 4 * 406 + 30 + 1 cliques.  The Python census reads
+    # one row per clique it visits, so counting the reads counts the cliques.
+    n = 30
+    k = SimplicialComplex.from_facets(n, [(u, v) for u in range(n) for v in range(u + 2, n)])
+    reads, limits = [], []
+
+    class Rows(tuple):
+        def __getitem__(self, v):
+            reads.append(v)
+            return tuple.__getitem__(self, v)
+
+    def census(masks, n, limit=-1):
+        limits.append(limit)
+        return _kernels_py.clique_census(Rows(masks), n, limit)
+
+    monkeypatch.setattr(kernels, "clique_census", census)
+    assert is_flag(k) == (False, (0, 2, 4))
+    assert limits == [4 * 406 + 30 + 1]
+    assert 0 < len(reads) <= limits[0]
 
 
 # -- weak pseudomanifolds ----------------------------------------------
