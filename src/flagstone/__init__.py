@@ -8,7 +8,6 @@ from .bounds import (
     edge_bound_odd,
     edge_lower_bound_odd,
     gamma_check,
-    linear_excess,
     lower_bound_status,
     verify_theorem_instance,
 )
@@ -21,10 +20,7 @@ from .complexes import (
     f_vector,
     gamma_vector,
     graph_f_vector,
-    h_from_gamma,
     h_vector,
-    inverse_h_vector,
-    middle_ds_coefficients,
     sphere_euler_characteristic,
 )
 from .errors import (
@@ -83,7 +79,6 @@ from .structure import (
     is_d_leveled,
     is_flag,
     is_weak_pseudomanifold,
-    link_leveled_property,
 )
 
 # The stability machinery is library-only: importing it on first use keeps

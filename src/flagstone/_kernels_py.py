@@ -335,11 +335,6 @@ def key_to_masks(key, n):
     return rows_of_bits(format(key & ((1 << total) - 1), f"0{total}b"), n)
 
 
-def masks_key(masks, n):
-    """The adjacency bitstring of the labeling as given (no minimization)."""
-    return int(triangle_bits(masks, n) or "0", 2)
-
-
 def bits_of(mask):
     """Vertex tuple of a bitmask, ascending."""
     out = []

@@ -70,14 +70,6 @@ def gamma_check(f0, f1, s):
     return g1, g2, holds
 
 
-def linear_excess(g, s):
-    """(|E| - ((s-1)/2s) n^2) / n: the linear-term coefficient the instance
-    exhibits, for corpus-wide aggregation."""
-    if g.n < 1:
-        raise InvalidParameter("need at least one vertex")
-    return (Fraction(g.edge_count) - Fraction(s - 1, 2 * s) * g.n * g.n) / g.n
-
-
 class BoundEntry(namedtuple("BoundEntry", "value holds equality status slack")):
     # slack = value - quantity: >= 0 when an upper bound holds, <= 0 when a
     # lower bound does, 0 exactly at equality

@@ -7,16 +7,15 @@ over i = -1..d, and the h-vector is the Taylor shift h(x) = f(x - 1):
 
     sum_i h_i x^(d+1-i) = sum_i f_i (x-1)^(d-i),
 
-which f(x) = h(x + 1) inverts.  The gamma-vector is one more change of
-basis,
+computed by Horner's rule in exact integers.  The gamma-vector is one
+more change of basis,
 
     sum_i h_i x^i = sum_i gamma_i x^i (x+1)^(d+1-2i),
 
 which has a (unique, integer) solution exactly when h is palindromic.  All
-arithmetic is exact: integers and fractions.Fraction, never floats.
+arithmetic is exact: integers, never floats.
 """
 
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product
 from math import comb
@@ -41,10 +40,11 @@ class SimplicialComplex(_Value):
     """Vertex count plus inclusion-maximal faces as sorted vertex tuples.
 
     A value: equal, hashed and shown by n and facets, which cannot be
-    reassigned; the 1-skeleton is built once and kept in its `__dict__`.
-    The constructor stores the facets as given, as `clique_complex` does
-    with a graph's sorted maximal cliques; `from_facets` sorts, checks
-    and reduces arbitrary facet lists first.
+    reassigned; the 1-skeleton, the flag verdict and the face listing
+    are made once and kept, immutable, in its `__dict__`.  The
+    constructor stores the facets as given, as `clique_complex` does with
+    a graph's sorted maximal cliques; `from_facets` sorts, checks and
+    reduces arbitrary facet lists first.
     """
 
     _fields = ("n", "facets")
@@ -90,32 +90,32 @@ class SimplicialComplex(_Value):
         return max(len(f) for f in self.facets) - 1
 
     def faces_by_size(self):
-        """Dict size -> set of faces, built level by level once require_face_budget passes."""
+        """Dict size -> frozenset of the faces of that size, for sizes 0 to
+        dimension + 1; {} for the void complex.  The faces are listed level
+        by level, once require_face_budget passes, and kept."""
+        return dict(enumerate(self._faces))
+
+    @cached_property
+    def _faces(self):
+        # a tuple of the faces of each size, the empty face first
         require_face_budget(self)
         by_size = {}
         for facet in self.facets:
             by_size.setdefault(len(facet), set()).add(facet)
         if not by_size:
-            return {}
-        top = max(by_size)
-        out = {}
-        level = set()
-        for size in range(top, 0, -1):
-            level = set(by_size.get(size, ())) | {
-                face[:i] + face[i + 1:] for face in level for i in range(len(face))
-            }
-            out[size] = level
-        out[0] = {()}
-        return out
+            return ()
+        levels = []
+        level = ()
+        for size in range(max(by_size), 0, -1):
+            level = frozenset(by_size.get(size, ())).union(
+                face[:i] + face[i + 1:] for face in level for i in range(len(face)))
+            levels.append(level)
+        return (frozenset({()}), *reversed(levels))
 
-    def faces(self):
-        by_size = self.faces_by_size()
-        return {face for level in by_size.values() for face in level}
-
-    def has_face(self, face):
-        fs = tuple(sorted(face))
-        s = set(fs)
-        return any(s <= set(facet) for facet in self.facets)
+    @cached_property
+    def _flag(self):
+        # is_flag and f_vector both ask; the capped census that says no caches nothing
+        return maximal_cliques_are_facets(self)
 
     def one_skeleton(self):
         """The underlying Graph on the same vertex set, built once."""
@@ -197,11 +197,9 @@ def f_vector(k):
     """
     if not k.facets:
         return ()
-    if k.dimension >= 0 and maximal_cliques_are_facets(k):
+    if k.dimension >= 0 and k._flag:
         return graph_f_vector(k.support_skeleton())
-    by_size = k.faces_by_size()
-    top = max(by_size)
-    return (1,) + tuple(len(by_size[s]) for s in range(1, top + 1))
+    return tuple(map(len, k._faces))
 
 
 def graph_f_vector(g):
@@ -211,32 +209,20 @@ def graph_f_vector(g):
     return g.clique_counts()
 
 
-def _taylor_shift(coeffs, c):
-    """Coefficients of p(x + c), given and returned from the highest degree
-    down: Horner's rule applied once per degree, in exact integers."""
-    out = list(coeffs)
-    for top in range(len(out) - 1, 0, -1):
-        for j in range(1, top + 1):
-            out[j] += c * out[j - 1]
-    return tuple(out)
-
-
 def h_vector(f, d):
-    """The h-vector of an f-vector of a d-dimensional complex: h(x) = f(x - 1)."""
+    """The h-vector of an f-vector of a d-dimensional complex: the Taylor
+    shift h(x) = f(x - 1) of the coefficients, highest degree first, by
+    Horner's rule applied once per degree."""
     f = tuple(f)
     if len(f) != d + 2:
         raise DimensionMismatch(f"f-vector of a {d}-complex needs {d + 2} entries, got {len(f)}")
     if f[0] != 1:
         raise InvalidParameter("f_-1 must be 1")
-    return _taylor_shift(f, -1)
-
-
-def inverse_h_vector(h, d):
-    """Recover the f-vector: f(x) = h(x + 1)."""
-    h = tuple(h)
-    if len(h) != d + 2:
-        raise DimensionMismatch(f"h-vector of a {d}-complex needs {d + 2} entries, got {len(h)}")
-    return _taylor_shift(h, 1)
+    h = list(f)
+    for top in range(len(h) - 1, 0, -1):
+        for j in range(1, top + 1):
+            h[j] -= h[j - 1]
+    return tuple(h)
 
 
 def euler_characteristic(f):
@@ -290,39 +276,3 @@ def gamma_vector(h):
     if any(rem):
         raise NotPalindromic(f"h-vector {h} fails Dehn-Sommerville; no gamma-vector exists")
     return tuple(gamma)
-
-
-def h_from_gamma(gamma, d):
-    """Re-expand a gamma-vector through the x^i (x+1)^(d+1-2i) basis."""
-    s = (d + 1) // 2
-    if len(gamma) > s + 1:
-        raise DimensionMismatch(f"gamma-vector for d={d} has at most {s + 1} entries")
-    out = [0] * (d + 2)
-    for i, c in enumerate(gamma):
-        for j in range(d + 2 - 2 * i):
-            out[i + j] += c * comb(d + 1 - 2 * i, j)
-    return tuple(out)
-
-
-def middle_ds_coefficients(d):
-    """Express f_s as a linear form in f_-1..f_(s-1), s = floor((d+1)/2).
-
-    The middle palindromy equation (h_(s-1) = h_(s+1) for odd d, h_s =
-    h_(s+1) for even d) is expanded in the f-basis, where the coefficient
-    of f_i is read from the h-vector of the unit f-vector at f_i; the f_s
-    coefficient is 1, so solving for f_s is a single normalization.
-    Returns ({i: a_i for i = -1..s-1}, sum of |a_i|), all exact rationals.
-    """
-    if d < 1:
-        raise InvalidParameter("need dimension >= 1")
-    s = (d + 1) // 2
-    a_idx = s - 1 if d % 2 else s
-    diff = {}
-    for i in range(-1, d + 1):
-        h = _taylor_shift((0,) * (i + 1) + (1,) + (0,) * (d - i), -1)
-        diff[i] = h[s + 1] - h[a_idx]
-    if diff[s] != 1 or any(diff[i] for i in range(s + 1, d + 1)):
-        raise AssertionError("middle palindromy row is not triangular in the f-basis")
-    coeffs = {i: Fraction(-diff[i]) for i in range(-1, s)}
-    bound_constant = sum(abs(c) for c in coeffs.values())
-    return coeffs, bound_constant

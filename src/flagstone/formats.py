@@ -22,8 +22,8 @@ constructor's scan.  A facet list's 1-skeleton is built from facet
 bitmasks by SimplicialComplex.one_skeleton.
 """
 
-from .complexes import DIMENSION_CAP, VERTEX_LIMIT, SimplicialComplex
-from .errors import InvalidComplex, ParseError
+from .complexes import DIMENSION_CAP, EDGE_LIMIT, VERTEX_LIMIT, SimplicialComplex
+from .errors import InvalidComplex, InvalidParameter, ParseError
 from .graphs import Graph
 from .kernels import rows_of_bits, triangle_bits
 
@@ -91,12 +91,12 @@ def dump_edge_list(g):
     return "\n".join(lines) + "\n"
 
 
-_G6_MAX_N = 258047
-
-
 def dump_graph6(g):
-    if g.n > _G6_MAX_N:
-        raise ParseError(f"graph6 size header supports n <= {_G6_MAX_N}")
+    """The graph6 string of g.  Its body holds one bit per vertex pair, so
+    a graph with more than EDGE_LIMIT pairs is refused before any is written."""
+    pairs = g.n * (g.n - 1) // 2
+    if pairs > EDGE_LIMIT:
+        raise InvalidParameter(f"graph6 needs {pairs} bits for n={g.n}, over the edge limit {EDGE_LIMIT}")
     if g.n <= 62:
         head = chr(g.n + 63)
     else:

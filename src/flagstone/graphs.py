@@ -317,12 +317,6 @@ class Graph(_Value):
             common &= self.masks[v]
         return hit[0], kernels.bits_of(common)
 
-    def k_cliques(self, k):
-        return kernels.k_cliques(self.masks, self.n, k)
-
-    def clique_number(self, stop_at=-1):
-        return kernels.clique_number(self.masks, self.n, stop_at)
-
     # -- derived graphs --------------------------------------------------
 
     def induced(self, vertices):

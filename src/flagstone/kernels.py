@@ -6,17 +6,17 @@ and n <= 64, since it carries a row in one 64-bit word; every other call,
 and every call on a machine where the extension was not built, runs the
 pure-Python reference `_kernels_py`.  BACKEND is "c" when the extension
 imported, else "python".  clique_counts (the count capped at a size, for a
-truncated vector), k_cliques, clique_number, bits_of, the key and graph6
-codecs (key_to_masks, masks_key, triangle_bits, rows_of_bits) and
-leveled_violation, the link test the level test is checked against, are
-pure Python only and are that module's functions.  Each kernel has one
+truncated vector), k_cliques, clique_number, bits_of, the key decoder
+and the graph6 codec under it (key_to_masks, triangle_bits, rows_of_bits)
+and leveled_violation, the link test the level test is checked against,
+are pure Python only and are that module's functions.  Each kernel has one
 contract, stated on its `_kernels_py` namesake; clique_census's limit
 on the number of cliques is passed to whichever backend runs.
 """
 
 from . import _kernels_py
 from ._kernels_py import (bits_of, clique_counts, clique_number, k_cliques, key_to_masks, leveled_violation,
-                          masks_key, rows_of_bits, triangle_bits)
+                          rows_of_bits, triangle_bits)
 
 try:
     from . import _kernels_c as _c

@@ -15,7 +15,6 @@ from collections import namedtuple
 from itertools import count
 
 from . import kernels
-from .complexes import maximal_cliques_are_facets
 from .errors import InvalidParameter
 from .graphs import unpaired_ridge
 
@@ -31,9 +30,11 @@ def is_flag(k):
     witness) with witness the lexicographically first non-face clique of
     the smallest size s, a minimal non-face: tau + (w,) for an (s-1)-face
     tau and a common neighbor w > max tau, first in the walk over the
-    sorted faces (`faces_by_size`, within require_face_budget).
+    sorted faces (`faces_by_size`, within require_face_budget).  The
+    complex keeps the verdict and the face listing, so `f_vector` of a
+    complex that is not flag decides and lists nothing again.
     """
-    if maximal_cliques_are_facets(k):
+    if k._flag:
         return True, None
     faces = k.faces_by_size()
     masks = k.one_skeleton().masks
@@ -149,9 +150,3 @@ def detect_level(g):
     d = sizes[-1] - 1 if sizes else 0
     return d, is_d_leveled(g, d)
 
-
-def link_leveled_property(g, sigma, d):
-    """Does the link of the clique sigma pass the level test at d - |sigma|?"""
-    sigma = tuple(sorted(set(sigma)))
-    lk, _ = g.link(sigma)
-    return is_d_leveled(lk, d - len(sigma)).is_leveled

@@ -7,7 +7,6 @@ Only usable for small n.
 """
 
 import itertools
-from fractions import Fraction
 from math import comb
 
 from flagstone import Graph, kernels
@@ -197,19 +196,10 @@ def reference_h_vector(f, d):
                  for k in range(d + 2))
 
 
-def reference_inverse_h_vector(h, d):
-    """f_i = sum_k h_k C(d+1-k, d-i) over k = 0..d+1."""
-    return tuple(sum(h[k] * comb(d + 1 - k, d - i) for k in range(d + 2) if d - i <= d + 1 - k)
-                 for i in range(-1, d + 1))
-
-
-def reference_middle_ds_coefficients(d):
-    """The middle palindromy row h_(s+1) - h_a, a = s-1 at odd d and s at
-    even d, written in the f-basis and solved for f_s: ({i: a_i}, sum |a_i|)."""
-    s = (d + 1) // 2
-    a = s - 1 if d % 2 else s
-    coeffs = {i: Fraction(_h_coefficient(a, i, d) - _h_coefficient(s + 1, i, d)) for i in range(-1, s)}
-    return coeffs, sum(abs(c) for c in coeffs.values())
+def reference_h_from_gamma(gamma, d):
+    """h_k = sum_i gamma_i C(d+1-2i, k-i): the sum of gamma_i x^i (x+1)^(d+1-2i)."""
+    return tuple(sum(c * comb(d + 1 - 2 * i, k - i) for i, c in enumerate(gamma) if 0 <= k - i <= d + 1 - 2 * i)
+                 for k in range(d + 2))
 
 
 def all_graphs(n):

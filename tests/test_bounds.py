@@ -19,7 +19,6 @@ from flagstone import (
     gen_suspension_sphere,
     is_d_leveled,
     join,
-    linear_excess,
     lower_bound_status,
     verify_theorem_instance,
 )
@@ -117,17 +116,6 @@ def test_gamma_check_matches_edge_bound():
         f1 = rng.randrange(0, f0 * f0 + 1)
         _, _, holds = gamma_check(f0, f1, s)
         assert holds == (f1 <= edge_bound_odd(f0, s))
-
-
-def test_linear_excess():
-    assert linear_excess(gen_join_of_cycles(2, 10), 2) == 1
-    assert linear_excess(gen_join_of_cycles(3, 12), 3) == 1
-    g = gen_join_of_cycles(2, 10).without_edge(0, 5)
-    assert linear_excess(g, 2) == Fraction(9, 10)
-    with pytest.raises(InvalidParameter):
-        from flagstone import Graph
-
-        linear_excess(Graph(0, ()), 1)
 
 
 def test_report_on_extremal_join():

@@ -105,6 +105,20 @@ def test_edge_limit_exit(capsys, argv):
     assert "edges, over the edge limit" in err
 
 
+def test_gen_graph6_pair_limit(capsys):
+    # a graph6 body has one bit per vertex pair: 2048 vertices make
+    # 2 096 128 pairs, within EDGE_LIMIT = 2^21, and 2049 make 2 098 176
+    assert main(["gen", "independent", "2048", "--format", "graph6"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == "~?_?" + "?" * ((2048 * 2047 // 2 + 5) // 6) + "\n"
+    start = time.perf_counter()
+    assert main(["gen", "independent", "2049", "--format", "graph6"]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: graph6 needs 2098176 bits for n=2049, over the edge limit 2097152\n"
+
+
 def test_check_ok_and_json(tmp_path, capsys):
     f = tmp_path / "j.g6"
     f.write_text(dump_graph6(gen_join_of_cycles(2, 10)) + "\n")

@@ -1,8 +1,10 @@
 """Enumeration, random mode's cycle-join report, and corpus checking."""
 
 import concurrent.futures
+import itertools
 import os
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -26,12 +28,15 @@ from flagstone import (
     gen_suspension_sphere,
     graph_from_key,
     is_d_leveled,
+    parse_facet_list,
     random_search,
     run_corpus_checks,
 )
-from flagstone import kernels, search
+from flagstone import complexes, kernels, search
 from flagstone.complexes import SimplicialComplex
 from helpers import all_graphs, partitions
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def test_enumerate_classes_counts():
@@ -50,7 +55,8 @@ def test_enumerate_classes_clique_cap():
     levels = enumerate_classes(6, clique_cap=4)
     assert [len(levels[n]) for n in (4, 5, 6)] == [11, 33, 150]
     for key in levels[6]:
-        assert graph_from_key(key, 6).clique_number() <= 4
+        g = graph_from_key(key, 6)
+        assert kernels.clique_number(g.masks, g.n) <= 4
 
 
 def test_enumerate_workers_byte_identical():
@@ -297,6 +303,48 @@ def test_check_instance_does_clique_work_once(monkeypatch, make, expected):
     entry = check_instance("x", obj)
     assert entry["leveled"]["verdict"] is True and "report" in entry
     assert calls == {name: expected.get(name, []) for name in names}
+
+
+@pytest.mark.parametrize(
+    "make,census",
+    [
+        # the facets of K2,2,2,2's clique complex but one: four 2-vertex factors
+        (lambda: parse_facet_list((GOLDEN / "hollow.facets").read_text()), [2, 2, 2, 2]),
+        # the boundary of the 4-simplex: K5 is the join of five vertices
+        (lambda: SimplicialComplex.from_facets(5, itertools.combinations(range(5), 4)), [1] * 5),
+        # the edges of the complement of P12: a prime skeleton whose capped
+        # census stops, caching nothing on the graph
+        (lambda: SimplicialComplex.from_facets(12, [(u, v) for u in range(12) for v in range(u + 2, 12)]),
+         [12]),
+    ],
+    ids=["hollow-facets", "simplex-boundary", "prime-edges"],
+)
+def test_check_instance_tests_a_non_flag_complex_once(monkeypatch, make, census):
+    # is_flag decides and lists the faces for its witness; the f-vector
+    # reads both from the complex instead of deciding and listing again
+    k = make()
+    calls = {"flag": 0, "faces_by_size": 0, "listing": 0, "clique_census": []}
+
+    def count(key, fn):
+        def counted(*args):
+            if key == "clique_census":
+                calls[key].append(args[1])
+            else:
+                calls[key] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(complexes, "maximal_cliques_are_facets",
+                        count("flag", complexes.maximal_cliques_are_facets))
+    monkeypatch.setattr(SimplicialComplex, "faces_by_size", count("faces_by_size", SimplicialComplex.faces_by_size))
+    monkeypatch.setattr(kernels, "clique_census", count("clique_census", kernels.clique_census))
+    listing = cached_property(count("listing", SimplicialComplex._faces.func))
+    listing.__set_name__(SimplicialComplex, "_faces")
+    monkeypatch.setattr(SimplicialComplex, "_faces", listing)
+    entry = check_instance("x", k)
+    assert calls == {"flag": 1, "faces_by_size": 1, "listing": 1, "clique_census": census}
+    assert entry["flag"]["verdict"] is False
+    assert entry["f"] == [len(level) for _, level in sorted(k.faces_by_size().items())]
 
 
 def test_ridge_test_runs_once_per_factor(monkeypatch):

@@ -36,7 +36,6 @@ from flagstone import (
     is_flag,
     is_weak_pseudomanifold,
     join,
-    link_leveled_property,
     restrict_witness,
     verify_type_partition,
     witness_link,
@@ -265,17 +264,6 @@ def test_ridge_scan_names_the_link_kernel_witness():
         k = g.maximal_clique_sizes()[0]
         assert g.ridge_violation == kernels.leveled_violation(g.masks, g.n, k - 1), g.masks
     assert sum(g.ridge_violation is None for g in graphs) > 20
-
-
-def test_link_leveled_property():
-    # d is the ambient level; the link is tested at d - |sigma|
-    g = join(gen_cycle(5), gen_cycle(5))
-    assert link_leveled_property(g, (0,), 3)  # vertex link is a 2-sphere skeleton
-    assert link_leveled_property(g, (), 3)
-    assert link_leveled_property(g, (0, 1), 3)  # edge link is the other C5
-    assert link_leveled_property(g, (0, 5), 3)  # cross edge: link is a 4-cycle
-    with pytest.raises(NotAClique):
-        link_leveled_property(g, (0, 2), 3)
 
 
 # -- type partitions ----------------------------------------------------
@@ -621,7 +609,7 @@ def test_parts_are_triangle_free_max_degree_two():
         w = extract_partition(g, s, Fraction(1, 10))
         for part in w.parts:
             sub, _ = g.induced(part)
-            assert sub.clique_number() <= 2
+            assert kernels.clique_number(sub.masks, sub.n) <= 2
             assert max(sub.degree(v) for v in range(sub.n)) <= 2
 
 
