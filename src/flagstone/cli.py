@@ -4,9 +4,15 @@ Exit codes: 0 when every requested check passes or completes, 1 when a
 level-verified instance violates a theorem-status bound (a potential
 counterexample worth human eyes), 2 for usage and parse errors and for an
 output path that cannot be written.
+
+`main()` without argv, as the `flagstone` script and `python -m
+flagstone.cli` call it, freezes the start-up heap with `gc.freeze()`, so
+the collections at exit do not walk it; `main(argv)`, as tests and other
+in-process callers call it, leaves the heap as it is.
 """
 
 import argparse
+import gc
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -14,7 +20,7 @@ from json.encoder import encode_basestring_ascii
 
 from .bounds import verify_theorem_instance
 from .errors import FlagstoneError
-from .formats import dump_edge_list, dump_graph6, load_instances
+from .formats import check_graph6_size, dump_edge_list, dump_graph6, load_instances
 from .generators import (
     gen_complete_multipartite,
     gen_cycle,
@@ -33,13 +39,14 @@ from .search import (
 )
 from .structure import is_flag
 
+# family: (generator, parameter count or None for any, vertex count)
 _FAMILIES = {
-    "cycle": (gen_cycle, 1),
-    "independent": (gen_independent, 1),
-    "complete_multipartite": (None, None),
-    "join_of_cycles": (gen_join_of_cycles, 2),
-    "suspension_sphere": (gen_suspension_sphere, 1),
-    "grid_torus": (gen_grid_torus, 2),
+    "cycle": (gen_cycle, 1, lambda k: k),
+    "independent": (gen_independent, 1, lambda k: k),
+    "complete_multipartite": (lambda *parts: gen_complete_multipartite(parts), None, lambda *parts: sum(parts)),
+    "join_of_cycles": (gen_join_of_cycles, 2, lambda s, n: n),
+    "suspension_sphere": (gen_suspension_sphere, 1, lambda k: k + 2),
+    "grid_torus": (gen_grid_torus, 2, lambda p, q: p * q),
 }
 
 
@@ -58,15 +65,14 @@ def _cmd_gen(args):
     except ValueError:
         print("gen: parameters must be integers", file=sys.stderr)
         return 2
-    family = args.family
-    if family == "complete_multipartite":
-        g = gen_complete_multipartite(tuple(params))
-    else:
-        fn, arity = _FAMILIES[family]
-        if len(params) != arity:
-            print(f"gen: {family} takes {arity} parameter(s), got {len(params)}", file=sys.stderr)
-            return 2
-        g = fn(*params)
+    fn, arity, vertices = _FAMILIES[args.family]
+    if arity is not None and len(params) != arity:
+        print(f"gen: {args.family} takes {arity} parameter(s), got {len(params)}", file=sys.stderr)
+        return 2
+    if args.format == "graph6":
+        # refused from the parameters, before a row of a graph too big to write is built
+        check_graph6_size(max(vertices(*params), 0))
+    g = fn(*params)
     if args.format == "graph6":
         print(dump_graph6(g))
     else:
@@ -307,6 +313,12 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run the command argv names, sys.argv[1:] when it is None, and return
+    its exit code.  Without argv this is the process entry, and it first
+    freezes the start-up heap: every module is imported and a collection
+    would find nothing to free, so the collections at exit skip it."""
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -91,12 +91,18 @@ def dump_edge_list(g):
     return "\n".join(lines) + "\n"
 
 
-def dump_graph6(g):
-    """The graph6 string of g.  Its body holds one bit per vertex pair, so
-    a graph with more than EDGE_LIMIT pairs is refused before any is written."""
-    pairs = g.n * (g.n - 1) // 2
+def check_graph6_size(n):
+    """Raise InvalidParameter when the graph6 body of an n-vertex graph, one
+    bit per vertex pair, would hold more than EDGE_LIMIT bits."""
+    pairs = n * (n - 1) // 2
     if pairs > EDGE_LIMIT:
-        raise InvalidParameter(f"graph6 needs {pairs} bits for n={g.n}, over the edge limit {EDGE_LIMIT}")
+        raise InvalidParameter(f"graph6 needs {pairs} bits for n={n}, over the edge limit {EDGE_LIMIT}")
+
+
+def dump_graph6(g):
+    """The graph6 string of g; one over the edge limit is refused by
+    check_graph6_size before any bit is written."""
+    check_graph6_size(g.n)
     if g.n <= 62:
         head = chr(g.n + 63)
     else:

@@ -1,5 +1,7 @@
 """End-to-end runs of the command line entry point."""
 
+import argparse
+import gc
 import io
 import json
 import os
@@ -35,6 +37,21 @@ from helpers import random_graph
 def test_gen_edgelist(capsys):
     assert main(["gen", "cycle", "5"]) == 0
     assert capsys.readouterr().out == dump_edge_list(gen_cycle(5))
+
+
+def test_only_the_process_entry_freezes_the_heap(monkeypatch, capsys):
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda self, *args: events.append("parse") or parse_args(self, *args))
+    assert main(["gen", "cycle", "5"]) == 0
+    assert events == ["parse"]
+    events.clear()
+    monkeypatch.setattr(sys, "argv", ["flagstone", "gen", "cycle", "5"])
+    assert main() == 0
+    assert events == ["freeze", "parse"]
+    assert capsys.readouterr().out == 2 * dump_edge_list(gen_cycle(5))
 
 
 def test_gen_graph6(capsys):
@@ -105,7 +122,7 @@ def test_edge_limit_exit(capsys, argv):
     assert "edges, over the edge limit" in err
 
 
-def test_gen_graph6_pair_limit(capsys):
+def test_gen_graph6_pair_limit(monkeypatch, capsys):
     # a graph6 body has one bit per vertex pair: 2048 vertices make
     # 2 096 128 pairs, within EDGE_LIMIT = 2^21, and 2049 make 2 098 176
     assert main(["gen", "independent", "2048", "--format", "graph6"]) == 0
@@ -117,6 +134,15 @@ def test_gen_graph6_pair_limit(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: graph6 needs 2098176 bits for n=2049, over the edge limit 2097152\n"
+    # refused from its parameters: the torus builds its rows in from_edges,
+    # and the 65 536 rows of 65 536 bits would take about 450 MB
+    def build_rows(*args):
+        raise AssertionError("rows built for a graph6 over the edge limit")
+    monkeypatch.setattr(Graph, "from_edges", build_rows)
+    assert main(["gen", "grid_torus", "256", "256", "--format", "graph6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: graph6 needs 2147450880 bits for n=65536, over the edge limit 2097152\n"
 
 
 def test_check_ok_and_json(tmp_path, capsys):

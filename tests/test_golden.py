@@ -11,7 +11,9 @@ search-random-d5 were written while random mode still walked by edge
 swaps, the others while the value classes were still dataclasses.
 bounds-*.stdout are the reports of `flagstone bounds` on the files in
 BOUNDS, written while that command still printed through `json.dumps`.
-A speedup must leave them all unchanged.
+A speedup must leave them all unchanged, both through main(argv) in this
+process and through the process entry, `python -m flagstone.cli`, which
+freezes the start-up heap first.
 Regenerate them (only for a deliberate output change) from that directory:
 
     python -m flagstone.cli check join.txt suspension.txt torus.facets \
@@ -30,6 +32,9 @@ Regenerate them (only for a deliberate output change) from that directory:
     python -m flagstone.cli bounds torus.facets --s 1 > bounds-torus.stdout
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +42,7 @@ import pytest
 from flagstone.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 FILES = ["join.txt", "suspension.txt", "torus.facets", "pair.g6", "hollow.facets"]
 SEARCHES = {
     "search-d1": ["--mode", "exhaustive", "--d", "1", "--n", "3..7"],
@@ -72,3 +78,24 @@ def test_bounds_output_is_byte_identical(name, monkeypatch, capsys):
     monkeypatch.chdir(GOLDEN)
     assert main(["bounds", *BOUNDS[name]]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.stdout").read_text()
+
+
+def _process_entry(args, cwd):
+    """Run `python -m flagstone.cli args` in a fresh interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-B", "-m", "flagstone.cli", *args], cwd=cwd, env=env,
+                          capture_output=True, check=False)
+
+
+def test_process_entry_output_is_byte_identical(tmp_path):
+    out_json = tmp_path / "check.json"
+    done = _process_entry(["check", *FILES, "--json", str(out_json)], GOLDEN)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / "check.stdout").read_bytes()
+    assert out_json.read_bytes() == (GOLDEN / "check.json").read_bytes()
+    # two workers: the pool forks from the frozen parent
+    out = tmp_path / "search-d2.json"
+    done = _process_entry(["search", *SEARCHES["search-d2"], "--workers", "2", "--out", str(out)], tmp_path)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout == (GOLDEN / "search-d2.stdout").read_bytes()
+    assert out.read_bytes() == (GOLDEN / "search-d2.json").read_bytes()
