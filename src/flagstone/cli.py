@@ -72,11 +72,9 @@ def _cmd_gen(args):
     if args.format == "graph6":
         # refused from the parameters, before a row of a graph too big to write is built
         check_graph6_size(max(vertices(*params), 0))
-    g = fn(*params)
-    if args.format == "graph6":
-        print(dump_graph6(g))
+        print(dump_graph6(fn(*params)))
     else:
-        sys.stdout.write(dump_edge_list(g))
+        sys.stdout.write(dump_edge_list(fn(*params)))
     return 0
 
 
