@@ -107,20 +107,11 @@ class BoundReport(namedtuple(
         }
 
 
-def upper_entry(n, s, edges):
-    value = edge_bound_odd(n, s)
-    return BoundEntry(value, edges <= value, edges == value, STATUS_THEOREM, value - edges)
-
-
-def lower_entry(n, s, edges, connected=True):
-    value = edge_lower_bound_odd(n, s)
-    status = lower_bound_status(s, connected)
-    return BoundEntry(value, edges >= value, edges == value, status, value - edges)
-
-
-def even_entry(n, s, edges):
-    value = edge_bound_even_conjecture(n, s)
-    return BoundEntry(value, edges <= value, edges == value, STATUS_CONJECTURE, value - edges)
+def bound_entry(value, edges, status, upper=True):
+    """The BoundEntry of an edge count against an upper bound, or a lower
+    one when upper is False."""
+    slack = value - edges
+    return BoundEntry(value, slack >= 0 if upper else slack <= 0, slack == 0, status, slack)
 
 
 def verify_theorem_instance(g, s, cap=None, instance="graph"):
@@ -159,8 +150,10 @@ def verify_theorem_instance(g, s, cap=None, instance="graph"):
     if not connected:
         notes.append("lower_odd is proven for connected graphs only; this graph is disconnected")
     bounds = {
-        "thm_odd": upper_entry(n, s, edges),
-        "lower_odd": lower_entry(n, s, edges, connected),
+        "thm_odd": bound_entry(edge_bound_odd(n, s), edges, STATUS_THEOREM),
+        "lower_odd": bound_entry(
+            edge_lower_bound_odd(n, s), edges, lower_bound_status(s, connected), upper=False
+        ),
     }
     return BoundReport(
         instance=instance,

@@ -21,14 +21,7 @@ from json.encoder import encode_basestring_ascii
 from .bounds import verify_theorem_instance
 from .errors import FlagstoneError
 from .formats import check_graph6_size, dump_edge_list, dump_graph6, load_instances
-from .generators import (
-    gen_complete_multipartite,
-    gen_cycle,
-    gen_grid_torus,
-    gen_independent,
-    gen_join_of_cycles,
-    gen_suspension_sphere,
-)
+from . import generators
 from .graphs import Graph
 from .search import (
     SearchConfig,
@@ -39,14 +32,16 @@ from .search import (
 )
 from .structure import is_flag
 
-# family: (generator, parameter count or None for any, vertex count)
+# family: (generator, its check, parameter count or None for one list of any length)
 _FAMILIES = {
-    "cycle": (gen_cycle, 1, lambda k: k),
-    "independent": (gen_independent, 1, lambda k: k),
-    "complete_multipartite": (lambda *parts: gen_complete_multipartite(parts), None, lambda *parts: sum(parts)),
-    "join_of_cycles": (gen_join_of_cycles, 2, lambda s, n: n),
-    "suspension_sphere": (gen_suspension_sphere, 1, lambda k: k + 2),
-    "grid_torus": (gen_grid_torus, 2, lambda p, q: p * q),
+    "cycle": (generators.gen_cycle, generators.check_cycle, 1),
+    "independent": (generators.gen_independent, generators.check_independent, 1),
+    "complete_multipartite": (
+        generators.gen_complete_multipartite, generators.check_complete_multipartite, None
+    ),
+    "join_of_cycles": (generators.gen_join_of_cycles, generators.check_join_of_cycles, 2),
+    "suspension_sphere": (generators.gen_suspension_sphere, generators.check_suspension_sphere, 1),
+    "grid_torus": (generators.gen_grid_torus, generators.check_grid_torus, 2),
 }
 
 
@@ -65,13 +60,17 @@ def _cmd_gen(args):
     except ValueError:
         print("gen: parameters must be integers", file=sys.stderr)
         return 2
-    fn, arity, vertices = _FAMILIES[args.family]
-    if arity is not None and len(params) != arity:
+    fn, check, arity = _FAMILIES[args.family]
+    if arity is None:
+        params = [tuple(params)]
+    elif len(params) != arity:
         print(f"gen: {args.family} takes {arity} parameter(s), got {len(params)}", file=sys.stderr)
         return 2
     if args.format == "graph6":
-        # refused from the parameters, before a row of a graph too big to write is built
-        check_graph6_size(max(vertices(*params), 0))
+        # the generator's own refusals first, then the graph6 size, all
+        # before a row of a graph too big to write is built
+        n, _ = check(*params)
+        check_graph6_size(n)
         print(dump_graph6(fn(*params)))
     else:
         sys.stdout.write(dump_edge_list(fn(*params)))

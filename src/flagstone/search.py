@@ -40,6 +40,13 @@ output is deterministic and byte-identical regardless of worker count.
 Random mode reports the balanced cycle join at each size when it passes
 the level test: no single edge swap of that join passes it
 (`random_search` gives the proof), so there is no walk to run.
+
+Both modes only choose an extremal graph and counts per n; the one
+payload builder `_search_result` makes the per-n entries, the odd-level
+reports and the `SearchResult`.  A `check` entry writes each field once:
+`_add_face_algebra` the face algebra, `_add_skeleton` what a clique
+complex's graph gives (for a graph and for a flag complex alike), and
+`check_instance` the rest.
 """
 
 import json
@@ -48,12 +55,14 @@ from collections import namedtuple
 
 from . import kernels
 from .bounds import (
+    STATUS_CONJECTURE,
+    bound_entry,
     edge_bound_even_conjecture,
     edge_bound_odd,
-    even_entry,
     verify_theorem_instance,
 )
 from .complexes import (
+    EDGE_LIMIT,
     check_dehn_sommerville,
     check_klee,
     euler_characteristic,
@@ -62,7 +71,7 @@ from .complexes import (
     graph_f_vector,
     h_vector,
 )
-from .errors import BudgetExceeded, InvalidParameter, NotPalindromic, ParseError
+from .errors import BudgetExceeded, InvalidParameter, ParseError
 from .formats import load_instances
 from .generators import check_join_of_cycles, gen_join_of_cycles
 from .graphs import Graph
@@ -121,22 +130,8 @@ class SearchResult(namedtuple(
 
     __slots__ = ()
 
-    def to_json_dict(self):
-        return {
-            "mode": self.mode,
-            "d": self.d,
-            "s": self.s,
-            "n_min": self.n_min,
-            "n_max": self.n_max,
-            "seed": self.seed,
-            "budget": self.budget,
-            "per_n": list(self.per_n),
-            "reports": list(self.reports),
-            "notes": list(self.notes),
-        }
-
     def to_json_bytes(self):
-        return (json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
+        return (json.dumps(self._asdict(), sort_keys=True, separators=(",", ":")) + "\n").encode("ascii")
 
 
 def _extend_chunk(args):
@@ -211,25 +206,28 @@ def graph_from_key(key, n):
     return Graph._of_rows(n, tuple(kernels.key_to_masks(key, n)))
 
 
-def _bound_for(n, d, s):
-    return edge_bound_odd(n, s) if d % 2 else edge_bound_even_conjecture(n, s)
-
-
-def _extremal_entry(cfg, s, n, best, **counts):
-    """The per-n entry of a search around its chosen extremal graph `best`
-    (None when nothing on n vertices passed the level test), with the
-    mode's counts, and the odd-level report of `best` or None."""
-    bound = _bound_for(n, cfg.d, s)
-    entry = {"n": n, **counts, "max_edges": None, "argmax_edges": None,
-             "bound": str(bound), "bound_holds": None}
-    if best is None:
-        return entry, None
-    entry["max_edges"] = best.edge_count
-    entry["argmax_edges"] = best.edges()
-    entry["bound_holds"] = best.edge_count <= bound
-    if cfg.d % 2 == 0:
-        return entry, None
-    return entry, verify_theorem_instance(best, s, instance=f"{cfg.mode}:n={n}").to_json_dict()
+def _search_result(cfg, chosen, notes):
+    """The SearchResult of either mode, from its notes and its `(n, best,
+    counts)` per size: `best` is the chosen extremal graph on n vertices,
+    None when none passed the level test, and `counts` a dict of the mode's
+    counts.  Each size gets a per-n entry, and each `best` at odd d the
+    theorem report.  `chosen` is read one size at a time, so the graphs
+    of a size are freed once the next size is read."""
+    s = cfg.s_effective
+    per_n = []
+    reports = []
+    for n, best, counts in chosen:
+        bound = edge_bound_odd(n, s) if cfg.d % 2 else edge_bound_even_conjecture(n, s)
+        entry = {"n": n, **counts, "max_edges": None, "argmax_edges": None,
+                 "bound": str(bound), "bound_holds": None}
+        if best is not None:
+            entry.update(max_edges=best.edge_count, argmax_edges=best.edges(),
+                         bound_holds=best.edge_count <= bound)
+            if cfg.d % 2:
+                reports.append(verify_theorem_instance(best, s, instance=f"{cfg.mode}:n={n}").to_json_dict())
+        per_n.append(entry)
+    return SearchResult(cfg.mode, cfg.d, s, cfg.n_min, cfg.n_max, cfg.seed, cfg.budget,
+                        tuple(per_n), tuple(reports), tuple(notes))
 
 
 def exhaustive_search(cfg):
@@ -245,40 +243,24 @@ def exhaustive_search(cfg):
             f"n_max={cfg.n_max} exceeds the exhaustive cap {cap}; "
             "pass --i-know-this-is-huge to proceed"
         )
-    s = cfg.s_effective
     levels = enumerate_classes(cfg.n_max, workers=cfg.workers, level=cfg.d)
-    per_n = []
-    reports = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        found = {}
-        for key in levels[n]:
-            g = graph_from_key(key, n)
-            if is_d_leveled(g, cfg.d).is_leveled:
-                found[key] = g
-        # a key's bits are the graph's edges; ties go to the least key
-        best = found[min(found, key=lambda key: (-key.bit_count(), key))] if found else None
-        entry, report = _extremal_entry(
-            cfg, s, n, best, classes_visited=len(levels[n]), leveled_classes=len(found)
-        )
-        per_n.append(entry)
-        if report is not None:
-            reports.append(report)
-    notes = (
+
+    def chosen():
+        for n in range(cfg.n_min, cfg.n_max + 1):
+            found = {}
+            for key in levels[n]:
+                g = graph_from_key(key, n)
+                if is_d_leveled(g, cfg.d).is_leveled:
+                    found[key] = g
+            # a key's bits are the graph's edges; ties go to the least key
+            best = found[min(found, key=lambda key: (-key.bit_count(), key))] if found else None
+            yield n, best, {"classes_visited": len(levels[n]), "leveled_classes": len(found)}
+
+    notes = [
         f"exhaustive over all isomorphism classes with clique number <= {cfg.d + 1}, "
         f"n in [{cfg.n_min}, {cfg.n_max}]; no claim beyond this range",
-    )
-    return SearchResult(
-        mode="exhaustive",
-        d=cfg.d,
-        s=s,
-        n_min=cfg.n_min,
-        n_max=cfg.n_max,
-        seed=cfg.seed,
-        budget=cfg.budget,
-        per_n=tuple(per_n),
-        reports=tuple(reports),
-        notes=notes,
-    )
+    ]
+    return _search_result(cfg, chosen(), notes)
 
 
 def random_search(cfg):
@@ -334,38 +316,30 @@ def random_search(cfg):
     if cfg.mode != "random":
         raise InvalidParameter("config is not in random mode")
     s = cfg.s_effective
-    per_n = []
-    reports = []
+    stop = cfg.n_max + 1 if cfg.budget > 0 else cfg.n_min
+    joins = range(max(cfg.n_min, 4 * s), stop)
+    if joins:
+        # the payload lists the edges of every join: refuse the largest
+        # join, then the joins' sum, before the first is built
+        check_join_of_cycles(s, joins[-1])
+        total = sum(check_join_of_cycles(s, n)[1] for n in joins)
+        if total > EDGE_LIMIT:
+            raise InvalidParameter(f"the {s}-cycle joins for n={joins[0]}..{joins[-1]} total {total} edges, "
+                                   f"over the edge limit {EDGE_LIMIT}")
     notes = [
         f"random local search, seed={cfg.seed}, budget={cfg.budget} moves per n; "
         "findings are samples, not exhaustive claims",
     ]
-    if cfg.budget > 0:
-        if cfg.n_max >= 4 * s:
-            # the join grows with n: refuse the largest before the first
-            check_join_of_cycles(s, cfg.n_max)
-        for n in range(cfg.n_min, cfg.n_max + 1):
-            if n < 4 * s:
-                notes.append(f"n={n} skipped: below the smallest {s}-cycle-join size {4 * s}")
-                continue
+    notes += [f"n={n} skipped: below the smallest {s}-cycle-join size {4 * s}"
+              for n in range(cfg.n_min, min(stop, 4 * s))]
+
+    def chosen():
+        for n in joins:
             base = gen_join_of_cycles(s, n)
             best = base if is_d_leveled(base, cfg.d).is_leveled else None
-            entry, report = _extremal_entry(cfg, s, n, best, candidates_found=0 if best is None else 1)
-            per_n.append(entry)
-            if report is not None:
-                reports.append(report)
-    return SearchResult(
-        mode="random",
-        d=cfg.d,
-        s=s,
-        n_min=cfg.n_min,
-        n_max=cfg.n_max,
-        seed=cfg.seed,
-        budget=cfg.budget,
-        per_n=tuple(per_n),
-        reports=tuple(reports),
-        notes=tuple(notes),
-    )
+            yield n, best, {"candidates_found": 0 if best is None else 1}
+
+    return _search_result(cfg, chosen(), notes)
 
 
 # -- corpus checking ----------------------------------------------------
@@ -391,56 +365,59 @@ def _add_face_algebra(entry, f):
     entry["klee"] = {"all": klee_all, "per_index": list(klee_per)}
 
 
-def _graph_entry(instance, g):
-    entry = {"instance": instance, "kind": "graph", "n": g.n, "edges": g.edge_count}
-    entry["flag"] = {"verdict": True, "note": "clique complex of the graph; flag by construction"}
+def _add_skeleton(entry, instance, g):
+    """Set the facts of a clique complex read off its graph g: the edge
+    count, the face algebra and gamma, the level test, and the bound report
+    of a leveled g with whether it is a potential counterexample."""
+    entry["edges"] = g.edge_count
     _add_face_algebra(entry, graph_f_vector(g))
-    try:
-        entry["gamma"] = None if entry["h"] is None else list(gamma_vector(entry["h"]))
-    except NotPalindromic:
-        entry["gamma"] = None
+    # gamma exists exactly when h is palindromic
+    palindromic = entry["h"] is not None and entry["dehn_sommerville"]["all"]
+    entry["gamma"] = list(gamma_vector(entry["h"])) if palindromic else None
     level_d, verdict = detect_level(g)
     entry["leveled"] = {"d": level_d, "verdict": verdict.is_leveled}
-    entry["pseudomanifold"] = verdict.is_leveled
     entry["potential_counterexample"] = False
     if verdict.is_leveled and level_d % 2 == 1:
-        s = (level_d + 1) // 2
-        report = verify_theorem_instance(g, s, instance=instance)
+        report = verify_theorem_instance(g, (level_d + 1) // 2, instance=instance)
         entry["report"] = report.to_json_dict()
         entry["potential_counterexample"] = report.potential_counterexample
     elif verdict.is_leveled and level_d >= 2:
         s = level_d // 2
-        note = None
-        if not entry["dehn_sommerville"]["all"]:
-            note = "conjectured bound targets sphere-like instances; this one fails the palindromy test"
+        conj_even = bound_entry(edge_bound_even_conjecture(g.n, s), g.edge_count, STATUS_CONJECTURE)
         entry["report"] = {
             "instance": instance,
             "n": g.n,
             "s": s,
             "edges": g.edge_count,
-            "bounds": {"conj_even": even_entry(g.n, s, g.edge_count).to_json_dict()},
+            "bounds": {"conj_even": conj_even.to_json_dict()},
             "leveled": {"d": level_d, "verdict": True},
-            "notes": [note] if note else [],
+            "notes": [] if palindromic else [
+                "conjectured bound targets sphere-like instances; this one fails the palindromy test"
+            ],
         }
-    return entry
 
 
 def check_instance(instance, obj):
     """Full pipeline for one parsed graph or complex."""
     if isinstance(obj, Graph):
-        return _graph_entry(instance, obj)
+        entry = {"instance": instance, "kind": "graph", "n": obj.n,
+                 "flag": {"verdict": True, "note": "clique complex of the graph; flag by construction"}}
+        _add_skeleton(entry, instance, obj)
+        # the level test is the weak-pseudomanifold test of the clique complex
+        entry["pseudomanifold"] = entry["leveled"]["verdict"]
+        return entry
+    entry = {"instance": instance, "kind": "complex", "n": obj.n, "facets": len(obj.facets)}
     flag_ok, witness = is_flag(obj)
     if flag_ok:
-        entry = _graph_entry(instance, obj.support_skeleton())
         entry["flag"] = {"verdict": True}
+        _add_skeleton(entry, instance, obj.support_skeleton())
     else:
         # a non-face clique needs an edge, so the complex is not void
-        entry = {"instance": instance, "flag": {"verdict": False, "witness": list(witness)}}
+        entry["flag"] = {"verdict": False, "witness": list(witness)}
         _add_face_algebra(entry, f_vector(obj))
         entry["leveled"] = None
         entry["notes"] = ["not flag: level and bound checks apply to clique complexes only"]
         entry["potential_counterexample"] = False
-    entry.update(kind="complex", n=obj.n, facets=len(obj.facets))
     pm_ok, pm_witness = is_weak_pseudomanifold(obj, obj.dimension)
     entry["pseudomanifold"] = pm_ok
     if not pm_ok:
@@ -480,22 +457,19 @@ def run_corpus_checks(paths):
 
 
 def corpus_summary(entries):
-    """Aggregate counts for a corpus run."""
-    ok = sum(
-        1
-        for e in entries
-        if e["kind"] != "error" and not e.get("potential_counterexample")
-    )
-    errors = sum(1 for e in entries if e["kind"] == "error")
-    counterexamples = sum(1 for e in entries if e.get("potential_counterexample"))
-    equalities = 0
+    """Aggregate counts for a corpus run: an entry that is not an error is
+    ok or a potential counterexample."""
+    errors = counterexamples = equalities = 0
     for e in entries:
-        report = e.get("report")
-        if report:
-            equalities += sum(1 for b in report["bounds"].values() if b.get("equality"))
+        if e["kind"] == "error":
+            errors += 1
+            continue
+        counterexamples += e["potential_counterexample"]
+        if "report" in e:
+            equalities += sum(b["equality"] for b in e["report"]["bounds"].values())
     return {
         "instances": len(entries),
-        "ok": ok,
+        "ok": len(entries) - errors - counterexamples,
         "parse_errors": errors,
         "potential_counterexamples": counterexamples,
         "equality_cases": equalities,

@@ -145,6 +145,38 @@ def test_gen_graph6_pair_limit(monkeypatch, capsys):
     assert err == "error: graph6 needs 2147450880 bits for n=65536, over the edge limit 2097152\n"
 
 
+@pytest.mark.parametrize(
+    "params,message",
+    [
+        (["grid_torus", "2", "5000"], "torus grid needs p, q >= 4"),
+        (["grid_torus", "-300", "-300"], "torus grid needs p, q >= 4"),
+        (["join_of_cycles", "800", "3000"], "n=3000 too small: each of the 800 cycles needs >= 4 vertices"),
+        (["complete_multipartite", "0,3000"], "need at least one part, all sizes >= 1"),
+    ],
+    ids=["torus-thin", "torus-negative", "join-short-cycles", "multipartite-empty-part"],
+)
+def test_gen_parameter_error_does_not_depend_on_the_format(capsys, params, message):
+    # each request implies a graph6 body over the edge limit, but its
+    # parameters are wrong first, in either format
+    for fmt in ("edgelist", "graph6"):
+        assert main(["gen", *params, "--format", fmt]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_search_random_refuses_a_range_by_its_payload_edges(tmp_path, capsys):
+    # at d=3 the joins for n=10..291 list 2 106 446 edges in all, over
+    # EDGE_LIMIT = 2^21; the largest alone has 21 461
+    out = tmp_path / "res.json"
+    start = time.perf_counter()
+    assert main(["search", "--mode", "random", "--d", "3", "--n", "10..291", "--seed", "1",
+                 "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 1
+    assert not out.exists()
+    assert capsys.readouterr() == (
+        "", "error: the 2-cycle joins for n=10..291 total 2106446 edges, over the edge limit 2097152\n"
+    )
+
+
 def test_check_ok_and_json(tmp_path, capsys):
     f = tmp_path / "j.g6"
     f.write_text(dump_graph6(gen_join_of_cycles(2, 10)) + "\n")

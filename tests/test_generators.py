@@ -135,3 +135,19 @@ def test_edge_limit_check_counts_the_edges_exactly(monkeypatch, build):
     monkeypatch.setattr(generators, "EDGE_LIMIT", edges - 1)
     with pytest.raises(InvalidParameter, match=f"^{edges} edges, over the edge limit {edges - 1}$"):
         build()
+
+
+@pytest.mark.parametrize("family,params", [
+    ("cycle", (3,)),
+    ("cycle", (7,)),
+    ("independent", (0,)),
+    ("independent", (5,)),
+    ("complete_multipartite", ((3, 1, 4),)),
+    ("join_of_cycles", (3, 14)),
+    ("suspension_sphere", (5,)),
+    ("grid_torus", (4, 6)),
+])
+def test_family_check_counts_the_built_graph(family, params):
+    # the CLI refuses a graph6 request from these counts, before the build
+    g = getattr(generators, f"gen_{family}")(*params)
+    assert getattr(generators, f"check_{family}")(*params) == (g.n, g.edge_count)

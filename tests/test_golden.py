@@ -93,9 +93,11 @@ def test_process_entry_output_is_byte_identical(tmp_path):
     assert (done.returncode, done.stderr) == (0, b"")
     assert done.stdout == (GOLDEN / "check.stdout").read_bytes()
     assert out_json.read_bytes() == (GOLDEN / "check.json").read_bytes()
-    # two workers: the pool forks from the frozen parent
-    out = tmp_path / "search-d2.json"
-    done = _process_entry(["search", *SEARCHES["search-d2"], "--workers", "2", "--out", str(out)], tmp_path)
-    assert (done.returncode, done.stderr) == (0, b"")
-    assert done.stdout == (GOLDEN / "search-d2.stdout").read_bytes()
-    assert out.read_bytes() == (GOLDEN / "search-d2.json").read_bytes()
+    # two workers: the pool forks from the frozen parent; random mode's
+    # payload goes through the same process entry
+    for name, extra in (("search-d2", ["--workers", "2"]), ("search-random-d3", [])):
+        out = tmp_path / f"{name}.json"
+        done = _process_entry(["search", *SEARCHES[name], *extra, "--out", str(out)], tmp_path)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

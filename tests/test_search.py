@@ -183,6 +183,37 @@ def test_random_search_skips_too_small_and_budget_zero():
     assert res.per_n == ()
 
 
+@pytest.mark.parametrize("d,n_min,n_max,total", [(3, 10, 290, 2106446), (1, 4, 2047, 2098170)])
+def test_random_search_refuses_a_range_by_its_total_edges(monkeypatch, d, n_min, n_max, total):
+    # the payload lists the edges of every join in the range; n_max + 1 takes
+    # their sum past EDGE_LIMIT = 2^21, though each join stays far under it
+    class Built(Exception):
+        pass
+
+    def first_join(s, n):
+        raise Built(n)
+
+    monkeypatch.setattr(search, "gen_join_of_cycles", first_join)
+    with pytest.raises(Built, match=f"^{n_min}$"):
+        random_search(SearchConfig(mode="random", d=d, n_min=n_min, n_max=n_max, seed=1))
+    s = (d + 1) // 2
+    with pytest.raises(InvalidParameter, match=f"^the {s}-cycle joins for n={n_min}..{n_max + 1} "
+                                               f"total {total} edges, over the edge limit 2097152$"):
+        random_search(SearchConfig(mode="random", d=d, n_min=n_min, n_max=n_max + 1, seed=1))
+
+
+def test_random_search_range_check_counts_the_payload_edges(monkeypatch):
+    # sizes below 4s build no join and count for nothing
+    cfg = SearchConfig(mode="random", d=3, n_min=5, n_max=14, seed=1)
+    total = sum(len(entry["argmax_edges"]) for entry in random_search(cfg).per_n)
+    monkeypatch.setattr(search, "EDGE_LIMIT", total)
+    assert [entry["n"] for entry in random_search(cfg).per_n] == list(range(8, 15))
+    monkeypatch.setattr(search, "EDGE_LIMIT", total - 1)
+    with pytest.raises(InvalidParameter, match=f"^the 2-cycle joins for n=8..14 total {total} edges, "
+                                               f"over the edge limit {total - 1}$"):
+        random_search(cfg)
+
+
 @pytest.mark.parametrize("s,n", [(s, n) for s in (1, 2, 3) for n in range(4 * s, 4 * s + 4)])
 def test_no_edge_swap_of_a_cycle_join_is_leveled(s, n):
     # the theorem of random_search: a walk from the join never moves
@@ -402,3 +433,33 @@ def test_run_corpus_checks_isolates_failures(tmp_path):
     # join at upper-bound equality, C5 at equality for both odd bounds,
     # octahedron at even-bound equality (12 = 3n - 6)
     assert summary["equality_cases"] == 4
+
+
+def test_corpus_summary_counts_each_kind_of_entry():
+    # one entry of each kind the summary tells apart, built by hand
+    def bound(holds, equality):
+        return {"value": "35", "holds": holds, "equality": equality, "status": "theorem", "slack": "0"}
+
+    def error(stage):
+        return {"instance": stage, "kind": "error",
+                "error": {"stage": stage, "message": "m", "path": f"{stage}.txt", "line": None}}
+
+    entries = [
+        error("parse"),
+        error("budget"),
+        {"instance": "candidate", "kind": "graph", "potential_counterexample": True,
+         "report": {"bounds": {"thm_odd": bound(False, False), "lower_odd": bound(True, False)}}},
+        {"instance": "tight", "kind": "graph", "potential_counterexample": False,
+         "report": {"bounds": {"thm_odd": bound(True, True), "lower_odd": bound(True, True)}}},
+        {"instance": "plain", "kind": "complex", "potential_counterexample": False},
+    ]
+    assert corpus_summary(entries) == {
+        "instances": 5,
+        "ok": 2,
+        "parse_errors": 2,
+        "potential_counterexamples": 1,
+        "equality_cases": 2,
+    }
+    assert corpus_summary([]) == dict.fromkeys(
+        ("instances", "ok", "parse_errors", "potential_counterexamples", "equality_cases"), 0
+    )
