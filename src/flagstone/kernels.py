@@ -9,7 +9,9 @@ imported, else "python".  clique_counts (the count capped at a size, for a
 truncated vector), k_cliques, clique_number, bits_of, the key decoder
 and the graph6 codec under it (key_to_masks, triangle_bits, rows_of_bits)
 and leveled_violation, the link test the level test is checked against,
-are pure Python only and are that module's functions.  Each kernel has one
+are pure Python only and are that module's functions.  No command calls
+clique_number: the tests' unpruned class enumerator caps cliques with it,
+and the benchmark's per-layer tracer looks it up by name.  Each kernel has one
 contract, stated on its `_kernels_py` namesake; clique_census's limit
 on the number of cliques is passed to whichever backend runs.
 """

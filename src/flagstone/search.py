@@ -8,10 +8,9 @@ so extending every class on k vertices by every neighborhood mask and
 deduplicating on the canonical key visits every class exactly once per
 key.  The argument needs only that the kept classes are closed under
 deleting a vertex, so any hereditary property can prune during
-generation.  A clique-size cap is one (induced subgraphs never gain
-cliques).
+generation.
 
-Given a level d and the largest size n_max, two more prunes apply, both
+Given a level d and the largest size n_max, two such prunes apply, both
 read off the level test (every maximal clique has d+1 vertices and every
 d-clique has exactly two common neighbors, which are nonadjacent):
 
@@ -135,9 +134,9 @@ class SearchResult(namedtuple(
 
 
 def _extend_chunk(args):
-    keys, k, clique_cap, level, n_max = args
+    keys, k, d, n_max = args
     # prune (b): on k+1 vertices every degree must reach 2d - (n_max - (k+1))
-    min_degree = 0 if level is None else 2 * level - (n_max - k - 1)
+    min_degree = 2 * d - (n_max - k - 1)
     out = set()
     for key in keys:
         base = kernels.key_to_masks(key, k)
@@ -149,10 +148,6 @@ def _extend_chunk(args):
         for new_mask in range(1 << k):
             if new_mask & forced != forced or new_mask.bit_count() < min_degree:
                 continue
-            if clique_cap is not None and new_mask:
-                nbr_rows = [base[v] & new_mask if (new_mask >> v) & 1 else 0 for v in range(k)]
-                if 1 + kernels.clique_number(nbr_rows, k, stop_at=clique_cap) > clique_cap:
-                    continue
             rows = list(base) + [new_mask]
             for v in range(k):
                 if (new_mask >> v) & 1:
@@ -160,24 +155,24 @@ def _extend_chunk(args):
             # prune (a): only d-cliques through the new vertex or inside its
             # neighborhood can have gained a common neighbor
             within = new_mask | 1 << k
-            if level is not None and kernels.crowded_link(rows, k + 1, level, within) is not None:
-                continue
-            out.add(kernels.canonical_key(rows, k + 1))
+            if kernels.crowded_link(rows, k + 1, d, within) is None:
+                out.add(kernels.canonical_key(rows, k + 1))
     return out
 
 
-def enumerate_classes(n_max, clique_cap=None, workers=1, level=None):
-    """Canonical keys of all isomorphism classes, per vertex count.
+def enumerate_classes(n_max, d, workers=1):
+    """Canonical keys of the classes that pass the level prunes at d, per
+    vertex count: {n: sorted key list} for 1 <= n <= n_max.
 
-    Returns {n: sorted key list} for 1 <= n <= n_max, restricted to graphs
-    with clique number <= clique_cap when a cap is given.  With a level d,
-    only classes that pass prunes (a) and (b) of the module docstring are
-    kept; every d-leveled class on at most n_max vertices is among them.
+    The prunes are (a) and (b) of the module docstring, for largest size
+    n_max; every d-leveled class on at most n_max vertices passes them.
     The pool holds at most one worker per CPU this process may run on, as
     a forking pool starts all of its workers at once.
     """
     if n_max < 1:
         raise InvalidParameter(f"n_max={n_max}: need n_max >= 1")
+    if d < 1:
+        raise InvalidParameter(f"d={d}: need level d >= 1")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -189,13 +184,13 @@ def enumerate_classes(n_max, clique_cap=None, workers=1, level=None):
         if workers > 1 and len(keys) > workers:
             from concurrent.futures import ProcessPoolExecutor
 
-            chunks = [(keys[i::workers], k, clique_cap, level, n_max) for i in range(workers)]
+            chunks = [(keys[i::workers], k, d, n_max) for i in range(workers)]
             merged = set()
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for part in pool.map(_extend_chunk, chunks):
                     merged |= part
         else:
-            merged = _extend_chunk((keys, k, clique_cap, level, n_max))
+            merged = _extend_chunk((keys, k, d, n_max))
         levels[k + 1] = sorted(merged)
     return levels
 
@@ -243,7 +238,7 @@ def exhaustive_search(cfg):
             f"n_max={cfg.n_max} exceeds the exhaustive cap {cap}; "
             "pass --i-know-this-is-huge to proceed"
         )
-    levels = enumerate_classes(cfg.n_max, workers=cfg.workers, level=cfg.d)
+    levels = enumerate_classes(cfg.n_max, cfg.d, workers=cfg.workers)
 
     def chosen():
         for n in range(cfg.n_min, cfg.n_max + 1):
@@ -330,8 +325,8 @@ def random_search(cfg):
         f"random local search, seed={cfg.seed}, budget={cfg.budget} moves per n; "
         "findings are samples, not exhaustive claims",
     ]
-    notes += [f"n={n} skipped: below the smallest {s}-cycle-join size {4 * s}"
-              for n in range(cfg.n_min, min(stop, 4 * s))]
+    if cfg.n_min < min(stop, 4 * s):  # one note for the whole skipped range
+        notes.append(f"n={cfg.n_min}..{min(stop, 4 * s) - 1} skipped: below the smallest {s}-cycle-join size {4 * s}")
 
     def chosen():
         for n in joins:

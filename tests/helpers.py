@@ -3,13 +3,18 @@
 Everything here is written for clarity over speed: subsets are enumerated
 outright, definitions are transcribed literally, and nothing is shared
 with the package internals, so agreement between the two is evidence.
-Only usable for small n.
+The exceptions say so: the reference level test and the unpruned class
+enumerator call the kernels, which the tests pin to the brute-force
+oracles here.  Only usable for small n.
 """
 
 import itertools
 from math import comb
+from pathlib import Path
 
-from flagstone import Graph, kernels
+from flagstone import Graph, graph_from_key, is_d_leveled, kernels
+
+LEVELED_TABLE = Path(__file__).resolve().parent / "data" / "leveled_classes.txt"
 
 
 def random_graph(n, p, rng):
@@ -208,6 +213,50 @@ def all_graphs(n):
     for bits in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
         yield Graph.from_edges(n, edges)
+
+
+def unpruned_classes(n_max, clique_cap=None):
+    """Canonical keys of every isomorphism class on 1..n_max vertices, as
+    {n: sorted key list}, restricted to clique number <= clique_cap when a
+    cap is given.
+
+    Vertex extension with deduplication on `kernels.canonical_key`: every
+    class on k+1 vertices is a class on k vertices plus one vertex, and
+    deleting a vertex keeps the cap, so extending every kept class by every
+    neighbourhood visits every kept class.  The new vertex keeps the cap
+    when its neighbourhood has no clique of size clique_cap.  Single
+    process, no prunes: the oracle of the level-pruned `enumerate_classes`.
+    """
+    levels = {1: [0]}
+    for k in range(1, n_max):
+        found = set()
+        for key in levels[k]:
+            base = kernels.key_to_masks(key, k)
+            for mask in range(1 << k):
+                if clique_cap is not None:
+                    nbr_rows = [row & mask if mask >> v & 1 else 0 for v, row in enumerate(base)]
+                    if kernels.clique_number(nbr_rows, k, stop_at=clique_cap) >= clique_cap:
+                        continue
+                rows = [row | (mask >> v & 1) << k for v, row in enumerate(base)] + [mask]
+                found.add(kernels.canonical_key(rows, k + 1))
+        levels[k + 1] = sorted(found)
+    return levels
+
+
+def leveled_keys(keys, n, d):
+    """The keys, of classes on n vertices, whose graphs pass the level test at d."""
+    return [key for key in keys if is_d_leveled(graph_from_key(key, n), d).is_leveled]
+
+
+def read_leveled_table(path=LEVELED_TABLE):
+    """{(d, n): sorted keys} from the table of leveled classes, whose lines
+    past the `#` comments read `d n key key ...`."""
+    table = {}
+    for line in path.read_text(encoding="ascii").splitlines():
+        if line and not line.startswith("#"):
+            d, n, *keys = map(int, line.split())
+            table[d, n] = keys
+    return table
 
 
 def compositions(total, min_part):

@@ -22,7 +22,6 @@ from flagstone import (
     contains_multipartite_subgraph,
     disjoint_union,
     edge_bound_odd,
-    enumerate_classes,
     euler_characteristic,
     exhaustive_search,
     extract_partition,
@@ -45,7 +44,7 @@ from flagstone import (
     witness_link,
 )
 from flagstone import kernels
-from helpers import partitions
+from helpers import partitions, unpruned_classes
 
 
 def test_criterion_1_extremal_joins():
@@ -215,7 +214,7 @@ def test_criterion_7_exhaustive_oracle():
 
 
 def test_criterion_8_predicates_agree():
-    levels = enumerate_classes(7)
+    levels = unpruned_classes(7)
     classes = 0
     # both predicates are relabeling-invariant, so one representative per
     # isomorphism class covers every graph on <= 7 vertices

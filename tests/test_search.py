@@ -34,25 +34,27 @@ from flagstone import (
 )
 from flagstone import complexes, kernels, search
 from flagstone.complexes import SimplicialComplex
-from helpers import all_graphs, partitions
+from helpers import all_graphs, leveled_keys, partitions, unpruned_classes
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def test_enumerate_classes_counts():
-    levels = enumerate_classes(6)
+    # the unpruned oracle counts every class: 1, 2, 4, 11, 34, 156 graphs
+    levels = unpruned_classes(6)
     assert [len(levels[n]) for n in range(1, 7)] == [1, 2, 4, 11, 34, 156]
 
 
 def test_enumerate_classes_matches_brute_classes():
-    levels = enumerate_classes(5)
-    for n in (3, 4, 5):
+    # the unpruned oracle against every labeled graph
+    levels = unpruned_classes(5)
+    for n in range(1, 6):
         seen = {kernels.canonical_key(list(g.masks), g.n) for g in all_graphs(n)}
         assert sorted(seen) == levels[n]
 
 
 def test_enumerate_classes_clique_cap():
-    levels = enumerate_classes(6, clique_cap=4)
+    levels = unpruned_classes(6, clique_cap=4)
     assert [len(levels[n]) for n in (4, 5, 6)] == [11, 33, 150]
     for key in levels[6]:
         g = graph_from_key(key, 6)
@@ -60,12 +62,13 @@ def test_enumerate_classes_clique_cap():
 
 
 def test_enumerate_workers_byte_identical():
-    assert enumerate_classes(5, workers=2) == enumerate_classes(5, workers=1)
-    assert enumerate_classes(7, workers=2, level=2) == enumerate_classes(7, level=2)
+    assert enumerate_classes(8, 1, workers=2) == enumerate_classes(8, 1, workers=1)
+    assert enumerate_classes(7, 2, workers=2) == enumerate_classes(7, 2)
 
 
 def test_enumerate_workers_capped_at_cpu_count(monkeypatch):
-    # on one CPU a request for many workers starts no process at all
+    # on one CPU a request for many workers starts no process at all; at
+    # d=1, n_max=8 the classes on 6 vertices (15) would fill a pool of 8
     class NoPool:
         def __init__(self, *args, **kwargs):
             raise AssertionError("a process pool was started")
@@ -74,32 +77,31 @@ def test_enumerate_workers_capped_at_cpu_count(monkeypatch):
     # pinned to one CPU of eight: the affinity mask is the cap
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert enumerate_classes(6, workers=8) == enumerate_classes(6)
+    assert enumerate_classes(8, 1, workers=8) == enumerate_classes(8, 1)
     # where the platform has no affinity mask, the CPU count is
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
-    assert enumerate_classes(6, workers=8) == enumerate_classes(6)
+    assert enumerate_classes(8, 1, workers=8) == enumerate_classes(8, 1)
 
 
-@pytest.mark.parametrize("n_max,level", [(0, None), (-3, 2)])
-def test_enumerate_classes_rejects_n_max_below_one(n_max, level):
+@pytest.mark.parametrize("n_max,d", [(0, 1), (-3, 2)])
+def test_enumerate_classes_rejects_n_max_below_one(n_max, d):
     with pytest.raises(InvalidParameter, match="need n_max >= 1"):
-        enumerate_classes(n_max, level=level)
+        enumerate_classes(n_max, d)
+    # the level is required, and checked as SearchConfig checks it
+    with pytest.raises(InvalidParameter, match="need level d >= 1"):
+        enumerate_classes(1 - n_max, 1 - d)
 
 
 @pytest.mark.parametrize("d,n_max", [(1, 8), (2, 7), (3, 7)])
 def test_pruned_enumeration_keeps_leveled_classes(d, n_max):
-    # the unpruned enumerator is the oracle: pruning only drops classes
-    # that cannot be d-leveled, and prune (a) implies the clique cap
-    pruned = enumerate_classes(n_max, level=d)
-    full = enumerate_classes(n_max, clique_cap=d + 1)
-
-    def leveled(keys, n):
-        return [key for key in keys if is_d_leveled(graph_from_key(key, n), d).is_leveled]
-
+    # the unpruned oracle: pruning only drops classes that cannot be
+    # d-leveled, and prune (a) implies the clique cap
+    pruned = enumerate_classes(n_max, d)
+    full = unpruned_classes(n_max, clique_cap=d + 1)
     for n in range(1, n_max + 1):
         assert set(pruned[n]) <= set(full[n])
-        assert leveled(pruned[n], n) == leveled(full[n], n)
+        assert leveled_keys(pruned[n], n, d) == leveled_keys(full[n], n, d)
 
 
 def test_exhaustive_cap():
@@ -155,10 +157,10 @@ def test_search_tie_breaks():
     # at level 1 every leveled graph on n vertices (a union of cycles) has
     # n edges: exhaustive mode reports the least canonical key
     res = exhaustive_search(SearchConfig(mode="exhaustive", d=1, n_min=8, n_max=9))
-    levels = enumerate_classes(9, level=1)
+    levels = enumerate_classes(9, 1)
     for entry in res.per_n:
         n = entry["n"]
-        leveled = [key for key in levels[n] if is_d_leveled(graph_from_key(key, n), 1).is_leveled]
+        leveled = leveled_keys(levels[n], n, 1)
         best = Graph.from_edges(n, [tuple(e) for e in entry["argmax_edges"]])
         assert len(leveled) > 1 and kernels.canonical_key(list(best.masks), n) == min(leveled)
 
@@ -178,9 +180,16 @@ def test_random_search_reproducible():
 def test_random_search_skips_too_small_and_budget_zero():
     res = random_search(SearchConfig(mode="random", d=3, n_min=4, n_max=7, seed=1, budget=10))
     assert res.per_n == ()
-    assert any("skipped" in note for note in res.notes)
+    assert res.notes[1:] == ("n=4..7 skipped: below the smallest 2-cycle-join size 8",)
     res = random_search(SearchConfig(mode="random", d=3, n_min=10, n_max=12, seed=1, budget=0))
     assert res.per_n == ()
+
+
+def test_random_search_writes_one_note_for_a_huge_skipped_range():
+    # about 10^9 skipped sizes: one note, written at once
+    res = random_search(SearchConfig(mode="random", d=999_999_999, n_min=1, n_max=10**9, seed=1))
+    assert res.per_n == ()
+    assert res.notes[1:] == ("n=1..1000000000 skipped: below the smallest 500000000-cycle-join size 2000000000",)
 
 
 @pytest.mark.parametrize("d,n_min,n_max,total", [(3, 10, 290, 2106446), (1, 4, 2047, 2098170)])
