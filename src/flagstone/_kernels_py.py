@@ -12,7 +12,8 @@ the same contracts for n <= 64, and `flagstone.kernels` sends each call
 to one or the other; the rest, clique_counts among them, run only here.
 Graphs enter as a sequence of adjacency bitmask rows (row v = OR of 1<<u
 over neighbors u of v).  Canonical keys and graph6 bodies share one
-upper-triangle codec, triangle_bits and rows_of_bits.
+upper-triangle codec: triangle_bits writes the bits as a string, and
+rows_of_triangle reads them back from one integer.
 """
 
 
@@ -311,15 +312,16 @@ def triangle_bits(masks, n):
     return "".join(format(masks[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
 
 
-def rows_of_bits(bits, n):
-    """Inverse of triangle_bits on the first n(n-1)/2 characters of bits:
-    each column is read as one integer, the low part of its vertex's row,
-    and its set bits are mirrored into the rows above."""
+def rows_of_triangle(t, n):
+    """Inverse of triangle_bits, from the integer t whose bit k is the k-th
+    triangle bit: column j is the next j bits of t, cut with one shift and
+    mask and read as the low part of its vertex's row, and its set bits are
+    mirrored into the rows above.  Bits past the n(n-1)/2 of the triangle
+    are ignored."""
     rows = [0] * n
-    pos = 0
     for j in range(1, n):
-        col = int(bits[pos:pos + j][::-1], 2)
-        pos += j
+        col = t & ((1 << j) - 1)
+        t >>= j
         rows[j] = col
         bit = 1 << j
         while col:
@@ -330,9 +332,10 @@ def rows_of_bits(bits, n):
 
 
 def key_to_masks(key, n):
-    """Inverse of canonical_key's encoding; bits above the triangle are ignored."""
+    """Inverse of canonical_key's encoding, whose most significant bit is
+    the first triangle bit; bits above the triangle are ignored."""
     total = n * (n - 1) // 2
-    return rows_of_bits(format(key & ((1 << total) - 1), f"0{total}b"), n)
+    return rows_of_triangle(int(format(key & ((1 << total) - 1), f"0{total}b")[::-1], 2), n)
 
 
 def bits_of(mask):

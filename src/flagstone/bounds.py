@@ -23,10 +23,11 @@ STATUS_IF_CONNECTED = "theorem_if_connected"
 
 
 def edge_bound_odd(n, s):
-    """Upper bound ((s-1)/2s) n^2 + n for graphs passing the level test at 2s-1."""
+    """Upper bound ((s-1)/2s) n^2 + n for graphs passing the level test at
+    2s-1, as one fraction ((s-1) n^2 + 2s n) / 2s."""
     if s < 1 or n < 1:
         raise InvalidParameter("need s >= 1 and n >= 1")
-    return Fraction(s - 1, 2 * s) * n * n + n
+    return Fraction((s - 1) * n * n + 2 * s * n, 2 * s)
 
 
 def edge_lower_bound_odd(n, s):
@@ -48,10 +49,11 @@ def lower_bound_status(s, connected=True):
 
 def edge_bound_even_conjecture(n, s):
     """Conjectured upper bound ((s-1)/2s) n^2 + (1+2/s) n - (4+2/s) for
-    sphere-like instances at even level 2s."""
+    sphere-like instances at even level 2s, as one fraction
+    ((s-1) n^2 + 2(s+2) n - 4(2s+1)) / 2s."""
     if s < 1:
         raise InvalidParameter("need s >= 1")
-    return Fraction(s - 1, 2 * s) * n * n + (1 + Fraction(2, s)) * n - (4 + Fraction(2, s))
+    return Fraction((s - 1) * n * n + 2 * (s + 2) * n - 4 * (2 * s + 1), 2 * s)
 
 
 def gamma_check(f0, f1, s):

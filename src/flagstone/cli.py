@@ -152,6 +152,13 @@ def _encode(value, pad, parts, fh):
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _write_listing(lines):
+    """Write lines to stdout, each ending in a newline, with one write: an
+    unbuffered stdout pays two system calls for every print."""
+    if lines:
+        sys.stdout.write("\n".join(lines) + "\n")
+
+
 def _describe(entry):
     if entry["kind"] == "error":
         err = entry["error"]
@@ -181,14 +188,13 @@ def _describe(entry):
 
 def _cmd_check(args):
     entries = run_corpus_checks(args.files)
-    for entry in entries:
-        print(_describe(entry))
     summary = corpus_summary(entries)
-    print(
+    _write_listing([
+        *map(_describe, entries),
         "checked {instances} instance(s): {ok} ok, {parse_errors} parse error(s), "
         "{potential_counterexamples} potential counterexample(s), "
-        "{equality_cases} bound equality case(s)".format(**summary)
-    )
+        "{equality_cases} bound equality case(s)".format(**summary),
+    ])
     if args.json:
         with _opened_for_writing(args.json, "w", encoding="ascii") as fh:
             write_json(fh, {"entries": entries, "summary": summary})
@@ -257,15 +263,15 @@ def _cmd_search(args):
     if args.out:
         with _opened_for_writing(args.out, "wb") as fh:
             fh.write(payload)
-    for entry in result.per_n:
-        print(
-            "n={n}: found={found}, max_edges={me}, bound={bound}".format(
-                n=entry["n"],
-                found=entry.get("leveled_classes", entry.get("candidates_found")),
-                me=entry["max_edges"],
-                bound=entry["bound"],
-            )
+    _write_listing([
+        "n={n}: found={found}, max_edges={me}, bound={bound}".format(
+            n=entry["n"],
+            found=entry.get("leveled_classes", entry.get("candidates_found")),
+            me=entry["max_edges"],
+            bound=entry["bound"],
         )
+        for entry in result.per_n
+    ])
     # only the odd-level bound is a theorem; reports exist at odd d alone
     return 1 if any(r["potential_counterexample"] for r in result.reports) else 0
 

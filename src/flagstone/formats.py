@@ -14,18 +14,19 @@ number, so it fails only its own file in a corpus run.
 The edge and facet lists share one header reader.  The graph parsers
 build the bitmask adjacency rows directly.  An edge list sets the two bits
 of each edge as it is read (a bit already set is a duplicate edge).  A
-graph6 body becomes one bitstring, six bits per byte, read and written by
-the triangle codec that canonical keys use too (`kernels.rows_of_bits`,
-`kernels.triangle_bits`).  Both sets of rows are symmetric, irreflexive and
-in range once these checks pass, so the graph is built without the
-constructor's scan.  A facet list's 1-skeleton is built from facet
+graph6 body is written and read by the triangle codec that canonical keys
+use too: `kernels.triangle_bits` writes it, and `kernels.rows_of_triangle`
+reads it back from one integer whose bit k is the body's k-th bit, made
+by joining the body's 6-bit groups in reverse order, each reversed.  Both
+sets of rows are symmetric, irreflexive and in range once these checks
+pass, so the graph is built without the constructor's scan.  A facet list's 1-skeleton is built from facet
 bitmasks by SimplicialComplex.one_skeleton.
 """
 
 from .complexes import DIMENSION_CAP, EDGE_LIMIT, VERTEX_LIMIT, SimplicialComplex
 from .errors import InvalidComplex, InvalidParameter, ParseError
 from .graphs import Graph
-from .kernels import rows_of_bits, triangle_bits
+from .kernels import rows_of_triangle, triangle_bits
 
 
 def _ints(line, count, path, line_no, what):
@@ -113,7 +114,8 @@ def dump_graph6(g):
     return head + body
 
 
-_G6_CHUNKS = {chr(63 + code): format(code, "06b") for code in range(64)}
+# each body byte's six bits, last bit first
+_G6_REVERSED = {chr(63 + code): format(code, "06b")[::-1] for code in range(64)}
 
 
 def parse_graph6_line(line, path=None, line_no=None):
@@ -140,10 +142,11 @@ def parse_graph6_line(line, path=None, line_no=None):
             path=path,
             line=line_no,
         )
-    bits = "".join(map(_G6_CHUNKS.__getitem__, body))
-    if "1" in bits[need:]:
+    # the body's bits in reverse order, so the padding bits lead
+    reverse = "".join(map(_G6_REVERSED.__getitem__, reversed(body)))
+    if "1" in reverse[:len(reverse) - need]:
         raise ParseError("nonzero padding bits in graph6 body", path=path, line=line_no)
-    return Graph._of_rows(n, tuple(rows_of_bits(bits, n)))
+    return Graph._of_rows(n, tuple(rows_of_triangle(int(reverse or "0", 2), n)))
 
 
 def parse_facet_list(text, path=None):

@@ -261,7 +261,9 @@ class Graph(_Value):
         With kmax < 0 it runs to the clique number and is computed once;
         with kmax >= 0 it has length kmax+1 (zero-padded), sliced from
         the full vector when that is cached.  A join multiplies its
-        factors' vectors.
+        factors' vectors, each cut to its nonzero prefix: it is zero past
+        the factor's clique number, and a wide join has many narrow
+        factors.
         """
         if kmax < 0:
             return self._clique_counts
@@ -271,7 +273,8 @@ class Graph(_Value):
         factors = self.join_factors()
         if len(factors) == 1:
             return tuple(kernels.clique_counts(self.masks, self.n, kmax))
-        return _poly_product([f.clique_counts(kmax) for f, _ in factors], kmax)
+        prod = _poly_product([_nonzero_prefix(f.clique_counts(kmax)) for f, _ in factors], kmax)
+        return prod + (0,) * (kmax + 1 - len(prod))
 
     def clique_count(self, k):
         if k < 0:
@@ -382,6 +385,11 @@ def _poly_product(polys, kmax=-1):
                 prod[i + j] += a * b
         out = tuple(prod)
     return out
+
+
+def _nonzero_prefix(counts):
+    """A clique count vector up to its first zero entry."""
+    return counts[:counts.index(0)] if 0 in counts else counts
 
 
 def unpaired_ridge(cells):

@@ -7,9 +7,10 @@ and every call on a machine where the extension was not built, runs the
 pure-Python reference `_kernels_py`.  BACKEND is "c" when the extension
 imported, else "python".  clique_counts (the count capped at a size, for a
 truncated vector), k_cliques, clique_number, bits_of, the key decoder
-and the graph6 codec under it (key_to_masks, triangle_bits, rows_of_bits)
-and leveled_violation, the link test the level test is checked against,
-are pure Python only and are that module's functions.  No command calls
+key_to_masks, the triangle codec under it and graph6 (triangle_bits
+writes a string, rows_of_triangle reads one integer) and
+leveled_violation, the link test the level test is checked against, are
+pure Python only and are that module's functions.  No command calls
 clique_number: the tests' unpruned class enumerator caps cliques with it,
 and the benchmark's per-layer tracer looks it up by name.  Each kernel has one
 contract, stated on its `_kernels_py` namesake; clique_census's limit
@@ -18,7 +19,7 @@ on the number of cliques is passed to whichever backend runs.
 
 from . import _kernels_py
 from ._kernels_py import (bits_of, clique_counts, clique_number, k_cliques, key_to_masks, leveled_violation,
-                          rows_of_bits, triangle_bits)
+                          rows_of_triangle, triangle_bits)
 
 try:
     from . import _kernels_c as _c

@@ -406,6 +406,11 @@ def check_instance(instance, obj):
     if flag_ok:
         entry["flag"] = {"verdict": True}
         _add_skeleton(entry, instance, obj.support_skeleton())
+        # a flag complex is the clique complex of its support skeleton, so
+        # passing the level test there makes it a weak pseudomanifold
+        if entry["leveled"]["verdict"]:
+            entry["pseudomanifold"] = True
+            return entry
     else:
         # a non-face clique needs an edge, so the complex is not void
         entry["flag"] = {"verdict": False, "witness": list(witness)}
@@ -413,6 +418,7 @@ def check_instance(instance, obj):
         entry["leveled"] = None
         entry["notes"] = ["not flag: level and bound checks apply to clique complexes only"]
         entry["potential_counterexample"] = False
+    # the test that names the witness, for a non-flag complex or a failing one
     pm_ok, pm_witness = is_weak_pseudomanifold(obj, obj.dimension)
     entry["pseudomanifold"] = pm_ok
     if not pm_ok:

@@ -73,6 +73,15 @@ def test_edge_bound_even_values():
     assert edge_bound_even_conjecture(12, 2) == 55
 
 
+def test_bounds_are_the_chained_fraction_expressions():
+    # each bound is one fraction over 2s; the statements read them as sums
+    for s in range(1, 9):
+        for n in range(1, 301):
+            assert edge_bound_odd(n, s) == Fraction(s - 1, 2 * s) * n * n + n
+            assert edge_bound_even_conjecture(n, s) == (
+                Fraction(s - 1, 2 * s) * n * n + (1 + Fraction(2, s)) * n - (4 + Fraction(2, s)))
+
+
 def test_even_bound_equality_family():
     # join of s-1 cycles with a suspended cycle: n = sk+2 and the edge count
     # meets the even-level bound exactly

@@ -54,6 +54,45 @@ def test_graph6_round_trip():
         assert kernels.key_to_masks(key | rng.getrandbits(9) << total, g.n) == list(g.masks)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 62, 63, 100])
+def test_triangle_decoder_inverts_triangle_bits(n):
+    # bit k of the decoder's integer is the k-th triangle bit; a graph6
+    # body and a canonical key hold the same bits in the opposite order
+    rng = random.Random(n)
+    total = n * (n - 1) // 2
+    for p in (0.0, 0.3, 0.7, 1.0):
+        g = random_graph(n, p, rng)
+        bits = kernels.triangle_bits(g.masks, n)
+        t = int(bits[::-1] or "0", 2)
+        assert kernels.rows_of_triangle(t, n) == list(g.masks)
+        assert kernels.rows_of_triangle(t | rng.getrandbits(9) << total, n) == list(g.masks)
+        assert parse_graph6_line(dump_graph6(g)) == g
+        key = int(bits or "0", 2)
+        assert kernels.key_to_masks(key, n) == list(g.masks)
+        assert kernels.key_to_masks(key | rng.getrandbits(9) << total, n) == list(g.masks)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 63])
+def test_graph6_padding_bits_each_refused(n):
+    # every padding bit past the n(n-1)/2 of the triangle is refused with
+    # the same message, and the last triangle bit is not padding
+    s = dump_graph6(Graph(n, (0,) * n))
+    head, body = s[:1 if n <= 62 else 4], s[1 if n <= 62 else 4:]
+    need = n * (n - 1) // 2
+    code = [ord(ch) - 63 for ch in body]
+    for k in range(need - 1, 6 * len(body)):
+        set_bit = code.copy()
+        set_bit[k // 6] |= 32 >> k % 6
+        line = head + "".join(chr(63 + c) for c in set_bit)
+        if k < need:
+            assert parse_graph6_line(line).edge_count == 1
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_graph6_line(line, path="x.g6", line_no=3)
+            assert (err.value.message, err.value.path, err.value.line) == (
+                "nonzero padding bits in graph6 body", "x.g6", 3)
+
+
 def test_graph6_long_size_header():
     g = random_graph(70, 0.1, random.Random(62))
     s = dump_graph6(g)

@@ -32,6 +32,7 @@ Regenerate them (only for a deliberate output change) from that directory:
     python -m flagstone.cli bounds torus.facets --s 1 > bounds-torus.stdout
 """
 
+import io
 import os
 import subprocess
 import sys
@@ -101,3 +102,31 @@ def test_process_entry_output_is_byte_identical(tmp_path):
         assert (done.returncode, done.stderr) == (0, b"")
         assert done.stdout == (GOLDEN / f"{name}.stdout").read_bytes()
         assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+class _CountingStdout(io.StringIO):
+    """A stdout that counts the calls to its write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["check", *FILES], "check.stdout"),
+    (["search", *SEARCHES["search-d1"]], "search-d1.stdout"),
+    (["search", *SEARCHES["search-random-d3"]], "search-random-d3.stdout"),
+])
+def test_listing_is_one_stdout_write(argv, golden, monkeypatch):
+    # an unbuffered stdout (PYTHONUNBUFFERED) pays two system calls for
+    # each print; the listing goes out in one write
+    monkeypatch.chdir(GOLDEN)
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(argv) == 0
+    assert stdout.writes == 1
+    assert stdout.getvalue() == (GOLDEN / golden).read_text()

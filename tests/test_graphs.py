@@ -12,6 +12,7 @@ from flagstone import (
     NotAClique,
     SimplicialComplex,
     contains_multipartite_subgraph,
+    cycle_part_sizes,
     disjoint_union,
     dump_edge_list,
     dump_graph6,
@@ -210,6 +211,19 @@ def test_join_counts():
             for i in range(len(ca))
             if 0 <= k - i < len(cb)
         )
+
+
+@pytest.mark.parametrize("s, n", [(1, 7), (3, 17), (30, 243)])
+def test_wide_join_counts_are_the_cycle_polynomial_product(s, n):
+    # a cycle on c >= 4 vertices has c vertices, c edges and no triangle, so
+    # the join's clique counts are the coefficients of prod (1 + c x + c x^2)
+    poly = [1]
+    for c in cycle_part_sizes(s, n):
+        poly = [a + c * b + c * e for a, b, e in zip(poly + [0, 0], [0] + poly + [0], [0, 0] + poly)]
+    for k in (0, 1, 2, s, s + 1, 2 * s, 2 * s + 1, 2 * s + 4):
+        # a fresh graph each time, so no full vector is cached to slice
+        assert gen_join_of_cycles(s, n).clique_count(k) == (poly[k] if k < len(poly) else 0)
+        assert gen_join_of_cycles(s, n).clique_counts(k) == tuple(poly[:k + 1]) + (0,) * (k + 1 - len(poly))
 
 
 def test_disjoint_union():

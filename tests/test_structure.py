@@ -25,6 +25,7 @@ from flagstone import (
     default_eta,
     detect_level,
     disjoint_union,
+    dump_facet_list,
     extract_partition,
     find_transversal_clique,
     gen_complete_multipartite,
@@ -32,10 +33,12 @@ from flagstone import (
     gen_grid_torus,
     gen_join_of_cycles,
     gen_suspension_sphere,
+    graph_from_key,
     is_d_leveled,
     is_flag,
     is_weak_pseudomanifold,
     join,
+    parse_facet_list,
     restrict_witness,
     verify_type_partition,
     witness_link,
@@ -49,6 +52,7 @@ from helpers import (
     brute_unpaired_ridge,
     random_graph,
     reference_is_d_leveled,
+    unpruned_classes,
 )
 
 
@@ -160,6 +164,27 @@ def test_wpm_matches_brute():
             if k.facets and all(len(f) == d + 1 for f in k.facets):
                 ridge = brute_unpaired_ridge(k.facets)
                 assert witness == (None if ridge is None else ("ridge", *ridge)), k
+
+
+def _flag_complexes():
+    """Facet-list round trips of the clique complexes of the corpus
+    families and of one graph per isomorphism class on 1..6 vertices."""
+    graphs = [gen_grid_torus(p, q) for p in (4, 5, 6) for q in (4, 5)]
+    graphs += [gen_join_of_cycles(s, n) for s in (1, 2, 3) for n in range(4 * s, 4 * s + 5)]
+    graphs += [gen_suspension_sphere(k) for k in range(4, 9)]
+    graphs += [graph_from_key(key, n) for n, keys in unpruned_classes(6).items() for key in keys]
+    return [parse_facet_list(dump_facet_list(clique_complex(g))) for g in graphs]
+
+
+def test_level_verdict_of_a_flag_complex_is_its_pseudomanifold_verdict():
+    # check_instance takes a passing level test of a flag complex's support
+    # skeleton as its pseudomanifold verdict, and runs the ridge count only
+    # on a failing one; the verdicts agree, so the shortcut is exact
+    complexes = _flag_complexes()
+    assert sum(detect_level(k.support_skeleton())[1].is_leveled for k in complexes) >= 25
+    for k in complexes:
+        assert k.facets and all(k.facets) and is_flag(k)[0]
+        assert detect_level(k.support_skeleton())[1].is_leveled == is_weak_pseudomanifold(k, k.dimension)[0]
 
 
 # -- the level test -----------------------------------------------------
