@@ -3,18 +3,22 @@
 Reference implementation of the hot loops: clique counting up to a size
 cap, maximal-clique enumeration (Bron-Kerbosch with pivoting), a one-pass
 census giving the full count vector and the maximal cliques (or None
-past a limit on the number of cliques), the first d-clique that fails
-the link test of the leveled predicate (the reference the tests hold the
-level test to), and canonical forms for isomorphism dedup.  Each kernel
-has one contract.  The C extension `_kernels_c` implements the four hot
-ones (maximal_cliques, clique_census, crowded_link, canonical_key) with
-the same contracts for n <= 64, and `flagstone.kernels` sends each call
-to one or the other; the rest, clique_counts among them, run only here.
+past a limit on the number of cliques), the first d-clique inside a
+vertex set with a crowded link (the level prune), and canonical forms for
+isomorphism dedup.  k_cliques, clique_number and leveled_violation (the
+first d-clique failing the link test, the reference the tests hold the
+level test to) are read off maximal_cliques.  Each kernel has one
+contract.  The C extension `_kernels_c` implements the four hot ones
+(maximal_cliques, clique_census, crowded_link, canonical_key) with the
+same contracts for n <= 64, and `flagstone.kernels` sends each call to
+one or the other; the rest, clique_counts among them, run only here.
 Graphs enter as a sequence of adjacency bitmask rows (row v = OR of 1<<u
 over neighbors u of v).  Canonical keys and graph6 bodies share one
 upper-triangle codec: triangle_bits writes the bits as a string, and
 rows_of_triangle reads them back from one integer.
 """
+
+from itertools import combinations
 
 
 def clique_counts(masks, n, kmax):
@@ -136,82 +140,35 @@ def clique_census(masks, n, limit=-1):
 
 
 def k_cliques(masks, n, k):
-    """All k-vertex cliques as sorted tuples, in lexicographic order."""
+    """All k-vertex cliques as sorted tuples, in lexicographic order: the
+    k-subsets of the maximal cliques, each once."""
     if k == 0:
         return [()]
-    if k == 1:
-        return [(v,) for v in range(n)]
-    out = []
-
-    def rec(prefix, cand, need):
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            if need == 1:
-                out.append(prefix + (v,))
-            else:
-                sub = cand & masks[v]
-                if sub.bit_count() >= need - 1:
-                    rec(prefix + (v,), sub, need - 1)
-
-    rec((), (1 << n) - 1, k)
-    return out
+    return sorted({sub for c in maximal_cliques(masks, n) for sub in combinations(c, k)})
 
 
 def clique_number(masks, n, stop_at=-1):
-    """Size of a largest clique; stops early once stop_at is reached (if >= 0)."""
-    best = 0
-
-    def rec(cand, size):
-        nonlocal best
-        if size > best:
-            best = size
-        while cand:
-            if size + cand.bit_count() <= best:
-                return
-            if stop_at >= 0 and best >= stop_at:
-                return
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            rec(cand & masks[v], size + 1)
-
-    rec((1 << n) - 1, 0)
-    return best
+    """Size of a largest clique, the largest maximal clique's; with
+    stop_at >= 0, the smaller of that size and stop_at."""
+    omega = max(map(len, maximal_cliques(masks, n)), default=0)
+    return min(omega, stop_at) if stop_at >= 0 else omega
 
 
 def leveled_violation(masks, n, d):
-    """First d-clique whose common neighborhood is not two isolated vertices.
+    """First d-clique whose common neighborhood is not two nonadjacent vertices.
 
     Returns (sigma, link_vertices) for the first (lexicographic) violating
     d-clique, or None when every d-clique passes.  The maximal-clique size
     condition of the leveled predicate is checked separately by the caller.
     """
-    full = (1 << n) - 1
-    found = None
-
-    def bad(common):
-        if common.bit_count() != 2:
-            return True
-        u = (common & -common).bit_length() - 1
-        w = (common & (common - 1)).bit_length() - 1
-        return (masks[u] >> w) & 1 == 1
-
-    def rec(prefix, cand, common, need):
-        nonlocal found
-        if need == 0:
-            if bad(common):
-                found = (prefix, bits_of(common))
-            return
-        while cand and found is None:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            rec(prefix + (v,), cand & masks[v], common & masks[v], need - 1)
-
-    rec((), full, full, d)
-    return found
+    for sigma in k_cliques(masks, n, d):
+        common = (1 << n) - 1
+        for v in sigma:
+            common &= masks[v]
+        link = bits_of(common)
+        if len(link) != 2 or masks[link[0]] >> link[1] & 1:
+            return sigma, link
+    return None
 
 
 def crowded_link(masks, n, d, within):

@@ -25,6 +25,7 @@ from .graphs import Graph, _Value
 
 DIMENSION_CAP = 24
 FACE_BUDGET = 1 << 17  # caps sum(2^|F|) over facets; a 16-simplex facet fits
+CLIQUE_BUDGET = 1 << 20  # caps the cliques of each join factor of a checked graph
 VERTEX_LIMIT = 1 << 16  # caps the vertex count a parsed file may declare
 EDGE_LIMIT = 1 << 21  # caps the edges of a generated dense graph, whose rows grow as n^2
 

@@ -6,15 +6,17 @@ and n <= 64, since it carries a row in one 64-bit word; every other call,
 and every call on a machine where the extension was not built, runs the
 pure-Python reference `_kernels_py`.  BACKEND is "c" when the extension
 imported, else "python".  clique_counts (the count capped at a size, for a
-truncated vector), k_cliques, clique_number, bits_of, the key decoder
-key_to_masks, the triangle codec under it and graph6 (triangle_bits
-writes a string, rows_of_triangle reads one integer) and
-leveled_violation, the link test the level test is checked against, are
-pure Python only and are that module's functions.  No command calls
-clique_number: the tests' unpruned class enumerator caps cliques with it,
-and the benchmark's per-layer tracer looks it up by name.  Each kernel has one
-contract, stated on its `_kernels_py` namesake; clique_census's limit
-on the number of cliques is passed to whichever backend runs.
+truncated vector), bits_of, the key decoder key_to_masks, the triangle
+codec under it and graph6 (triangle_bits writes a string,
+rows_of_triangle reads one integer), and k_cliques, clique_number and
+leveled_violation, which `_kernels_py` reads off its own maximal_cliques,
+are pure Python only and are that module's functions.  No command calls
+those last three: leveled_violation is the link test the tests check the
+level test against, the tests' unpruned class enumerator caps cliques
+with clique_number, and the benchmark's per-layer tracer looks all three
+up by name.  Each kernel has one contract, stated on its `_kernels_py`
+namesake; clique_census's limit on the number of cliques is passed to
+whichever backend runs.
 """
 
 from . import _kernels_py

@@ -36,8 +36,9 @@ reached from a kept class on k vertices.  Prune (b) also fixes part of the
 new neighborhood: a vertex one short of the bound must be in it.  Search
 output is deterministic and byte-identical regardless of worker count.
 
-Random mode reports the balanced cycle join at each size when it passes
-the level test: no single edge swap of that join passes it
+Random mode reports the balanced cycle join at each size at odd levels,
+where it passes the level test by construction, and none at even ones,
+where it never does: no single edge swap of that join passes it
 (`random_search` gives the proof), so there is no walk to run.
 
 Both modes only choose an extremal graph and counts per n; the one
@@ -61,6 +62,7 @@ from .bounds import (
     verify_theorem_instance,
 )
 from .complexes import (
+    CLIQUE_BUDGET,
     EDGE_LIMIT,
     check_dehn_sommerville,
     check_klee,
@@ -259,12 +261,17 @@ def exhaustive_search(cfg):
 
 
 def random_search(cfg):
-    """The balanced cycle join G = gen_join_of_cycles(s, n) for each n >= 4s,
-    reported when it passes the level test at d; reproducible.
+    """The balanced cycle join G = gen_join_of_cycles(s, n) for each n >= 4s
+    at odd d, and no graph at even d; reproducible.
 
-    The seed and the budget only appear in the payload (a zero budget
-    reports no sizes): by the theorem below, a walk from G by single edge
-    swaps would never move.
+    G passes the level test exactly at odd d = 2s - 1: each cycle passes
+    at 1 with the one maximal-clique size 2, so by the join rule of
+    `is_d_leveled` G passes with the one size 2s.  At even d = 2s that
+    size is d, not d + 1.  So the level test decides nothing here and is
+    not run; the report of each listed join runs its own.  The seed and
+    the budget only appear in the payload (a zero budget reports no
+    sizes): by the theorem below, a walk from G by single edge swaps
+    would never move.
 
     Theorem.  Let G be the join of s cycles, each on at least 4 vertices.
     Drop one edge ab of G and add one non-edge uv.  The result H fails the
@@ -314,10 +321,10 @@ def random_search(cfg):
     stop = cfg.n_max + 1 if cfg.budget > 0 else cfg.n_min
     joins = range(max(cfg.n_min, 4 * s), stop)
     if joins:
-        # the payload lists the edges of every join: refuse the largest
-        # join, then the joins' sum, before the first is built
+        # the payload lists the edges of every join at odd d: refuse the
+        # largest join, then the joins' sum, before the first is built
         check_join_of_cycles(s, joins[-1])
-        total = sum(check_join_of_cycles(s, n)[1] for n in joins)
+        total = sum(check_join_of_cycles(s, n)[1] for n in joins) if cfg.d % 2 else 0
         if total > EDGE_LIMIT:
             raise InvalidParameter(f"the {s}-cycle joins for n={joins[0]}..{joins[-1]} total {total} edges, "
                                    f"over the edge limit {EDGE_LIMIT}")
@@ -330,8 +337,7 @@ def random_search(cfg):
 
     def chosen():
         for n in joins:
-            base = gen_join_of_cycles(s, n)
-            best = base if is_d_leveled(base, cfg.d).is_leveled else None
+            best = gen_join_of_cycles(s, n) if cfg.d % 2 else None
             yield n, best, {"candidates_found": 0 if best is None else 1}
 
     return _search_result(cfg, chosen(), notes)
@@ -393,8 +399,18 @@ def _add_skeleton(entry, instance, g):
 
 
 def check_instance(instance, obj):
-    """Full pipeline for one parsed graph or complex."""
+    """Full pipeline for one parsed graph or complex.
+
+    A graph gets one clique census per join factor, capped at
+    CLIQUE_BUDGET cliques; past it BudgetExceeded is raised.  The census
+    is cached for the f-vector and the level test.  A complex's flag test
+    caps its census by its facets instead.
+    """
     if isinstance(obj, Graph):
+        for f, _ in obj.join_factors():
+            if f.census(CLIQUE_BUDGET) is None:
+                raise BudgetExceeded(f"a join factor on {f.n} vertices has more than {CLIQUE_BUDGET} cliques, "
+                                     "over the clique budget")
         entry = {"instance": instance, "kind": "graph", "n": obj.n,
                  "flag": {"verdict": True, "note": "clique complex of the graph; flag by construction"}}
         _add_skeleton(entry, instance, obj)
@@ -438,9 +454,10 @@ def _error_entry(instance, stage, message, path, line):
 def run_corpus_checks(paths):
     """Check every file, isolating failures per file and per instance.
 
-    Returns a list of entry dicts; parse failures, and complexes whose faces
-    would pass the face budget, become entries with kind "error" carrying
-    the message and position, and never abort the batch.
+    Returns a list of entry dicts; parse failures, complexes whose faces
+    would pass the face budget and graphs over the clique budget become
+    entries with kind "error" carrying the message and position, and never
+    abort the batch.
     """
     entries = []
     for path in paths:

@@ -233,7 +233,8 @@ def unpruned_classes(n_max, clique_cap=None):
         for key in levels[k]:
             base = kernels.key_to_masks(key, k)
             for mask in range(1 << k):
-                if clique_cap is not None:
+                # a clique of clique_cap vertices needs that many neighbours
+                if clique_cap is not None and mask.bit_count() >= clique_cap:
                     nbr_rows = [row & mask if mask >> v & 1 else 0 for v, row in enumerate(base)]
                     if kernels.clique_number(nbr_rows, k, stop_at=clique_cap) >= clique_cap:
                         continue

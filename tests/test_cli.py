@@ -29,8 +29,10 @@ from flagstone import (
     parse_facet_list,
     run_corpus_checks,
 )
+from flagstone import kernels
 from flagstone.cli import main, write_json
-from flagstone.complexes import VERTEX_LIMIT
+from flagstone.complexes import CLIQUE_BUDGET, VERTEX_LIMIT
+from flagstone.search import check_instance
 from helpers import random_graph
 
 
@@ -175,6 +177,18 @@ def test_search_random_refuses_a_range_by_its_payload_edges(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", "error: the 2-cycle joins for n=10..291 total 2106446 edges, over the edge limit 2097152\n"
     )
+
+
+def test_search_random_at_even_level_lists_no_edges(tmp_path, capsys):
+    # at d=4 the 2-cycle joins for n=8..400 would total 5 433 438 edges; the
+    # join never passes at an even level, so none is listed and none refused
+    out = tmp_path / "res.json"
+    assert main(["search", "--mode", "random", "--d", "4", "--n", "8..400", "--seed", "1",
+                 "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert len(payload["per_n"]) == 393 and payload["reports"] == []
+    assert all(entry["argmax_edges"] is None for entry in payload["per_n"])
+    assert capsys.readouterr().err == ""
 
 
 def test_check_ok_and_json(tmp_path, capsys):
@@ -365,6 +379,43 @@ def test_check_over_face_budget_exit(tmp_path, capsys):
     assert err["error"]["stage"] == "budget"
     assert "face budget" in err["error"]["message"]
     assert payload["summary"]["parse_errors"] == 1
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+@pytest.mark.parametrize("backend", ["py", "c"])
+def test_check_over_clique_budget_exit(backend, request, monkeypatch, tmp_path, capsys):
+    # the complement of C40 (740 edges, one join factor) has about 2.3 * 10^8
+    # cliques, over CLIQUE_BUDGET = 2^20: the capped census refuses it at once
+    monkeypatch.setattr(kernels, "_c", request.getfixturevalue("compiled_kernels") if backend == "c" else None)
+    c40 = gen_cycle(40)
+    dense = tmp_path / "co-c40.txt"
+    dense.write_text(dump_edge_list(Graph.from_edges(
+        40, [(u, v) for u in range(40) for v in range(u + 1, 40) if not c40.has_edge(u, v)])))
+    out_json = tmp_path / "report.json"
+    monkeypatch.chdir(GOLDEN)
+    start = time.perf_counter()
+    assert main(["check", str(dense), "join.txt", "--json", str(out_json)]) == 2
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == (f"{dense}: BUDGET ERROR: a join factor on 40 vertices has more than {CLIQUE_BUDGET} "
+                      "cliques, over the clique budget")
+    # the golden checked beside it is unchanged
+    assert out[1] == (GOLDEN / "check.stdout").read_text().splitlines()[0]
+    entries = json.loads(out_json.read_text())["entries"]
+    assert entries[0]["error"] == {"stage": "budget", "message": out[0].split("BUDGET ERROR: ")[1],
+                                   "path": str(dense), "line": None}
+    assert entries[1] == json.loads((GOLDEN / "check.json").read_text())["entries"][0]
+
+
+def test_check_admits_a_dense_random_graph_under_the_clique_budget(compiled_kernels, monkeypatch):
+    # a seeded G(60, 0.7) with 754 390 cliques stays under CLIQUE_BUDGET
+    # (other seeds go past it: 1 068 624 at seed 3); the budget is the same
+    # in either backend, and the compiled census counts it in milliseconds
+    monkeypatch.setattr(kernels, "_c", compiled_kernels)
+    entry = check_instance("g60", random_graph(60, 0.7, random.Random(0)))
+    assert entry["kind"] == "graph" and sum(entry["f"]) == 754390 <= CLIQUE_BUDGET
 
 
 def _graph6_size_header(n):

@@ -22,8 +22,11 @@ from flagstone import kernels
 from flagstone.cli import main
 
 from helpers import (
+    all_graphs,
     brute_canonical_key,
     brute_clique_counts,
+    brute_cliques,
+    brute_common_neighbors,
     brute_crowded_link,
     brute_maximal_cliques,
     random_graph,
@@ -366,6 +369,38 @@ def test_crowded_link_matches_brute():
         for d in (0, 1, 2, 3):
             got = kernels.crowded_link(list(g.masks), g.n, d, within)
             assert got == brute_crowded_link(g, d, within)
+
+
+def test_clique_derivations_match_brute(monkeypatch):
+    # k_cliques, clique_number and leveled_violation read maximal_cliques;
+    # each is held to the brute-force cliques here, not to that kernel,
+    # which test_maximal_cliques_match_brute pins, so it runs once per graph
+    listed = {}
+    kernel = _kernels_py.maximal_cliques
+
+    def once(masks, n):
+        key = tuple(masks)
+        if key not in listed:
+            listed[key] = kernel(masks, n)
+        return listed[key]
+
+    monkeypatch.setattr(_kernels_py, "maximal_cliques", once)
+    rng = random.Random(909)
+    graphs = [g for n in range(6) for g in all_graphs(n)]
+    graphs += [random_graph(rng.randrange(0, 11), rng.choice([0.2, 0.5, 0.8]), rng) for _ in range(200)]
+    for g in graphs:
+        m, n = list(g.masks), g.n
+        cliques = brute_cliques(g)  # by size, each size in lexicographic order
+        omega = len(cliques[-1])
+        for k in range(n + 2):
+            assert kernels.k_cliques(m, n, k) == [c for c in cliques if len(c) == k]
+        assert kernels.clique_number(m, n) == omega
+        for stop_at in range(n + 2):
+            assert kernels.clique_number(m, n, stop_at) == min(omega, stop_at)
+        for d in range(5):
+            links = ((sigma, tuple(brute_common_neighbors(g, sigma))) for sigma in cliques if len(sigma) == d)
+            first = next(((sigma, link) for sigma, link in links if len(link) != 2 or g.has_edge(*link)), None)
+            assert kernels.leveled_violation(m, n, d) == first, (m, d)
 
 
 def test_clique_counts_past_n():

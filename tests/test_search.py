@@ -223,6 +223,28 @@ def test_random_search_range_check_counts_the_payload_edges(monkeypatch):
         random_search(cfg)
 
 
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_cycle_join_passes_at_odd_level_only(s):
+    # random mode lists the join at d = 2s - 1 and none at d = 2s without
+    # running the level test
+    for n in range(4 * s, 41):
+        g = gen_join_of_cycles(s, n)
+        assert is_d_leveled(g, 2 * s - 1).is_leveled and not is_d_leveled(g, 2 * s).is_leveled, n
+
+
+def test_random_search_at_even_level_builds_no_join(monkeypatch):
+    # at d=4 the 2-cycle joins for n=8..400 would total 5 433 438 edges, over
+    # EDGE_LIMIT, but none is listed, so none is built or counted
+    def built(s, n):
+        raise AssertionError("a join was built")
+
+    monkeypatch.setattr(search, "gen_join_of_cycles", built)
+    assert len(random_search(SearchConfig(mode="random", d=4, n_min=8, n_max=400, seed=1)).per_n) == 393
+    # the largest join is still checked, which bounds the number of entries
+    with pytest.raises(InvalidParameter, match="^6255000 edges, over the edge limit 2097152$"):
+        random_search(SearchConfig(mode="random", d=4, n_min=8, n_max=5000, seed=1))
+
+
 @pytest.mark.parametrize("s,n", [(s, n) for s in (1, 2, 3) for n in range(4 * s, 4 * s + 4)])
 def test_no_edge_swap_of_a_cycle_join_is_leveled(s, n):
     # the theorem of random_search: a walk from the join never moves
