@@ -25,7 +25,6 @@ typedef struct {
     int n;
     word rows[MAXN];
     int64_t counts[MAXN + 2];  /* clique_census: k-vertex cliques seen so far */
-    int path[MAXN];            /* the vertices chosen so far, in order */
     int found;                 /* a witness was found: the search is over */
     word hit;                  /* crowded_link: the witness clique */
     word *cliques;             /* maximal_cliques: growable result buffer */
@@ -101,21 +100,6 @@ tuple_of_mask(word mask)
     PyObject *t = PyTuple_New(popcount(mask));
     for (Py_ssize_t i = 0; t != NULL && mask; i++, mask &= mask - 1) {
         PyObject *v = PyLong_FromLong(lowest(mask));
-        if (v == NULL) {
-            Py_CLEAR(t);
-            break;
-        }
-        PyTuple_SET_ITEM(t, i, v);
-    }
-    return t;
-}
-
-static PyObject *
-tuple_of_path(const int *path, int len)
-{
-    PyObject *t = PyTuple_New(len);
-    for (int i = 0; t != NULL && i < len; i++) {
-        PyObject *v = PyLong_FromLong(path[i]);
         if (v == NULL) {
             Py_CLEAR(t);
             break;
@@ -237,13 +221,13 @@ py_maximal_cliques(PyObject *Py_UNUSED(self), PyObject *args)
 
 /* -- clique_census ---------------------------------------------------- */
 
-/* Every clique in lexicographic order: cand holds the vertices above the
-   last chosen one adjacent to all chosen, common every vertex adjacent to
-   all chosen.  A clique is maximal exactly when common & row is empty.
-   The candidates are counted before any is visited, so a capped pass
-   visits at most its limit of cliques. */
+/* Every clique in lexicographic order: chosen holds the vertices chosen so
+   far, cand the vertices above the last chosen one adjacent to all chosen,
+   common every vertex adjacent to all chosen.  A clique is maximal exactly
+   when common & row is empty.  The candidates are counted before any is
+   visited, so a capped pass visits at most its limit of cliques. */
 static void
-census_rec(Ctx *c, word cand, word common, int size)
+census_rec(Ctx *c, word chosen, word cand, word common, int size)
 {
     int k = popcount(cand);
     c->counts[size] += k;
@@ -253,14 +237,14 @@ census_rec(Ctx *c, word cand, word common, int size)
     }
     while (cand && !c->failed && !c->over) {
         int v = lowest(cand);
-        cand &= cand - 1;
+        word bit = (word)1 << v;
+        cand ^= bit;
         word row = c->rows[v];
         word sub = cand & row;
-        c->path[size - 1] = v;
         if (sub) {
-            census_rec(c, sub, common & row, size + 1);
+            census_rec(c, chosen | bit, sub, common & row, size + 1);
         } else if (!(common & row)) {
-            PyObject *t = tuple_of_path(c->path, size);
+            PyObject *t = tuple_of_mask(chosen | bit);
             if (t == NULL || PyList_Append(c->out, t) < 0)
                 c->failed = 1;
             Py_XDECREF(t);
@@ -287,7 +271,7 @@ py_clique_census(PyObject *Py_UNUSED(self), PyObject *args)
     c.counts[0] = 1;
     c.failed = c.over = 0;
     c.left = limit > 0 ? (int64_t)limit - 1 : -1;
-    census_rec(&c, full_mask(c.n), full_mask(c.n), 1);
+    census_rec(&c, 0, full_mask(c.n), full_mask(c.n), 1);
     if (c.over) {
         Py_DECREF(c.out);
         Py_RETURN_NONE;

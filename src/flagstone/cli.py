@@ -2,8 +2,8 @@
 
 Exit codes: 0 when every requested check passes or completes, 1 when a
 level-verified instance violates a theorem-status bound (a potential
-counterexample worth human eyes), 2 for usage and parse errors and for an
-output path that cannot be written.
+counterexample worth human eyes), 2 for usage and parse errors, for an
+output path that cannot be written and for a closed standard output.
 
 `main()` without argv, as the `flagstone` script and `python -m
 flagstone.cli` call it, freezes the start-up heap with `gc.freeze()`, so
@@ -13,6 +13,7 @@ in-process callers call it, leaves the heap as it is.
 
 import argparse
 import gc
+import os
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -325,9 +326,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a buffered stdout meets a closed pipe here
+        return code
     except FlagstoneError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        if argv is None:  # or the interpreter's flush at exit raises again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write standard output: {exc.strerror}", file=sys.stderr)
         return 2
 
 

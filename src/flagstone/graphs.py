@@ -156,17 +156,29 @@ class Graph(_Value):
         return sum(row.bit_count() for row in self.masks) // 2
 
     def is_connected(self):
-        """Does every vertex reach every other?  True for n <= 1."""
-        if self.n == 0:
-            return True
-        seen = frontier = 1
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            reached = self.masks[low.bit_length() - 1] & ~seen
-            seen |= reached
-            frontier |= reached
-        return seen == (1 << self.n) - 1
+        """Does every vertex reach every other, that is, does the component
+        of vertex 0 hold them all?  True for n <= 1."""
+        return self.n == 0 or next(self._components()) == (1 << self.n) - 1
+
+    def _components(self, complement=False):
+        # the component masks of the graph (or of its complement), lowest
+        # vertex first, by a breadth-first search over bitsets: a vertex
+        # reaches the unvisited vertices in (or outside) its row, so each
+        # vertex costs O(1) masks, and a component is closed once the
+        # frontier or the rest is empty
+        unseen = (1 << self.n) - 1
+        while unseen:
+            part = frontier = unseen & -unseen
+            unseen ^= part
+            while frontier and unseen:
+                low = frontier & -frontier
+                frontier ^= low
+                row = self.masks[low.bit_length() - 1]
+                reached = unseen & (~row if complement else row)
+                unseen ^= reached
+                part |= reached
+                frontier |= reached
+            yield part
 
     def with_edge(self, u, v):
         if not (0 <= u < self.n and 0 <= v < self.n):
@@ -196,22 +208,8 @@ class Graph(_Value):
 
     @cached_property
     def _join_factors(self):
-        # breadth-first search of the complement: a vertex v reaches the
-        # unvisited vertices outside its row, so each vertex costs O(1) masks,
-        # and a component is closed once the frontier or the rest is empty
-        unseen = (1 << self.n) - 1
-        parts = []
-        while unseen:
-            part = frontier = unseen & -unseen
-            unseen ^= part
-            while frontier and unseen:
-                low = frontier & -frontier
-                frontier ^= low
-                reached = unseen & ~self.masks[low.bit_length() - 1]
-                unseen ^= reached
-                part |= reached
-                frontier |= reached
-            parts.append(part)
+        # the subgraphs induced on the complement's components
+        parts = list(self._components(complement=True))
         if len(parts) < 2:
             return ((self, tuple(range(self.n))),)
         return tuple(self.induced(kernels.bits_of(part)) for part in parts)

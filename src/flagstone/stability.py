@@ -11,7 +11,7 @@ no tolerance parameters because every inequality is sharp at fixed n.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,12 +22,7 @@ from .structure import is_d_leveled
 # -- almost-join partitions ---------------------------------------------
 
 
-def _as_fraction(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-@dataclass(frozen=True)
-class PartitionWitness:
+class PartitionWitness(namedtuple("PartitionWitness", "t eta C parts X alpha m")):
     """A partition V = S_1 u ... u S_t u X with its claimed parameters.
 
     eta bounds the relative cross-degree deficit (every v in S_i must see
@@ -36,22 +31,20 @@ class PartitionWitness:
     claims; leave them None to skip those clauses.
     """
 
-    t: int
-    eta: Fraction
-    C: int
-    parts: tuple
-    X: tuple = ()
-    alpha: Fraction = None
-    m: int = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.t != len(self.parts):
-            raise InvalidPartition(f"t={self.t} but {len(self.parts)} parts given")
-        object.__setattr__(self, "eta", _as_fraction(self.eta))
-        object.__setattr__(self, "parts", tuple(tuple(sorted(p)) for p in self.parts))
-        object.__setattr__(self, "X", tuple(sorted(self.X)))
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", _as_fraction(self.alpha))
+    def __new__(cls, t, eta, C, parts, X=(), alpha=None, m=None):
+        if t != len(parts):
+            raise InvalidPartition(f"t={t} but {len(parts)} parts given")
+        return super().__new__(
+            cls, t, Fraction(eta), C, tuple(tuple(sorted(p)) for p in parts), tuple(sorted(X)),
+            None if alpha is None else Fraction(alpha), m,
+        )
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: both go through __new__'s checks
+        return cls(*iterable)
 
     def to_json_dict(self):
         out = {
@@ -69,19 +62,13 @@ class PartitionWitness:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls(
-            t=data["t"],
-            eta=Fraction(data["eta"]),
-            C=data["C"],
-            parts=tuple(tuple(p) for p in data["parts"]),
-            X=tuple(data["X"]),
-            alpha=Fraction(data["alpha"]) if "alpha" in data else None,
-            m=data.get("m"),
-        )
+        return cls(data["t"], data["eta"], data["C"], data["parts"], data["X"],
+                   data.get("alpha"), data.get("m"))
 
 
-@dataclass(frozen=True)
-class PartitionDiagnostics:
+class PartitionDiagnostics(namedtuple(
+    "PartitionDiagnostics", "ok type_ok excess_ok large_ok flat_ok failure", defaults=(None,),
+)):
     """Per-clause outcome of verify_type_partition.
 
     large_ok and flat_ok are None when the witness makes no such claim.
@@ -89,12 +76,7 @@ class PartitionDiagnostics:
     tuple for the cross-degree clause, else None.
     """
 
-    ok: bool
-    type_ok: bool
-    excess_ok: bool
-    large_ok: bool
-    flat_ok: bool
-    failure: tuple = None
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -282,7 +264,7 @@ def extract_partition(g, t, eta, seed_parts=None, seed=0, restarts=3):
     """
     if t < 1 or t > g.n:
         raise InvalidParameter(f"need 1 <= t <= n, got t={t}, n={g.n}")
-    eta = _as_fraction(eta)
+    eta = Fraction(eta)
     if seed_parts is not None:
         start = [None] * g.n
         for i, part in enumerate(seed_parts):

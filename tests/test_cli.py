@@ -268,6 +268,29 @@ def test_search_unwritable_out_exit(tmp_path, capsys):
     assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "cycle", "5"],
+    ["check", "tests/data/golden/join.txt"],
+    ["bounds", "tests/data/golden/join.txt", "--s", "2"],
+    ["search", "--mode", "exhaustive", "--d", "1", "--n", "3..6"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exit(argv, unbuffered):
+    # exit 1 would claim a potential counterexample; the interpreter's flush
+    # at exit must not raise again either.  A buffered stdout meets the
+    # closed pipe at the flush, an unbuffered one at the first write.
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONUNBUFFERED=unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "flagstone.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+                              cwd=root, env=env, text=True)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (2, "error: cannot write standard output: Broken pipe\n")
+
+
 def test_check_oversized_facet_is_a_parse_error(tmp_path, capsys):
     good = tmp_path / "c4.txt"
     good.write_text(dump_edge_list(gen_cycle(4)))
@@ -625,8 +648,9 @@ def test_cli_output_does_not_depend_on_join_factors(tmp_path, monkeypatch, capsy
 
 
 def test_cli_imports_only_what_commands_run():
-    # dataclasses pulls in inspect, ast, dis and tokenize, and no command
-    # runs the stability machinery; the package still re-exports it on use
+    # no command runs the stability machinery, and with no bytecode written
+    # (-B) the whole module would be compiled at every start; the package
+    # still re-exports it on use
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"

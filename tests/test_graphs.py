@@ -338,18 +338,39 @@ def test_census_keeps_the_cached_maximal_cliques(monkeypatch):
     assert g.maximal_cliques() is cliques
 
 
+def _components(n, adjacent):
+    """The components of the graph on 0..n-1 that `adjacent` defines, as
+    sorted vertex tuples ordered by lowest vertex, by brute force."""
+    parts, seen = [], set()
+    for v in range(n):
+        if v in seen:
+            continue
+        part, stack = {v}, [v]
+        while stack:
+            w = stack.pop()
+            for u in range(n):
+                if u not in part and adjacent(u, w):
+                    part.add(u)
+                    stack.append(u)
+        seen |= part
+        parts.append(tuple(sorted(part)))
+    return parts
+
+
 def test_is_connected():
+    # also the join factors, which are the components of the complement
     assert Graph(0, ()).is_connected() and Graph(1, (0,)).is_connected()
     assert not Graph(2, (0, 0)).is_connected()
     assert gen_cycle(6).is_connected()
     assert not disjoint_union(gen_cycle(3), gen_cycle(4)).is_connected()
     rng = random.Random(15)
-    for _ in range(40):
-        g = random_graph(rng.randrange(1, 9), rng.choice([0.1, 0.3, 0.5]), rng)
-        reach = {0}
-        for _ in range(g.n):
-            reach |= {u for v in reach for u in g.neighbors(v)}
-        assert g.is_connected() == (len(reach) == g.n)
+    graphs = [random_graph(rng.randrange(1, 9), rng.choice([0.1, 0.3, 0.5]), rng) for _ in range(40)]
+    graphs += [random_graph(rng.randrange(65, 90), p, rng) for p in (0.01, 0.03, 0.97, 0.99)]
+    graphs += [disjoint_union(graphs[-4], gen_cycle(3)), join(graphs[-1], graphs[-2])]
+    for g in graphs:
+        assert g.is_connected() == (len(_components(g.n, g.has_edge)) == 1)
+        factors = _components(g.n, lambda u, v: not g.has_edge(u, v))
+        assert [vmap for _, vmap in g.join_factors()] == factors
 
 
 def _trusted_builds(rng):

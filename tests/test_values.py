@@ -1,5 +1,7 @@
-"""The value classes compare, hash and print by their fields, as the frozen
-dataclasses they replaced did, and refuse attribute assignment."""
+"""The value classes compare, hash and print by their fields, as frozen
+dataclasses do, and refuse attribute assignment and deletion.  The
+records among them are namedtuples; those that normalise or check their
+fields do so again in `_replace` and `_make`."""
 
 from fractions import Fraction
 
@@ -9,7 +11,10 @@ from flagstone import (
     BoundEntry,
     BoundReport,
     Graph,
+    InvalidPartition,
     LeveledVerdict,
+    PartitionDiagnostics,
+    PartitionWitness,
     SearchConfig,
     SearchResult,
     SimplicialComplex,
@@ -40,6 +45,11 @@ CASES = [
      ("random", 3, 2, 8, 8, 2, 0, (), (), ("note",)), "seed",
      "SearchResult(mode='random', d=3, s=2, n_min=8, n_max=8, seed=1, budget=0, per_n=(), "
      "reports=(), notes=('note',))"),
+    (PartitionWitness, (2, 0, 1, ((3, 1), (0, 2)), (4,)), (2, 0, 0, ((1, 3), (0, 2)), (4,)), "parts",
+     "PartitionWitness(t=2, eta=Fraction(0, 1), C=1, parts=((1, 3), (0, 2)), X=(4,), alpha=None, m=None)"),
+    (PartitionDiagnostics, (False, True, False, None, None), (False, True, True, None, None), "excess_ok",
+     "PartitionDiagnostics(ok=False, type_ok=True, excess_ok=False, large_ok=None, flat_ok=None, "
+     "failure=None)"),
 ]
 
 
@@ -63,3 +73,19 @@ def test_graph_is_equal_only_to_graphs():
     g = Graph(2, (0, 0))
     assert g != (2, (0, 0)) and g != SimplicialComplex(2, (0, 0))
     assert len({g, Graph(2, (0, 0)), Graph(2, (2, 1))}) == 2
+
+
+def test_partition_records_rebuild_through_their_constructor():
+    w = PartitionWitness(2, Fraction(1, 2), 0, ((1, 0), (2, 3)), X=(), alpha=1)
+    assert w.parts == ((0, 1), (2, 3)) and type(w.eta) is type(w.alpha) is Fraction
+    for made in (w._replace(eta=0, parts=((3, 2), (1, 0)), X=[5, 4]),
+                 PartitionWitness._make([2, 0, 0, [[3, 2], [1, 0]], [5, 4], None, None])):
+        assert made.parts == ((2, 3), (0, 1)) and made.X == (4, 5)
+        assert type(made.eta) is Fraction and made.eta == 0
+    with pytest.raises(InvalidPartition, match="^t=3 but 2 parts given$"):
+        w._replace(t=3)
+    with pytest.raises(InvalidPartition, match="^t=1 but 2 parts given$"):
+        PartitionWitness._make([1, 0, 0, ((0,), (1,))])
+    for ok in (True, False):
+        d = PartitionDiagnostics(ok, ok, ok, None, None)
+        assert bool(d) is d.ok is ok
