@@ -23,15 +23,14 @@ from .bounds import verify_theorem_instance
 from .errors import FlagstoneError
 from .formats import check_graph6_size, dump_edge_list, dump_graph6, load_instances
 from . import generators
-from .graphs import Graph
 from .search import (
     SearchConfig,
+    admit_instance,
     corpus_summary,
     exhaustive_search,
     random_search,
     run_corpus_checks,
 )
-from .structure import is_flag
 
 # family: (generator, its check, parameter count or None for one list of any length)
 _FAMILIES = {
@@ -211,17 +210,15 @@ def _cmd_bounds(args):
     instances = load_instances(args.file)
     code = 0
     for instance, obj in instances:
-        if not isinstance(obj, Graph):
-            flag_ok, witness = is_flag(obj)
-            if not flag_ok:
-                print(f"bounds: {instance}: not flag, witness {tuple(witness)}; "
-                      "bounds apply to clique complexes only", file=sys.stderr)
-                return 2
-            obj = obj.support_skeleton()
-        if obj.n == 0:
+        g, witness = admit_instance(obj)
+        if g is None:
+            print(f"bounds: {instance}: not flag, witness {tuple(witness)}; "
+                  "bounds apply to clique complexes only", file=sys.stderr)
+            return 2
+        if g.n == 0:
             print(f"bounds: {instance}: no vertices; the edge bounds need n >= 1", file=sys.stderr)
             return 2
-        report = verify_theorem_instance(obj, args.s, cap=args.C, instance=instance)
+        report = verify_theorem_instance(g, args.s, cap=args.C, instance=instance)
         write_json(sys.stdout, report.to_json_dict())
         sys.stdout.write("\n")
         if report.potential_counterexample:

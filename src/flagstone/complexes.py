@@ -30,13 +30,6 @@ VERTEX_LIMIT = 1 << 16  # caps the vertex count a parsed file may declare
 EDGE_LIMIT = 1 << 21  # caps the edges of a generated dense graph, whose rows grow as n^2
 
 
-def require_face_budget(k):
-    """Raise BudgetExceeded when the facets of k could span more than FACE_BUDGET faces."""
-    total = sum(1 << len(f) for f in k.facets)
-    if total > FACE_BUDGET:
-        raise BudgetExceeded(f"facets span up to {total} faces, over the face budget {FACE_BUDGET}")
-
-
 class SimplicialComplex(_Value):
     """Vertex count plus inclusion-maximal faces as sorted vertex tuples.
 
@@ -93,13 +86,16 @@ class SimplicialComplex(_Value):
     def faces_by_size(self):
         """Dict size -> frozenset of the faces of that size, for sizes 0 to
         dimension + 1; {} for the void complex.  The faces are listed level
-        by level, once require_face_budget passes, and kept."""
+        by level, once their facets span at most FACE_BUDGET faces (sum
+        of 2^|F|; BudgetExceeded otherwise), and kept."""
         return dict(enumerate(self._faces))
 
     @cached_property
     def _faces(self):
         # a tuple of the faces of each size, the empty face first
-        require_face_budget(self)
+        total = sum(1 << len(f) for f in self.facets)
+        if total > FACE_BUDGET:
+            raise BudgetExceeded(f"facets span up to {total} faces, over the face budget {FACE_BUDGET}")
         by_size = {}
         for facet in self.facets:
             by_size.setdefault(len(facet), set()).add(facet)
@@ -158,6 +154,11 @@ def clique_complex(g):
     return SimplicialComplex(g.n, g.maximal_cliques())
 
 
+def flag_clique_cap(k):
+    """The most cliques a join factor of k's 1-skeleton has if k is flag."""
+    return sum(1 << len(f) for f in k.facets) + k.n + 1
+
+
 def maximal_cliques_are_facets(k):
     """Is every maximal clique of the 1-skeleton with 3 or more vertices a facet?
 
@@ -167,16 +168,15 @@ def maximal_cliques_are_facets(k):
     of the skeleton are the unions of one maximal clique per join factor,
     and each factor's come from one clique census (`Graph.census`), which
     also caches the factor's count vector for the f-vector.  The census
-    is capped: in a flag complex every clique is a face, at most
-    sum(2^|F|) of them, except the ambient vertices, at most n, and the
-    empty clique when there are no facets, so a factor with more than
-    sum(2^|F|) + n + 1 cliques decides "not flag" and no census lists
-    more: no more than the f-vector of a flag complex with the same
-    facets could list anyway.  The unions are built one at a time and
-    the first non-facet stops the scan; a prime skeleton is its own
-    single factor, and its maximal cliques are compared as listed.
+    is capped by `flag_clique_cap`: in a flag complex every clique is a
+    face, at most sum(2^|F|) of them, except the ambient vertices, at
+    most n, and the empty clique when there are no facets, so a factor
+    with more cliques decides "not flag".  The clique budget is applied
+    before, by `search.admit_instance`.  The unions are built one at a
+    time and the first non-facet stops the scan; a prime skeleton is its
+    own single factor, and its maximal cliques are compared as listed.
     """
-    limit = sum(1 << len(f) for f in k.facets) + k.n + 1
+    limit = flag_clique_cap(k)
     factors = k.one_skeleton().join_factors()
     listed = [f.census(limit) for f, _ in factors]
     if None in listed:
@@ -194,7 +194,7 @@ def f_vector(k):
 
     A flag complex with a vertex is the clique complex of its support
     skeleton, so its faces are counted as cliques and never listed; any
-    other complex lists its faces within require_face_budget.
+    other complex lists its faces within FACE_BUDGET.
     """
     if not k.facets:
         return ()

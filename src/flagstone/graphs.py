@@ -15,9 +15,9 @@ when there are two or more; `maximal_cliques()` lists the whole graph's.
 A single factor's full count vector comes from one clique census,
 `Graph.census`, which lists every clique and fills the `maximal_cliques()`
 cache on the way unless Bron-Kerbosch filled it first.  The census takes
-a limit on the number of cliques: the flag test of a complex passes one,
-reads the maximal cliques of each factor of its skeleton from the census,
-and leaves the counts cached for the f-vector.  Bron-Kerbosch runs only
+a limit on the number of cliques: `search.admit_instance` passes the clique
+budget, or a complex's flag test its facet cap, and the counts stay cached
+for the f-vector and the level test.  Bron-Kerbosch runs only
 when the maximal cliques are asked for before (or without) the counts:
 it is output-sensitive, while the census visits every clique.  A
 truncated vector, `clique_counts(kmax)` or `clique_count(k)`, is a slice

@@ -68,6 +68,7 @@ from .complexes import (
     check_klee,
     euler_characteristic,
     f_vector,
+    flag_clique_cap,
     gamma_vector,
     graph_f_vector,
     h_vector,
@@ -398,38 +399,46 @@ def _add_skeleton(entry, instance, g):
         }
 
 
-def check_instance(instance, obj):
-    """Full pipeline for one parsed graph or complex.
-
-    A graph gets one clique census per join factor, capped at
-    CLIQUE_BUDGET cliques; past it BudgetExceeded is raised.  The census
-    is cached for the f-vector and the level test.  A complex's flag test
-    caps its census by its facets instead.
+def admit_instance(obj):
+    """(g, None) with the graph g whose clique complex is checked, obj
+    itself or a flag complex's `support_skeleton()`; or (None, the least
+    non-face) for a complex that is not flag.  The one clique budget: each
+    join factor of a graph gets one census capped at CLIQUE_BUDGET, and
+    past it BudgetExceeded is raised.  A complex's flag census is capped
+    at the smaller of `flag_clique_cap` and the budget: past a facet cap
+    below the budget it is not flag, past the budget its skeleton gets the
+    graph's error.  The censuses are cached for what follows.
     """
-    if isinstance(obj, Graph):
-        for f, _ in obj.join_factors():
+    g = obj if isinstance(obj, Graph) else obj.one_skeleton()
+    if g is obj or flag_clique_cap(obj) >= CLIQUE_BUDGET:
+        for f, _ in g.join_factors():
             if f.census(CLIQUE_BUDGET) is None:
                 raise BudgetExceeded(f"a join factor on {f.n} vertices has more than {CLIQUE_BUDGET} cliques, "
                                      "over the clique budget")
+    if g is obj:
+        return g, None
+    flag_ok, witness = is_flag(obj)
+    return (obj.support_skeleton() if flag_ok else None), witness
+
+
+def check_instance(instance, obj):
+    """Full pipeline for one parsed graph or complex, read through
+    `admit_instance`, which may raise BudgetExceeded."""
+    g, witness = admit_instance(obj)
+    if g is obj:
         entry = {"instance": instance, "kind": "graph", "n": obj.n,
                  "flag": {"verdict": True, "note": "clique complex of the graph; flag by construction"}}
-        _add_skeleton(entry, instance, obj)
-        # the level test is the weak-pseudomanifold test of the clique complex
+    else:
+        entry = {"instance": instance, "kind": "complex", "n": obj.n, "facets": len(obj.facets),
+                 "flag": {"verdict": True} if g is not None else {"verdict": False, "witness": list(witness)}}
+    if g is not None:
+        _add_skeleton(entry, instance, g)
+        # g's clique complex is the instance's own, so the level test is its pseudomanifold test
         entry["pseudomanifold"] = entry["leveled"]["verdict"]
-        return entry
-    entry = {"instance": instance, "kind": "complex", "n": obj.n, "facets": len(obj.facets)}
-    flag_ok, witness = is_flag(obj)
-    if flag_ok:
-        entry["flag"] = {"verdict": True}
-        _add_skeleton(entry, instance, obj.support_skeleton())
-        # a flag complex is the clique complex of its support skeleton, so
-        # passing the level test there makes it a weak pseudomanifold
-        if entry["leveled"]["verdict"]:
-            entry["pseudomanifold"] = True
+        if entry["pseudomanifold"] or g is obj:
             return entry
     else:
         # a non-face clique needs an edge, so the complex is not void
-        entry["flag"] = {"verdict": False, "witness": list(witness)}
         _add_face_algebra(entry, f_vector(obj))
         entry["leveled"] = None
         entry["notes"] = ["not flag: level and bound checks apply to clique complexes only"]
@@ -454,10 +463,9 @@ def _error_entry(instance, stage, message, path, line):
 def run_corpus_checks(paths):
     """Check every file, isolating failures per file and per instance.
 
-    Returns a list of entry dicts; parse failures, complexes whose faces
-    would pass the face budget and graphs over the clique budget become
-    entries with kind "error" carrying the message and position, and never
-    abort the batch.
+    Returns a list of entry dicts; parse failures and instances over the
+    face or the clique budget become entries with kind "error" carrying
+    the message and position, and never abort the batch.
     """
     entries = []
     for path in paths:

@@ -30,7 +30,7 @@ def is_flag(k):
     witness) with witness the lexicographically first non-face clique of
     the smallest size s, a minimal non-face: tau + (w,) for an (s-1)-face
     tau and a common neighbor w > max tau, first in the walk over the
-    sorted faces (`faces_by_size`, within require_face_budget).  The
+    sorted faces (`faces_by_size`, within FACE_BUDGET).  The
     complex keeps the verdict and the face listing, so `f_vector` of a
     complex that is not flag decides and lists nothing again.
     """

@@ -382,9 +382,10 @@ def test_bounds_malformed_cap(tmp_path, capsys):
 
 
 def test_check_over_face_budget_exit(tmp_path, capsys):
-    # a 20-vertex facet next to a hollow triangle: not flag, and 2^20 faces
+    # an 18-vertex facet next to a hollow triangle: not flag, 2^18 + 12
+    # faces over FACE_BUDGET, and 2^18 + 7 cliques under CLIQUE_BUDGET
     f = tmp_path / "big.facets"
-    f.write_text("23 4\n" + " ".join(map(str, range(20))) + "\n20 21\n21 22\n20 22\n")
+    f.write_text("21 4\n" + " ".join(map(str, range(18))) + "\n18 19\n19 20\n18 20\n")
     good = tmp_path / "ok.txt"
     good.write_text(dump_edge_list(gen_cycle(5)))
     out_json = tmp_path / "report.json"
@@ -402,6 +403,13 @@ def test_check_over_face_budget_exit(tmp_path, capsys):
     assert err["error"]["stage"] == "budget"
     assert "face budget" in err["error"]["message"]
     assert payload["summary"]["parse_errors"] == 1
+    # with a 20-vertex facet the skeleton has 2^20 + 7 cliques, and the
+    # clique budget refuses it before any face is listed
+    f.write_text("23 4\n" + " ".join(map(str, range(20))) + "\n20 21\n21 22\n20 22\n")
+    assert main(["check", str(f)]) == 2
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"{f}: BUDGET ERROR: a join factor on 23 vertices has more than {CLIQUE_BUDGET} cliques, "
+        "over the clique budget")
 
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -430,6 +438,43 @@ def test_check_over_clique_budget_exit(backend, request, monkeypatch, tmp_path, 
     assert entries[0]["error"] == {"stage": "budget", "message": out[0].split("BUDGET ERROR: ")[1],
                                    "path": str(dense), "line": None}
     assert entries[1] == json.loads((GOLDEN / "check.json").read_text())["entries"][0]
+    # `bounds` reads the file through the same gate and gives the same message
+    start = time.perf_counter()
+    assert main(["bounds", str(dense), "--s", "2"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == ("", f"error: {out[0].split('BUDGET ERROR: ')[1]}\n")
+
+
+def _facet_file(path, g):
+    """Write the maximal cliques of g as a facet list on g's vertices."""
+    facets = g.maximal_cliques()
+    path.write_text(f"{g.n} {len(facets)}\n" + "".join(" ".join(map(str, c)) + "\n" for c in facets))
+
+
+def test_edge_and_facet_lists_meet_one_clique_budget(tmp_path, capsys):
+    # the complement of C29 has 1 149 851 cliques, over CLIQUE_BUDGET; its
+    # 3 480 maximal cliques as facets span more than that, so the flag
+    # census is capped at the budget and gives the edge list's entry
+    c29 = gen_cycle(29)
+    co = Graph.from_edges(29, [(u, v) for u in range(29) for v in range(u + 1, 29) if not c29.has_edge(u, v)])
+    edges, facets = tmp_path / "co-c29.txt", tmp_path / "co-c29.facets"
+    edges.write_text(dump_edge_list(co))
+    _facet_file(facets, co)
+    message = f"a join factor on 29 vertices has more than {CLIQUE_BUDGET} cliques, over the clique budget"
+    assert main(["check", str(edges), str(facets)]) == 2
+    assert capsys.readouterr().out.splitlines()[:2] == [f"{edges}: BUDGET ERROR: {message}",
+                                                        f"{facets}: BUDGET ERROR: {message}"]
+    for f in (edges, facets):
+        assert main(["bounds", str(f), "--s", "2"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    # C128*C128 as facets: 16 384 tetrahedra span 2^18 faces, over
+    # FACE_BUDGET, yet a flag complex is counted by cliques and never listed
+    torus = tmp_path / "c128-c128.facets"
+    _facet_file(torus, gen_join_of_cycles(2, 256))
+    assert main(["check", str(torus)]) == 0
+    assert f"{torus}: ok (n=256, edges=16640, level d=3: pass" in capsys.readouterr().out
+    assert main(["bounds", str(torus), "--s", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["leveled"] == {"d": 3, "verdict": True}
 
 
 def test_check_admits_a_dense_random_graph_under_the_clique_budget(compiled_kernels, monkeypatch):
@@ -661,7 +706,8 @@ def test_cli_imports_only_what_commands_run():
         "print(extract_partition is stability.extract_partition, PartitionWitness is stability.PartitionWitness)\n"
         "star = {}\n"
         "exec('from flagstone import *', star)\n"
-        "print(star['witness_link'] is stability.witness_link, star['Graph'] is flagstone.cli.Graph)\n"
+        "print(star['witness_link'] is stability.witness_link,\n"
+        "      star['run_corpus_checks'] is flagstone.cli.run_corpus_checks)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
     done = subprocess.run([sys.executable, "-B", "-c", script], env=env, capture_output=True, text=True, check=True)

@@ -1,0 +1,92 @@
+"""A seeded fuzz of the exit-code contract of `check` and `bounds`.
+
+Every input, a byte mutation of a golden input or a well-formed random
+edge or facet list on up to 70 vertices, must end with exit 0, with
+exit 2 and a message, or with exit 1 only when the output lists a
+potential counterexample; never with a traceback, and each case within
+a time bound.  A refusal at the clique budget costs a census of 2^20
+cliques, so only a few dense graphs are drawn.
+"""
+
+import random
+import signal
+from pathlib import Path
+
+import pytest
+
+from flagstone import dump_edge_list
+from flagstone.cli import main
+from helpers import random_graph
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+INPUTS = ["join.txt", "suspension.txt", "torus.facets", "pair.g6", "hollow.facets"]
+CASE_SECONDS = 5  # per case, both commands; a budget refusal takes well under 1 s
+
+
+class _Timeout(BaseException):
+    """Raised by the alarm, past anything the commands catch."""
+
+
+def _mutated(data, rng):
+    """data with one to three random byte edits: replace, insert or delete."""
+    data = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(data) + 1)
+        edit = rng.randrange(3)
+        if edit == 0 and i < len(data):
+            data[i] = rng.choice(b"0123456789 \n-~?" + bytes([rng.randrange(256)]))
+        elif edit == 1:
+            data.insert(i, rng.choice(b"0123456789 \n"))
+        elif i < len(data):
+            del data[i]
+    return bytes(data)
+
+
+def _facet_list(rng):
+    """A facet list on up to 70 vertices with up to 40 facets of up to 8 vertices."""
+    n = rng.randint(1, 70)
+    facets = [sorted(rng.sample(range(n), rng.randint(1, min(n, 8)))) for _ in range(rng.randint(0, 40))]
+    return f"{n} {len(facets)}\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets)
+
+
+def _cases(rng):
+    """(name, file bytes) pairs: 100 mutations, 70 edge lists, 30 facet lists."""
+    for i in range(100):
+        name = INPUTS[i % len(INPUTS)]
+        yield f"mut{i}-{name}", _mutated((GOLDEN / name).read_bytes(), rng)
+    for i in range(70):
+        # two dense graphs go over the clique budget; the rest stay sparse
+        n, p = (70, 0.94) if i % 25 == 24 else (rng.randint(0, 70), rng.random() * 0.5)
+        yield f"edges{i}.txt", dump_edge_list(random_graph(n, p, rng)).encode()
+    for i in range(30):
+        yield f"facets{i}.facets", _facet_list(rng).encode()
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
+def test_check_and_bounds_exit_codes_on_seeded_inputs(tmp_path, capsys):
+    def alarm(signum, frame):
+        raise _Timeout
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    codes = set()
+    try:
+        for name, data in _cases(random.Random(17)):
+            path = tmp_path / name
+            path.write_bytes(data)
+            argvs = [["check", str(path)], ["bounds", str(path), "--s", str(1 + len(data) % 3)]]
+            signal.setitimer(signal.ITIMER_REAL, CASE_SECONDS)
+            try:
+                for argv in argvs:
+                    code = main(argv)
+                    out, err = capsys.readouterr()
+                    codes.add(code)
+                    listed = "CANDIDATE" in out or '"potential_counterexample": true' in out
+                    assert code in (0, 2) or (code == 1 and listed), (argv, code, out, err)
+                    assert code != 2 or err or "ERROR" in out, (argv, out)
+            except _Timeout:
+                pytest.fail(f"{name} took over {CASE_SECONDS} s: {data[:80]!r}")
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert {0, 2} <= codes
