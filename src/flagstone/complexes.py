@@ -34,11 +34,12 @@ class SimplicialComplex(_Value):
     """Vertex count plus inclusion-maximal faces as sorted vertex tuples.
 
     A value: equal, hashed and shown by n and facets, which cannot be
-    reassigned; the 1-skeleton, the flag verdict and the face listing
-    are made once and kept, immutable, in its `__dict__`.  The
-    constructor stores the facets as given, as `clique_complex` does with
-    a graph's sorted maximal cliques; `from_facets` sorts, checks and
-    reduces arbitrary facet lists first.
+    reassigned; the 1-skeleton, the support skeleton, the flag verdict
+    and the face listing are made once and kept, immutable, in its
+    `__dict__`.  The constructor stores the facets as given, as
+    `clique_complex` does with a graph's sorted maximal cliques;
+    `_of_facets` reduces facets that are sorted and checked already, and
+    `from_facets` sorts and checks arbitrary facet lists for it.
     """
 
     _fields = ("n", "facets")
@@ -48,19 +49,33 @@ class SimplicialComplex(_Value):
 
     @classmethod
     def from_facets(cls, n, facets):
-        """Normalize: sort each facet, drop duplicates and contained faces.
-
-        A facet can lie only in a larger one, so only the facets below the
-        largest size are scanned; a pure complex needs no scan.
-        """
-        unique = {}  # a dict keeps the input order: sorted() below is linear on sorted input
+        """Normalize: sort each facet and check it against n and
+        DIMENSION_CAP, then drop duplicates and contained faces as
+        `_of_facets` does.  A parsed facet list is checked into that form
+        line by line, so `parse_facet_list` calls `_of_facets` directly."""
+        normal = []
         for facet in facets:
             fs = tuple(sorted(set(facet)))
             if fs and not (0 <= fs[0] and fs[-1] < n):
                 raise InvalidComplex(f"facet {fs} out of range for n={n}")
             if len(fs) - 1 > DIMENSION_CAP:
                 raise InvalidComplex(f"facet of dimension {len(fs) - 1} exceeds cap {DIMENSION_CAP}")
-            unique[fs] = None
+            normal.append(fs)
+        return cls._of_facets(n, normal)
+
+    @classmethod
+    def _of_facets(cls, n, facets):
+        """The complex on facets that are sorted tuples within 0..n-1 and
+        DIMENSION_CAP by construction, with duplicates and the facets that
+        lie inside larger ones dropped, the rest in sorted order.
+
+        A facet can lie only in a larger one, so only the facets below the
+        largest size are scanned, and a pure complex needs no scan.  A
+        facet containing fs contains every vertex of fs, so fs is compared
+        only with the facets through its least frequent vertex: on a cone
+        that is not the apex, which lies in every facet.
+        """
+        unique = dict.fromkeys(facets)  # keeps the input order: sorted() below is linear on sorted input
         top = max(map(len, unique), default=0)
         small = [fs for fs in unique if len(fs) < top]
         if small:
@@ -70,9 +85,10 @@ class SimplicialComplex(_Value):
                 for v in fs:
                     containing.setdefault(v, []).append(mask)
             for fs in small:
-                # a facet containing fs contains its lowest vertex; () lies in every facet
+                # () lies in every facet
                 mask = _vertex_mask(fs)
-                if not fs or any(other != mask and other | mask == other for other in containing[fs[0]]):
+                if not fs or any(other != mask and other | mask == other
+                                 for other in min(map(containing.__getitem__, fs), key=len)):
                     del unique[fs]
         return cls(n, tuple(sorted(unique)))
 
@@ -123,13 +139,19 @@ class SimplicialComplex(_Value):
 
         Ambient vertices in no facet are not part of the complex, so they
         are dropped and the rest relabeled in order; for a flag complex the
-        clique complex of this graph is the complex itself.
+        clique complex of this graph is the complex itself.  Built once, it
+        is the one graph that the clique budget, the flag test, the
+        f-vector and the level test read; with no ambient vertex it is
+        `one_skeleton()`.
         """
+        return self._support[0]
+
+    @cached_property
+    def _support(self):
+        # (support skeleton, used vertices): skeleton vertex i is used[i]
         g = self.one_skeleton()
-        used = sorted({v for facet in self.facets for v in facet})
-        if len(used) < g.n:
-            g, _ = g.induced(used)
-        return g
+        used = tuple(sorted(set(chain.from_iterable(self.facets))))
+        return (g if len(used) == g.n else g.induced(used)[0]), used
 
     @cached_property
     def _one_skeleton(self):
@@ -140,6 +162,10 @@ class SimplicialComplex(_Value):
                 rows[v] |= mask
         # each row also took its own vertex from its facets' masks
         return Graph._of_rows(self.n, tuple(row & ~(1 << v) for v, row in enumerate(rows)))
+
+    @cached_property
+    def _flag_cap(self):
+        return sum(1 << len(f) for f in self.facets) + self.n + 1
 
 
 def _vertex_mask(vertices):
@@ -155,36 +181,40 @@ def clique_complex(g):
 
 
 def flag_clique_cap(k):
-    """The most cliques a join factor of k's 1-skeleton has if k is flag."""
-    return sum(1 << len(f) for f in k.facets) + k.n + 1
+    """The most cliques a join factor of k's support skeleton has if k is
+    flag, computed once per complex: sum(2^|F|) over the facets bounds the
+    faces, and n + 1 more covers the empty clique when there are none."""
+    return k._flag_cap
 
 
 def maximal_cliques_are_facets(k):
-    """Is every maximal clique of the 1-skeleton with 3 or more vertices a facet?
+    """Is every maximal clique of the support skeleton with 3 or more
+    vertices a facet?
 
-    That holds exactly when k is flag: vertices and edges of the skeleton
-    are faces by construction, and ambient vertices that lie in no facet
-    are 1-vertex maximal cliques, so they are ignored.  The maximal cliques
-    of the skeleton are the unions of one maximal clique per join factor,
-    and each factor's come from one clique census (`Graph.census`), which
-    also caches the factor's count vector for the f-vector.  The census
-    is capped by `flag_clique_cap`: in a flag complex every clique is a
-    face, at most sum(2^|F|) of them, except the ambient vertices, at
-    most n, and the empty clique when there are no facets, so a factor
-    with more cliques decides "not flag".  The clique budget is applied
-    before, by `search.admit_instance`.  The unions are built one at a
-    time and the first non-facet stops the scan; a prime skeleton is its
-    own single factor, and its maximal cliques are compared as listed.
+    That holds exactly when k is flag: the skeleton's vertices and edges
+    are faces by construction, and a 1-vertex facet is a 1-vertex maximal
+    clique, so it is ignored.  The maximal cliques of the skeleton are the
+    unions of one maximal clique per join factor, and each factor's come
+    from one clique census (`Graph.census`), which also caches the
+    factor's count vector for the f-vector and the level test.  The census
+    is capped by `flag_clique_cap`, so a factor with more cliques decides
+    "not flag".  The clique budget is applied before, on the same factors,
+    by `search.admit_instance`.  Each union is mapped to k's labels through
+    its factors' vertex maps and the used vertices, one at a time, and the
+    first non-facet stops the scan; a prime skeleton with no ambient vertex
+    is its own single factor, and its maximal cliques are compared as
+    listed.
     """
+    g, used = k._support
     limit = flag_clique_cap(k)
-    factors = k.one_skeleton().join_factors()
+    factors = g.join_factors()
     listed = [f.census(limit) for f, _ in factors]
     if None in listed:
         return False
     facets = set(k.facets)
-    if len(factors) == 1:
+    if len(factors) == 1 and len(used) == k.n:
         return all(len(c) < 3 or c in facets for c in listed[0])
-    mapped = [[tuple(vmap[v] for v in c) for c in cliques] for cliques, (_, vmap) in zip(listed, factors)]
+    mapped = [[tuple(used[vmap[v]] for v in c) for c in cliques] for cliques, (_, vmap) in zip(listed, factors)]
     cliques = (tuple(sorted(chain.from_iterable(parts))) for parts in product(*mapped))
     return all(len(c) < 3 or c in facets for c in cliques)
 

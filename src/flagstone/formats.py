@@ -19,8 +19,10 @@ use too: `kernels.triangle_bits` writes it, and `kernels.rows_of_triangle`
 reads it back from one integer whose bit k is the body's k-th bit, made
 by joining the body's 6-bit groups in reverse order, each reversed.  Both
 sets of rows are symmetric, irreflexive and in range once these checks
-pass, so the graph is built without the constructor's scan.  A facet list's 1-skeleton is built from facet
-bitmasks by SimplicialComplex.one_skeleton.
+pass, so the graph is built without the constructor's scan.  Likewise
+each line of a facet list is checked into a sorted, in-range facet under
+DIMENSION_CAP, and the list is reduced once, by
+`SimplicialComplex._of_facets`, without `from_facets`'s second pass.
 """
 
 from .complexes import DIMENSION_CAP, EDGE_LIMIT, VERTEX_LIMIT, SimplicialComplex
@@ -166,7 +168,7 @@ def parse_facet_list(text, path=None):
                 f"facet of dimension {len(vs) - 1} exceeds cap {DIMENSION_CAP}", path=path, line=no
             )
         facets.append(vs)
-    return SimplicialComplex.from_facets(n, facets)
+    return SimplicialComplex._of_facets(n, facets)
 
 
 def dump_facet_list(k):

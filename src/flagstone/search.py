@@ -403,13 +403,15 @@ def admit_instance(obj):
     """(g, None) with the graph g whose clique complex is checked, obj
     itself or a flag complex's `support_skeleton()`; or (None, the least
     non-face) for a complex that is not flag.  The one clique budget: each
-    join factor of a graph gets one census capped at CLIQUE_BUDGET, and
-    past it BudgetExceeded is raised.  A complex's flag census is capped
-    at the smaller of `flag_clique_cap` and the budget: past a facet cap
-    below the budget it is not flag, past the budget its skeleton gets the
+    join factor of g gets one census capped at CLIQUE_BUDGET, and past it
+    BudgetExceeded is raised.  A complex's census runs on the factors of
+    its support skeleton, the graph that its flag test, f-vector and level
+    test read too, so ambient vertices change no verdict.  It is capped at
+    the smaller of `flag_clique_cap` and the budget: past a facet cap below
+    the budget the complex is not flag, past the budget it gets the
     graph's error.  The censuses are cached for what follows.
     """
-    g = obj if isinstance(obj, Graph) else obj.one_skeleton()
+    g = obj if isinstance(obj, Graph) else obj.support_skeleton()
     if g is obj or flag_clique_cap(obj) >= CLIQUE_BUDGET:
         for f, _ in g.join_factors():
             if f.census(CLIQUE_BUDGET) is None:
@@ -418,7 +420,7 @@ def admit_instance(obj):
     if g is obj:
         return g, None
     flag_ok, witness = is_flag(obj)
-    return (obj.support_skeleton() if flag_ok else None), witness
+    return (g if flag_ok else None), witness
 
 
 def check_instance(instance, obj):

@@ -103,6 +103,28 @@ def reference_is_d_leveled(g, d):
     return True, None
 
 
+def link_leveled(g, d):
+    """The level test as a recursion on vertex links, a second reference
+    for `is_d_leveled`: at d = 0 a graph passes when it is exactly two
+    nonadjacent vertices, and at d >= 1 when it has a vertex and every
+    vertex link `g.link((v,))[0]` passes at d - 1.
+
+    A link of a link is the link of an edge, reached once per order of
+    its vertices as the same relabeled graph, so verdicts are memoized on
+    the rows within one call."""
+    seen = {}
+
+    def leveled(h, d):
+        if d == 0:
+            return h.n == 2 and not h.masks[0]
+        key = h.masks, d
+        if key not in seen:
+            seen[key] = h.n > 0 and all(leveled(h.link((v,))[0], d - 1) for v in range(h.n))
+        return seen[key]
+
+    return leveled(g, d)
+
+
 def brute_crowded_link(g, d, within):
     """First d-clique inside `within` (lexicographically) with more than two
     common neighbors or two adjacent ones, or None."""

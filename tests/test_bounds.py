@@ -3,6 +3,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,15 +14,23 @@ from flagstone import (
     edge_lower_bound_odd,
     disjoint_union,
     gamma_check,
+    gamma_vector,
     gen_complete_multipartite,
     gen_cycle,
+    gen_grid_torus,
+    gen_independent,
     gen_join_of_cycles,
     gen_suspension_sphere,
+    graph_from_key,
     is_d_leveled,
     join,
     lower_bound_status,
     verify_theorem_instance,
 )
+from flagstone.search import check_instance
+from helpers import read_leveled_table
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def test_edge_bound_odd_values():
@@ -94,6 +103,53 @@ def test_even_bound_equality_family():
             assert g.edge_count == edge_bound_even_conjecture(g.n, s)
             if k <= 6:
                 assert is_d_leveled(g, 2 * s).is_leveled
+
+
+def test_even_level_closed_form_meets_the_conjecture_when_s_divides():
+    # the suspension of the balanced s-cycle join on n - 2 vertices passes
+    # at d = 2s; it meets the even bound exactly when s divides n - 2, and
+    # otherwise lies 1/4 under it at s = 2 and 1/3 under it at s = 3
+    for s in (1, 2, 3):
+        for n in range(4 * s + 2, 7 * s + 3):
+            g = join(gen_independent(2), gen_join_of_cycles(s, n - 2))
+            assert is_d_leveled(g, 2 * s).is_leveled, (s, n)
+            gap = edge_bound_even_conjecture(n, s) - g.edge_count
+            assert gap == (0 if (n - 2) % s == 0 else {2: Fraction(1, 4), 3: Fraction(1, 3)}[s]), (s, n)
+            entry = check_instance(f"s{s}-n{n}", g)
+            assert entry["leveled"] == {"d": 2 * s, "verdict": True}
+            conj_even = entry["report"]["bounds"]["conj_even"]
+            assert (conj_even["holds"], conj_even["equality"], conj_even["slack"]) == (True, gap == 0, str(gap))
+
+
+def _palindromic_odd_entries(entries):
+    """(n, edges, s, h) of the entries at odd level 2s - 1 with s >= 2 and a
+    palindromic h."""
+    for e in entries:
+        if e.get("leveled") and e["leveled"]["verdict"] and e["leveled"]["d"] % 2 and e["leveled"]["d"] >= 3:
+            if e["dehn_sommerville"]["all"]:
+                yield e["f"][1], e["f"][2], (e["leveled"]["d"] + 1) // 2, e["h"]
+
+
+def test_gamma_2_is_the_lower_bound_slack_on_palindromic_instances():
+    # gamma_1 and gamma_2 read off h equal gamma_check's closed forms, so
+    # edges - edge_lower_bound_odd(n, s) is gamma_2
+    golden = json.loads((GOLDEN / "check.json").read_text())["entries"]
+    corpus = [check_instance(f"{name}{args}", gen(*args)) for name, gen, args in (
+        [("join", gen_join_of_cycles, sn) for sn in ((2, 40), (2, 60), (3, 36), (3, 48), (4, 40))]
+        + [("sphere", gen_suspension_sphere, (k,)) for k in (4, 9, 30)]
+        + [("cycle", gen_cycle, (k,)) for k in (4, 9)]
+        + [("torus", gen_grid_torus, (28, 28))])]
+    table = [check_instance(f"{d}-{n}-{key}", graph_from_key(key, n))
+             for (d, n), keys in read_leveled_table().items() if d % 2 for key in keys]
+    checked = 0
+    for entries, expected in ((golden, 1), (corpus, 5), (table, 12 + 5)):
+        found = list(_palindromic_odd_entries(entries))
+        assert len(found) == expected
+        for n, edges, s, h in found:
+            assert gamma_vector(h)[1:3] == gamma_check(n, edges, s)[:2], (n, edges, s)
+            assert gamma_check(n, edges, s)[1] == edges - edge_lower_bound_odd(n, s)
+            checked += 1
+    assert checked == 23
 
 
 def test_parameter_validation():

@@ -477,6 +477,33 @@ def test_edge_and_facet_lists_meet_one_clique_budget(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["leveled"] == {"d": 3, "verdict": True}
 
 
+@pytest.mark.parametrize("backend", ["py", "c"])
+def test_an_ambient_vertex_changes_no_verdict(backend, request, monkeypatch, tmp_path, capsys):
+    # the 15 625 maximal cliques of the join of six 5-cycles as facets, on
+    # its 30 vertices and with one vertex in no facet: the support skeleton
+    # is the same six-factor join, 11 cliques a factor, while the whole
+    # 1-skeleton on 31 vertices is prime with 11^6 cliques, over the budget
+    monkeypatch.setattr(kernels, "_c", request.getfixturevalue("compiled_kernels") if backend == "c" else None)
+    g = gen_join_of_cycles(6, 30)
+    paths = [tmp_path / "on30.facets", tmp_path / "on31.facets"]
+    _facet_file(paths[0], g)
+    paths[1].write_text(paths[0].read_text().replace("30", "31", 1))
+    entries, reports = [], []
+    for path in paths:
+        assert main(["check", str(path), "--json", str(tmp_path / "out.json")]) == 0
+        assert "1 ok" in capsys.readouterr().out
+        [entry] = json.loads((tmp_path / "out.json").read_text())["entries"]
+        assert main(["bounds", str(path), "--s", "6"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        entries.append({key: value for key, value in entry.items() if key not in ("instance", "n")})
+        entries[-1]["report"].pop("instance")
+        reports.append({key: value for key, value in report.items() if key != "instance"})
+        assert entry["n"] == int(path.read_text().split()[0])
+    assert entries[0] == entries[1] and reports[0] == reports[1]
+    assert entries[0]["leveled"] == {"d": 11, "verdict": True} and entries[0]["f"][1:3] == [30, 405]
+    assert reports[0]["n"] == 30 and reports[0]["bounds"]["thm_odd"]["equality"] is True
+
+
 def test_check_admits_a_dense_random_graph_under_the_clique_budget(compiled_kernels, monkeypatch):
     # a seeded G(60, 0.7) with 754 390 cliques stays under CLIQUE_BUDGET
     # (other seeds go past it: 1 068 624 at seed 3); the budget is the same

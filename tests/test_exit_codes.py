@@ -1,20 +1,22 @@
 """A seeded fuzz of the exit-code contract of `check` and `bounds`.
 
-Every input, a byte mutation of a golden input or a well-formed random
-edge or facet list on up to 70 vertices, must end with exit 0, with
-exit 2 and a message, or with exit 1 only when the output lists a
-potential counterexample; never with a traceback, and each case within
-a time bound.  A refusal at the clique budget costs a census of 2^20
-cliques, so only a few dense graphs are drawn.
+Every input, a byte mutation of a golden input, a well-formed random
+edge or facet list on up to 70 vertices, or a facet list to be reduced
+(vertices in no facet, repeated facets and facets inside others), must
+end with exit 0, with exit 2 and a message, or with exit 1 only when the
+output lists a potential counterexample; never with a traceback, and
+each case within a time bound.  A refusal at the clique budget costs a
+census of 2^20 cliques, so only a few dense graphs are drawn.
 """
 
 import random
 import signal
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from flagstone import dump_edge_list
+from flagstone import dump_edge_list, gen_cycle
 from flagstone.cli import main
 from helpers import random_graph
 
@@ -62,6 +64,28 @@ def _cases(rng):
         yield f"facets{i}.facets", _facet_list(rng).encode()
 
 
+def _reducible_cases(rng):
+    """(name, file bytes) pairs: 20 facet lists on up to 40 vertices that
+    leave some vertices in no facet and repeat or contain some facets.
+    One in four is a cycle, which passes the level test, and one in four
+    the maximal cliques of a random graph, which is flag."""
+    for i in range(20):
+        n = rng.randint(5, 40)
+        used = rng.sample(range(n), rng.randint(4, n - 1))
+        if i % 4 == 3:
+            cells = gen_cycle(len(used)).maximal_cliques()
+        elif i % 4 == 1:
+            cells = random_graph(len(used), rng.random(), rng).maximal_cliques()
+        else:
+            cells = [rng.sample(range(len(used)), rng.randint(1, min(len(used), 6))) for _ in range(rng.randint(1, 20))]
+        facets = [sorted(used[v] for v in cell) for cell in cells]
+        facets += [rng.choice(facets) for _ in range(rng.randint(1, 3))]
+        facets += [sorted(rng.sample(f, rng.randint(1, len(f)))) for f in rng.sample(facets, min(3, len(facets)))]
+        rng.shuffle(facets)
+        text = f"{n} {len(facets)}\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets)
+        yield f"reducible{i}.facets", text.encode()
+
+
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
 def test_check_and_bounds_exit_codes_on_seeded_inputs(tmp_path, capsys):
     def alarm(signum, frame):
@@ -70,7 +94,7 @@ def test_check_and_bounds_exit_codes_on_seeded_inputs(tmp_path, capsys):
     previous = signal.signal(signal.SIGALRM, alarm)
     codes = set()
     try:
-        for name, data in _cases(random.Random(17)):
+        for name, data in chain(_cases(random.Random(17)), _reducible_cases(random.Random(23))):
             path = tmp_path / name
             path.write_bytes(data)
             argvs = [["check", str(path)], ["bounds", str(path), "--s", str(1 + len(data) % 3)]]

@@ -1,6 +1,7 @@
 """Serialization round trips and strict parser diagnostics."""
 
 import random
+import time
 
 import pytest
 
@@ -20,7 +21,7 @@ from flagstone import (
     parse_graph6_line,
 )
 from flagstone import kernels
-from helpers import random_graph
+from helpers import brute_maximal_facets, random_graph
 
 
 def test_graph6_known_strings():
@@ -167,6 +168,39 @@ def test_facet_list_errors():
     with pytest.raises(ParseError, match="facet of dimension 25 exceeds cap 24") as ei:
         parse_facet_list("26 2\n0 1\n" + " ".join(map(str, range(26))) + "\n")
     assert ei.value.line == 3
+
+
+def test_parser_and_from_facets_build_equal_complexes():
+    # lists with repeated facets, facets inside others and vertices in no
+    # facet: the parser reads them sorted, from_facets gets each facet
+    # shuffled and with a vertex repeated, and both reduce them alike
+    rng = random.Random(41)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        facets = [tuple(sorted(rng.sample(range(n), rng.randint(1, min(n, 6))))) for _ in range(rng.randint(0, 12))]
+        facets += [rng.choice(facets) for _ in range(rng.randint(0, 3))] if facets else []
+        facets += [tuple(sorted(rng.sample(f, rng.randint(1, len(f))))) for f in facets[:rng.randint(0, 3)]]
+        rng.shuffle(facets)
+        text = f"{n} {len(facets)}\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets)
+        parsed = parse_facet_list(text)
+        messy = [rng.sample(f, len(f)) + [f[0]] for f in facets]
+        assert parsed == SimplicialComplex.from_facets(n, messy), text
+        assert parsed.facets == brute_maximal_facets(facets), text
+
+
+def test_cone_facet_list_is_reduced_in_linear_time():
+    # every facet holds the apex 0: triangles over a path on 1..N, their
+    # edges to the apex, contained, and N free edges from the apex.  Each
+    # small facet is compared only with the facets through its other
+    # vertex, not with all of them through the apex.
+    N = 8000
+    lines = [f"0 {v} {v + 1}" for v in range(1, N)] + [f"0 {v}" for v in range(1, 2 * N + 1)]
+    text = f"{2 * N + 1} {len(lines)}\n" + "\n".join(lines) + "\n"
+    start = time.perf_counter()
+    k = parse_facet_list(text)
+    assert time.perf_counter() - start < 1
+    assert len(k.facets) == 2 * N - 1
+    assert k.facets[:2] == ((0, 1, 2), (0, 2, 3)) and k.facets[-1] == (0, 2 * N)
 
 
 def test_load_instances_dispatch(tmp_path):

@@ -68,6 +68,7 @@ UNREACHED = {
     "graphs.Graph.canonical_key": "library",
     "graphs.disjoint_union": "library",
     "complexes.clique_complex": "library",
+    "complexes.SimplicialComplex.from_facets": "library",
     "formats.dump_facet_list": "library",
     "search.SearchConfig._make": "library",
     "__init__.__getattr__": "library",
