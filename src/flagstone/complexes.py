@@ -69,28 +69,48 @@ class SimplicialComplex(_Value):
         DIMENSION_CAP by construction, with duplicates and the facets that
         lie inside larger ones dropped, the rest in sorted order.
 
-        A facet can lie only in a larger one, so only the facets below the
-        largest size are scanned, and a pure complex needs no scan.  A
-        facet containing fs contains every vertex of fs, so fs is compared
-        only with the facets through its least frequent vertex: on a cone
-        that is not the apex, which lies in every facet.
+        A facet can lie only in a larger one, so a pure complex needs no
+        reduction.  Otherwise one pass over the unique facets ORs each
+        facet's vertex mask into its vertices' rows and lists each facet
+        under its vertices.  A facet lies in a larger one only if its
+        vertices have a common neighbour, so a smaller facet whose rows AND
+        to its own mask is kept unscanned, as every facet of a flag complex
+        is, however dense.  Any other is compared, by a subset test, with
+        the facets through its least frequent vertex: on a cone that is not
+        the apex, which lies in every facet.  The rows, with each vertex's
+        own bit cleared, span the same graph as the kept facets, so the
+        complex keeps them as its 1-skeleton.
         """
         unique = dict.fromkeys(facets)  # keeps the input order: sorted() below is linear on sorted input
         top = max(map(len, unique), default=0)
         small = [fs for fs in unique if len(fs) < top]
-        if small:
-            containing = {}
-            for fs in unique:
-                mask = _vertex_mask(fs)
-                for v in fs:
-                    containing.setdefault(v, []).append(mask)
-            for fs in small:
-                # () lies in every facet
-                mask = _vertex_mask(fs)
-                if not fs or any(other != mask and other | mask == other
-                                 for other in min(map(containing.__getitem__, fs), key=len)):
+        if not small:
+            return cls(n, tuple(sorted(unique)))
+        rows = [0] * n
+        through = [[] for _ in range(n)]
+        for fs in unique:
+            mask = _vertex_mask(fs)
+            for v in fs:
+                rows[v] |= mask
+                through[v].append(fs)
+        for fs in small:
+            if not fs:  # () lies in every facet
+                del unique[fs]
+                continue
+            common = -1
+            for v in fs:
+                common &= rows[v]
+            if common != _vertex_mask(fs):
+                vertices = set(fs)
+                if any(len(other) > len(fs) and vertices.issubset(other)
+                       for other in min(map(through.__getitem__, fs), key=len)):
                     del unique[fs]
-        return cls(n, tuple(sorted(unique)))
+        for v, row in enumerate(rows):
+            if row:  # a vertex of a facet took its own bit from the facet's mask
+                rows[v] = row ^ (1 << v)
+        k = cls(n, tuple(sorted(unique)))
+        k.__dict__["_one_skeleton"] = Graph._of_rows(n, tuple(rows))
+        return k
 
     @property
     def dimension(self):
@@ -131,7 +151,9 @@ class SimplicialComplex(_Value):
         return maximal_cliques_are_facets(self)
 
     def one_skeleton(self):
-        """The underlying Graph on the same vertex set, built once."""
+        """The underlying Graph on the same vertex set, built once: from
+        the facets when first asked for, or kept from the rows that
+        `_of_facets` built to reduce a non-pure facet list."""
         return self._one_skeleton
 
     def support_skeleton(self):

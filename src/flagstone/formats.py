@@ -168,6 +168,7 @@ def parse_facet_list(text, path=None):
                 f"facet of dimension {len(vs) - 1} exceeds cap {DIMENSION_CAP}", path=path, line=no
             )
         facets.append(vs)
+    del lines  # freed before the reduction builds its rows
     return SimplicialComplex._of_facets(n, facets)
 
 

@@ -477,6 +477,26 @@ def test_edge_and_facet_lists_meet_one_clique_budget(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["leveled"] == {"d": 3, "verdict": True}
 
 
+def test_dense_facet_list_meets_the_clique_budget_in_seconds(tmp_path):
+    # the complement of C34 as its 14 197 maximal cliques (537 KB): no clique
+    # has a common neighbour, so the reduction keeps each one unscanned and
+    # the process entry refuses the file at the clique budget, as it does
+    # the 3 KB edge list, where a pairwise scan of the facets took 8-10 s
+    c34 = gen_cycle(34)
+    path = tmp_path / "co-c34.facets"
+    _facet_file(path, Graph.from_edges(34, [(u, v) for u in range(34) for v in range(u + 1, 34)
+                                            if not c34.has_edge(u, v)]))
+    message = f"a join factor on 34 vertices has more than {CLIQUE_BUDGET} cliques, over the clique budget"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    for argv, head, err in ((["check", str(path)], f"{path}: BUDGET ERROR: {message}", ""),
+                            (["bounds", str(path), "--s", "2"], None, f"error: {message}\n")):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "flagstone.cli", *argv], capture_output=True, text=True, env=env)
+        assert time.perf_counter() - start < 5
+        assert (done.returncode, done.stderr) == (2, err)
+        assert done.stdout.splitlines()[:1] == ([head] if head else [])
+
+
 @pytest.mark.parametrize("backend", ["py", "c"])
 def test_an_ambient_vertex_changes_no_verdict(backend, request, monkeypatch, tmp_path, capsys):
     # the 15 625 maximal cliques of the join of six 5-cycles as facets, on

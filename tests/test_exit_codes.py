@@ -1,8 +1,9 @@
 """A seeded fuzz of the exit-code contract of `check` and `bounds`.
 
 Every input, a byte mutation of a golden input, a well-formed random
-edge or facet list on up to 70 vertices, or a facet list to be reduced
-(vertices in no facet, repeated facets and facets inside others), must
+edge or facet list on up to 70 vertices, a facet list to be reduced
+(vertices in no facet, repeated facets and facets inside others), or the
+maximal cliques of a dense random graph, with or without sub-faces, must
 end with exit 0, with exit 2 and a message, or with exit 1 only when the
 output lists a potential counterexample; never with a traceback, and
 each case within a time bound.  A refusal at the clique budget costs a
@@ -86,6 +87,24 @@ def _reducible_cases(rng):
         yield f"reducible{i}.facets", text.encode()
 
 
+def _dense_cases(rng):
+    """(name, file bytes) pairs: 12 facet lists, each the maximal cliques of
+    a random graph with p >= 0.8 on up to 34 vertices.  Every other one also
+    lists sub-faces of some cliques, and every third one leaves a vertex in
+    no facet.  Near p = 1 a clique can pass DIMENSION_CAP, and near 0.93 a
+    34-vertex skeleton can pass the clique budget."""
+    for i in range(12):
+        n = rng.randint(16, 34)
+        facets = [list(c) for c in random_graph(n, rng.uniform(0.8, 1), rng).maximal_cliques()]
+        if i % 2:
+            facets += [sorted(rng.sample(f, max(1, len(f) - rng.randint(1, 3))))
+                       for f in rng.sample(facets, min(len(facets), 25))]
+        rng.shuffle(facets)
+        n += i % 3 == 0
+        text = f"{n} {len(facets)}\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets)
+        yield f"dense{i}.facets", text.encode()
+
+
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs an interval timer")
 def test_check_and_bounds_exit_codes_on_seeded_inputs(tmp_path, capsys):
     def alarm(signum, frame):
@@ -94,7 +113,8 @@ def test_check_and_bounds_exit_codes_on_seeded_inputs(tmp_path, capsys):
     previous = signal.signal(signal.SIGALRM, alarm)
     codes = set()
     try:
-        for name, data in chain(_cases(random.Random(17)), _reducible_cases(random.Random(23))):
+        for name, data in chain(_cases(random.Random(17)), _reducible_cases(random.Random(23)),
+                               _dense_cases(random.Random(29))):
             path = tmp_path / name
             path.write_bytes(data)
             argvs = [["check", str(path)], ["bounds", str(path), "--s", str(1 + len(data) % 3)]]

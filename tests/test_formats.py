@@ -2,6 +2,8 @@
 
 import random
 import time
+import tracemalloc
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +16,7 @@ from flagstone import (
     dump_edge_list,
     dump_facet_list,
     dump_graph6,
+    gen_cycle,
     gen_join_of_cycles,
     load_instances,
     parse_edge_list,
@@ -201,6 +204,66 @@ def test_cone_facet_list_is_reduced_in_linear_time():
     assert time.perf_counter() - start < 1
     assert len(k.facets) == 2 * N - 1
     assert k.facets[:2] == ((0, 1, 2), (0, 2, 3)) and k.facets[-1] == (0, 2 * N)
+
+
+def test_reduction_keeps_the_maximal_facets_and_their_skeleton():
+    # lists with repeated facets, facets inside others, facets whose
+    # vertices have a common neighbour but no facet holding them (the
+    # boundary of a simplex) and vertices in no facet: the kept facets are
+    # the maximal ones, and the rows the reduction built are the skeleton
+    # of the kept facets
+    rng = random.Random(43)
+    for _ in range(500):
+        n = rng.randint(4, 16)
+        facets = [tuple(sorted(rng.sample(range(n - 1), rng.randint(1, min(n - 1, 6)))))
+                  for _ in range(rng.randint(1, 8))]
+        hollow = rng.sample(range(n - 1), rng.randint(3, min(n - 1, 5)))
+        facets += [tuple(sorted(face)) for face in combinations(hollow, len(hollow) - 1)]
+        facets += [rng.choice(facets) for _ in range(rng.randint(0, 3))]
+        facets += [tuple(sorted(rng.sample(f, rng.randint(1, len(f))))) for f in rng.sample(facets, 3)]
+        rng.shuffle(facets)
+        text = f"{n} {len(facets)}\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets)
+        for k in (parse_facet_list(text), SimplicialComplex.from_facets(n, facets)):
+            assert k.facets == brute_maximal_facets(facets), text
+            assert k.one_skeleton() == SimplicialComplex(n, k.facets).one_skeleton(), text
+
+
+def _co_cycle(n):
+    """The complement of the n-cycle."""
+    c = gen_cycle(n)
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if not c.has_edge(u, v)])
+
+
+def test_dense_facet_list_is_reduced_in_linear_time(tmp_path):
+    # the complement of C34 as its 14 197 maximal cliques of 12 to 17
+    # vertices, 537 KB, every vertex in 5 842 of them: no clique has a
+    # common neighbour, so each is kept without a scan
+    k = clique_complex(_co_cycle(34))
+    path = tmp_path / "co-c34.facets"
+    path.write_text(dump_facet_list(k))
+    start = time.perf_counter()
+    [(_, parsed)] = load_instances(path)
+    assert time.perf_counter() - start < 1
+    assert len(parsed.facets) == 14197 and parsed == k
+    assert parsed.one_skeleton() == _co_cycle(34)
+
+
+def test_cycle_cone_reduction_keeps_no_mask_per_facet():
+    # a cone over an 8 000-cycle: its triangles, apex edges and cycle
+    # edges, 24 000 lines.  A vertex mask per facet took a peak of 21.5 MB;
+    # the rows of the skeleton and the facet lists per vertex take under half
+    N = 8000
+    lines = [f"0 {v} {v + 1}" for v in range(1, N)] + [f"0 1 {N}"]
+    lines += [f"0 {v}" for v in range(1, N + 1)] + [f"{v} {v + 1}" for v in range(1, N)] + [f"1 {N}"]
+    text = f"{N + 1} {len(lines)}\n" + "\n".join(lines) + "\n"
+    tracemalloc.start()
+    try:
+        k = parse_facet_list(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(k.facets) == N
+    assert peak < 21.5 / 2 * 2**20
 
 
 def test_load_instances_dispatch(tmp_path):
