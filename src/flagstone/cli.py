@@ -257,10 +257,9 @@ def _cmd_search(args):
         allow_huge=args.i_know_this_is_huge,
     )
     result = exhaustive_search(cfg) if cfg.mode == "exhaustive" else random_search(cfg)
-    payload = result.to_json_bytes()
     if args.out:
         with _opened_for_writing(args.out, "wb") as fh:
-            fh.write(payload)
+            fh.write(result.to_json_bytes())
     _write_listing([
         "n={n}: found={found}, max_edges={me}, bound={bound}".format(
             n=entry["n"],

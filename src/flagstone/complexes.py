@@ -17,8 +17,8 @@ arithmetic is exact: integers, never floats.
 """
 
 from functools import cached_property
-from itertools import chain, product
-from math import comb
+from itertools import chain
+from math import comb, prod
 
 from .errors import BudgetExceeded, DimensionMismatch, InvalidComplex, InvalidParameter, NotPalindromic
 from .graphs import Graph, _Value
@@ -67,47 +67,46 @@ class SimplicialComplex(_Value):
     def _of_facets(cls, n, facets):
         """The complex on facets that are sorted tuples within 0..n-1 and
         DIMENSION_CAP by construction, with duplicates and the facets that
-        lie inside larger ones dropped, the rest in sorted order.
+        lie inside larger ones dropped, the rest in sorted order.  The
+        skeleton rows of all of them (`_skeleton_rows`) are its 1-skeleton.
 
-        A facet can lie only in a larger one, so a pure complex needs no
-        reduction.  Otherwise one pass over the unique facets ORs each
-        facet's vertex mask into its vertices' rows and lists each facet
-        under its vertices.  A facet lies in a larger one only if its
-        vertices have a common neighbour, so a smaller facet whose rows AND
-        to its own mask is kept unscanned, as every facet of a flag complex
-        is, however dense.  Any other is compared, by a subset test, with
-        the facets through its least frequent vertex: on a cone that is not
-        the apex, which lies in every facet.  The rows, with each vertex's
-        own bit cleared, span the same graph as the kept facets, so the
-        complex keeps them as its 1-skeleton.
+        A facet lies only in a larger one whose other vertices are its
+        common neighbours, so one whose rows AND to 0 is kept unscanned,
+        as every facet of a flag complex is.  Else it is grown into a
+        maximal clique by its least common neighbour, over and over, and
+        dropped if that clique is listed, as every such facet of a flag
+        complex is.  Only the rest are compared, by a subset test, with
+        the facets through their least frequent vertex: on a cone that is
+        not the apex, which lies in every facet.
         """
         unique = dict.fromkeys(facets)  # keeps the input order: sorted() below is linear on sorted input
+        rows = _skeleton_rows(n, unique)
         top = max(map(len, unique), default=0)
-        small = [fs for fs in unique if len(fs) < top]
-        if not small:
-            return cls(n, tuple(sorted(unique)))
-        rows = [0] * n
-        through = [[] for _ in range(n)]
-        for fs in unique:
-            mask = _vertex_mask(fs)
-            for v in fs:
-                rows[v] |= mask
-                through[v].append(fs)
-        for fs in small:
+        through = None
+        for fs in [fs for fs in unique if len(fs) < top]:
             if not fs:  # () lies in every facet
                 del unique[fs]
                 continue
-            common = -1
-            for v in fs:
-                common &= rows[v]
-            if common != _vertex_mask(fs):
-                vertices = set(fs)
-                if any(len(other) > len(fs) and vertices.issubset(other)
-                       for other in min(map(through.__getitem__, fs), key=len)):
-                    del unique[fs]
-        for v, row in enumerate(rows):
-            if row:  # a vertex of a facet took its own bit from the facet's mask
-                rows[v] = row ^ (1 << v)
+            common = _common_neighbours(rows, fs)
+            if not common:
+                continue
+            clique = list(fs)
+            while common:
+                w = (common & -common).bit_length() - 1
+                clique.append(w)
+                common &= rows[w]
+            if tuple(sorted(clique)) in unique:
+                del unique[fs]
+                continue
+            if through is None:  # every facet dropped so far lies in one still listed
+                through = [[] for _ in range(n)]
+                for other in unique:
+                    for v in other:
+                        through[v].append(other)
+            vertices = set(fs)
+            if any(len(other) > len(fs) and vertices.issubset(other)
+                   for other in min(map(through.__getitem__, fs), key=len)):
+                del unique[fs]
         k = cls(n, tuple(sorted(unique)))
         k.__dict__["_one_skeleton"] = Graph._of_rows(n, tuple(rows))
         return k
@@ -151,9 +150,9 @@ class SimplicialComplex(_Value):
         return maximal_cliques_are_facets(self)
 
     def one_skeleton(self):
-        """The underlying Graph on the same vertex set, built once: from
-        the facets when first asked for, or kept from the rows that
-        `_of_facets` built to reduce a non-pure facet list."""
+        """The underlying Graph on the same vertex set, built once: kept
+        from the rows that `_of_facets` built to reduce a facet list, or
+        from the facets when first asked for."""
         return self._one_skeleton
 
     def support_skeleton(self):
@@ -166,35 +165,41 @@ class SimplicialComplex(_Value):
         f-vector and the level test read; with no ambient vertex it is
         `one_skeleton()`.
         """
-        return self._support[0]
+        return self._support
 
     @cached_property
     def _support(self):
-        # (support skeleton, used vertices): skeleton vertex i is used[i]
         g = self.one_skeleton()
-        used = tuple(sorted(set(chain.from_iterable(self.facets))))
-        return (g if len(used) == g.n else g.induced(used)[0]), used
+        used = set(chain.from_iterable(self.facets))
+        return g if len(used) == g.n else g.induced(used)[0]
 
     @cached_property
     def _one_skeleton(self):
-        rows = [0] * self.n
-        for facet in self.facets:
-            mask = _vertex_mask(facet)
-            for v in facet:
-                rows[v] |= mask
-        # each row also took its own vertex from its facets' masks
-        return Graph._of_rows(self.n, tuple(row & ~(1 << v) for v, row in enumerate(rows)))
-
-    @cached_property
-    def _flag_cap(self):
-        return sum(1 << len(f) for f in self.facets) + self.n + 1
+        return Graph._of_rows(self.n, tuple(_skeleton_rows(self.n, self.facets)))
 
 
-def _vertex_mask(vertices):
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
+def _skeleton_rows(n, facets):
+    """Row v is the OR of the vertex masks of the facets through v, with
+    v's own bit cleared: the adjacency rows of the facets' 1-skeleton."""
+    rows = [0] * n
+    for fs in facets:
+        mask = 0
+        for v in fs:
+            mask |= 1 << v
+        for v in fs:
+            rows[v] |= mask
+    for v, row in enumerate(rows):
+        if row:
+            rows[v] = row ^ (1 << v)
+    return rows
+
+
+def _common_neighbours(rows, clique):
+    """The AND of the clique's rows: its common neighbours."""
+    common = -1
+    for v in clique:
+        common &= rows[v]
+    return common
 
 
 def clique_complex(g):
@@ -204,41 +209,35 @@ def clique_complex(g):
 
 def flag_clique_cap(k):
     """The most cliques a join factor of k's support skeleton has if k is
-    flag, computed once per complex: sum(2^|F|) over the facets bounds the
-    faces, and n + 1 more covers the empty clique when there are none."""
-    return k._flag_cap
+    flag: sum(2^|F|) over the facets bounds the faces, and n + 1 more
+    covers the empty clique when there are none."""
+    return sum(1 << len(f) for f in k.facets) + k.n + 1
 
 
 def maximal_cliques_are_facets(k):
-    """Is every maximal clique of the support skeleton with 3 or more
-    vertices a facet?
+    """Are the facets exactly the maximal cliques of the support skeleton?
 
-    That holds exactly when k is flag: the skeleton's vertices and edges
-    are faces by construction, and a 1-vertex facet is a 1-vertex maximal
-    clique, so it is ignored.  The maximal cliques of the skeleton are the
-    unions of one maximal clique per join factor, and each factor's come
-    from one clique census (`Graph.census`), which also caches the
-    factor's count vector for the f-vector and the level test.  The census
+    That holds exactly when k is flag, as it is when k has no vertex.  It
+    takes two checks.  Every facet is a maximal clique: its vertices'
+    skeleton rows AND to 0.  And there are as many maximal cliques as
+    facets: the product over the join factors of their counts, each from
+    one clique census (`Graph.census`) that also caches the factor's
+    count vector for the f-vector and the level test.  A hollow triangle
+    with a triangle on each edge passes the first check alone, and three
+    of them beside the boundary of a tetrahedron the second.  The census
     is capped by `flag_clique_cap`, so a factor with more cliques decides
-    "not flag".  The clique budget is applied before, on the same factors,
-    by `search.admit_instance`.  Each union is mapped to k's labels through
-    its factors' vertex maps and the used vertices, one at a time, and the
-    first non-facet stops the scan; a prime skeleton with no ambient vertex
-    is its own single factor, and its maximal cliques are compared as
-    listed.
+    "not flag"; the clique budget is applied before, on the same factors,
+    by `search.admit_instance`.
     """
-    g, used = k._support
+    g = k.support_skeleton()
     limit = flag_clique_cap(k)
-    factors = g.join_factors()
-    listed = [f.census(limit) for f, _ in factors]
+    listed = [f.census(limit) for f, _ in g.join_factors()]
     if None in listed:
         return False
-    facets = set(k.facets)
-    if len(factors) == 1 and len(used) == k.n:
-        return all(len(c) < 3 or c in facets for c in listed[0])
-    mapped = [[tuple(used[vmap[v]] for v in c) for c in cliques] for cliques, (_, vmap) in zip(listed, factors)]
-    cliques = (tuple(sorted(chain.from_iterable(parts))) for parts in product(*mapped))
-    return all(len(c) < 3 or c in facets for c in cliques)
+    if not g.n:
+        return True
+    rows = k.one_skeleton().masks
+    return prod(map(len, listed)) == len(k.facets) and not any(_common_neighbours(rows, fs) for fs in k.facets)
 
 
 def f_vector(k):

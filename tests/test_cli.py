@@ -29,10 +29,10 @@ from flagstone import (
     parse_facet_list,
     run_corpus_checks,
 )
-from flagstone import kernels
+from flagstone import bounds, kernels
 from flagstone.cli import main, write_json
 from flagstone.complexes import CLIQUE_BUDGET, VERTEX_LIMIT
-from flagstone.search import check_instance
+from flagstone.search import SearchResult, check_instance
 from helpers import random_graph
 
 
@@ -326,6 +326,21 @@ def test_bounds_report(tmp_path, capsys):
     with pytest.raises(SystemExit) as ei:
         main(["bounds", str(f)])  # --s is required
     assert ei.value.code == 2
+
+
+def test_bounds_exits_1_after_its_report_on_a_failed_theorem_bound(tmp_path, monkeypatch, capsys):
+    # C5*C5 is leveled at d = 3 with as many edges as the theorem's bound
+    # allows; one edge less makes it a potential counterexample
+    bound = bounds.edge_bound_odd
+    monkeypatch.setattr(bounds, "edge_bound_odd", lambda n, s: bound(n, s) - 1)
+    f = tmp_path / "j.txt"
+    f.write_text(dump_edge_list(gen_join_of_cycles(2, 10)))
+    assert main(["bounds", str(f), "--s", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["potential_counterexample"] is True
+    assert report["bounds"]["thm_odd"]["holds"] is False
+    assert main(["check", str(f)]) == 1
+    assert capsys.readouterr().out.startswith(f"{f}: CANDIDATE (")
 
 
 def test_bounds_facets_ignore_unused_vertices(tmp_path, capsys):
@@ -677,6 +692,20 @@ def test_search_exits_1_only_on_a_failed_theorem_bound(tmp_path, monkeypatch, ca
     payload = json.loads(out.read_text())
     assert payload["per_n"][0]["bound_holds"] is False
     assert [r["potential_counterexample"] for r in payload["reports"]] == [True]
+
+
+def test_search_encodes_its_payload_only_for_out(tmp_path, monkeypatch, capsys):
+    encoded = []
+    encode = SearchResult.to_json_bytes
+    monkeypatch.setattr(SearchResult, "to_json_bytes", lambda self: encoded.append(encode(self)) or encoded[-1])
+    argv = ["search", "--mode", "random", "--d", "3", "--n", "10..12", "--seed", "1", "--budget", "20"]
+    assert main(argv) == 0
+    listing = capsys.readouterr().out
+    assert encoded == []
+    out = tmp_path / "res.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == listing
+    assert [out.read_bytes()] == encoded
 
 
 def test_search_usage_errors(capsys):

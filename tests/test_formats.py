@@ -209,9 +209,9 @@ def test_cone_facet_list_is_reduced_in_linear_time():
 def test_reduction_keeps_the_maximal_facets_and_their_skeleton():
     # lists with repeated facets, facets inside others, facets whose
     # vertices have a common neighbour but no facet holding them (the
-    # boundary of a simplex) and vertices in no facet: the kept facets are
-    # the maximal ones, and the rows the reduction built are the skeleton
-    # of the kept facets
+    # boundary of a simplex) and vertices in no facet, and the pure list of
+    # their facets of one size: the kept facets are the maximal ones, and
+    # the rows the reduction built are the skeleton of the kept facets
     rng = random.Random(43)
     for _ in range(500):
         n = rng.randint(4, 16)
@@ -222,10 +222,11 @@ def test_reduction_keeps_the_maximal_facets_and_their_skeleton():
         facets += [rng.choice(facets) for _ in range(rng.randint(0, 3))]
         facets += [tuple(sorted(rng.sample(f, rng.randint(1, len(f))))) for f in rng.sample(facets, 3)]
         rng.shuffle(facets)
-        text = f"{n} {len(facets)}\n" + "".join(" ".join(map(str, f)) + "\n" for f in facets)
-        for k in (parse_facet_list(text), SimplicialComplex.from_facets(n, facets)):
-            assert k.facets == brute_maximal_facets(facets), text
-            assert k.one_skeleton() == SimplicialComplex(n, k.facets).one_skeleton(), text
+        for lines in (facets, [f for f in facets if len(f) == len(hollow) - 1]):
+            text = f"{n} {len(lines)}\n" + "".join(" ".join(map(str, f)) + "\n" for f in lines)
+            for k in (parse_facet_list(text), SimplicialComplex.from_facets(n, lines)):
+                assert k.facets == brute_maximal_facets(lines), text
+                assert k.one_skeleton() == SimplicialComplex(n, k.facets).one_skeleton(), text
 
 
 def _co_cycle(n):
@@ -245,6 +246,26 @@ def test_dense_facet_list_is_reduced_in_linear_time(tmp_path):
     [(_, parsed)] = load_instances(path)
     assert time.perf_counter() - start < 1
     assert len(parsed.facets) == 14197 and parsed == k
+    assert parsed.one_skeleton() == _co_cycle(34)
+
+
+def test_dense_facet_list_with_sub_faces_is_reduced_in_linear_time(tmp_path):
+    # the same 14 197 cliques, each followed by itself less one vertex:
+    # 28 394 lines, 1 MB.  Every sub-face has a common neighbour, and the
+    # maximal clique grown from it by least common neighbours is a listed
+    # line, so none is compared with other lines (17.5 s when each was)
+    k = clique_complex(_co_cycle(34))
+    rng = random.Random(1)
+    lines = []
+    for f in k.facets:
+        i = rng.randrange(len(f))
+        lines += [f, f[:i] + f[i + 1:]]
+    path = tmp_path / "co-c34-sub.facets"
+    path.write_text("34 28394\n" + "".join(" ".join(map(str, f)) + "\n" for f in lines))
+    start = time.perf_counter()
+    [(_, parsed)] = load_instances(path)
+    assert time.perf_counter() - start < 2
+    assert parsed == k
     assert parsed.one_skeleton() == _co_cycle(34)
 
 

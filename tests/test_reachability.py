@@ -69,6 +69,8 @@ UNREACHED = {
     "graphs.disjoint_union": "library",
     "complexes.clique_complex": "library",
     "complexes.SimplicialComplex.from_facets": "library",
+    # a parsed complex keeps the rows its reduction built as its skeleton
+    "complexes.SimplicialComplex._one_skeleton": "library",
     "formats.dump_facet_list": "library",
     "search.SearchConfig._make": "library",
     "__init__.__getattr__": "library",

@@ -44,6 +44,8 @@ from flagstone import (
     witness_link,
 )
 from flagstone import _kernels_py, kernels
+from flagstone.complexes import maximal_cliques_are_facets
+from flagstone.search import check_instance
 from helpers import (
     all_graphs,
     brute_flag_witness,
@@ -128,6 +130,38 @@ def test_flag_test_lists_at_most_its_limit_of_cliques(monkeypatch):
     assert is_flag(k) == (False, (0, 2, 4))
     assert limits == [4 * 406 + 30 + 1]
     assert 0 < len(reads) <= limits[0]
+
+
+def _gadgets(count):
+    """Hollow triangles xyz, each with the triangles xya, yzb and xzc on its
+    edges, on the vertices 6i to 6i + 5."""
+    facets = []
+    for base in range(0, 6 * count, 6):
+        x, y, z, a, b, c = range(base, base + 6)
+        facets += [(x, y, a), (y, z, b), (x, z, c)]
+    return facets
+
+
+@pytest.mark.parametrize("backend", ["py", "c"])
+def test_flag_test_needs_both_of_its_checks(backend, request, monkeypatch):
+    monkeypatch.setattr(kernels, "_c", request.getfixturevalue("compiled_kernels") if backend == "c" else None)
+    # three gadgets beside the boundary of a tetrahedron have as many
+    # maximal cliques as facets, but a tetrahedron's triangle is not a
+    # maximal clique; one gadget alone has only maximal cliques as facets,
+    # but one maximal clique more than facets
+    both = SimplicialComplex.from_facets(22, _gadgets(3) + list(itertools.combinations(range(18, 22), 3)))
+    one = SimplicialComplex.from_facets(6, _gadgets(1))
+    for k, counts in ((both, (13, 13)), (one, (3, 4))):
+        g = k.one_skeleton()
+        assert (len(k.facets), len(kernels.maximal_cliques(g.masks, g.n))) == counts
+        assert maximal_cliques_are_facets(k) is False
+        assert is_flag(k) == (False, (0, 1, 2))
+        assert check_instance("x", k)["flag"] == {"verdict": False, "witness": [0, 1, 2]}
+    # {()} and the void complex, whose support skeletons have no vertex
+    for k in (SimplicialComplex.from_facets(2, [()]), SimplicialComplex.from_facets(2, [])):
+        assert maximal_cliques_are_facets(k) is True
+        assert is_flag(k) == (True, None)
+        assert check_instance("x", k)["flag"] == {"verdict": True}
 
 
 # -- weak pseudomanifolds ----------------------------------------------
