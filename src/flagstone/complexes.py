@@ -34,25 +34,19 @@ class SimplicialComplex(_Value):
     """Vertex count plus inclusion-maximal faces as sorted vertex tuples.
 
     A value: equal, hashed and shown by n and facets, which cannot be
-    reassigned; the 1-skeleton, the support skeleton, the flag verdict
-    and the face listing are made once and kept, immutable, in its
-    `__dict__`.  The constructor stores the facets as given, as
-    `clique_complex` does with a graph's sorted maximal cliques;
-    `_of_facets` reduces facets that are sorted and checked already, and
-    `from_facets` sorts and checks arbitrary facet lists for it.
+    reassigned; its 1-skeleton is kept from construction, and the support
+    skeleton, the flag verdict and the face listing are made once and
+    kept, immutable, in its `__dict__`.  The constructor refuses n < 0,
+    sorts each facet, checks it against n and DIMENSION_CAP and reduces
+    the list (`_reduced`).  The parser's `_of_facets` reduces checked
+    facets; `clique_complex` keeps a graph's maximal cliques and the graph.
     """
 
     _fields = ("n", "facets")
 
     def __init__(self, n, facets):
-        self.__dict__.update(n=n, facets=facets)
-
-    @classmethod
-    def from_facets(cls, n, facets):
-        """Normalize: sort each facet and check it against n and
-        DIMENSION_CAP, then drop duplicates and contained faces as
-        `_of_facets` does.  A parsed facet list is checked into that form
-        line by line, so `parse_facet_list` calls `_of_facets` directly."""
+        if n < 0:
+            raise InvalidParameter("vertex count must be nonnegative")
         normal = []
         for facet in facets:
             fs = tuple(sorted(set(facet)))
@@ -61,54 +55,24 @@ class SimplicialComplex(_Value):
             if len(fs) - 1 > DIMENSION_CAP:
                 raise InvalidComplex(f"facet of dimension {len(fs) - 1} exceeds cap {DIMENSION_CAP}")
             normal.append(fs)
-        return cls._of_facets(n, normal)
+        facets, skeleton = _reduced(n, normal)
+        self.__dict__.update(n=n, facets=facets, _skeleton=skeleton)
+
+    @classmethod
+    def from_facets(cls, n, facets):
+        """The checked and reduced complex `cls(n, facets)`."""
+        return cls(n, facets)
 
     @classmethod
     def _of_facets(cls, n, facets):
-        """The complex on facets that are sorted tuples within 0..n-1 and
-        DIMENSION_CAP by construction, with duplicates and the facets that
-        lie inside larger ones dropped, the rest in sorted order.  The
-        skeleton rows of all of them (`_skeleton_rows`) are its 1-skeleton.
+        """`cls(n, facets)` unchecked, for facets sorted and in range already."""
+        return cls._of_skeleton(n, *_reduced(n, facets))
 
-        A facet lies only in a larger one whose other vertices are its
-        common neighbours, so one whose rows AND to 0 is kept unscanned,
-        as every facet of a flag complex is.  Else it is grown into a
-        maximal clique by its least common neighbour, over and over, and
-        dropped if that clique is listed, as every such facet of a flag
-        complex is.  Only the rest are compared, by a subset test, with
-        the facets through their least frequent vertex: on a cone that is
-        not the apex, which lies in every facet.
-        """
-        unique = dict.fromkeys(facets)  # keeps the input order: sorted() below is linear on sorted input
-        rows = _skeleton_rows(n, unique)
-        top = max(map(len, unique), default=0)
-        through = None
-        for fs in [fs for fs in unique if len(fs) < top]:
-            if not fs:  # () lies in every facet
-                del unique[fs]
-                continue
-            common = _common_neighbours(rows, fs)
-            if not common:
-                continue
-            clique = list(fs)
-            while common:
-                w = (common & -common).bit_length() - 1
-                clique.append(w)
-                common &= rows[w]
-            if tuple(sorted(clique)) in unique:
-                del unique[fs]
-                continue
-            if through is None:  # every facet dropped so far lies in one still listed
-                through = [[] for _ in range(n)]
-                for other in unique:
-                    for v in other:
-                        through[v].append(other)
-            vertices = set(fs)
-            if any(len(other) > len(fs) and vertices.issubset(other)
-                   for other in min(map(through.__getitem__, fs), key=len)):
-                del unique[fs]
-        k = cls(n, tuple(sorted(unique)))
-        k.__dict__["_one_skeleton"] = Graph._of_rows(n, tuple(rows))
+    @classmethod
+    def _of_skeleton(cls, n, facets, skeleton):
+        # reduced facets and their 1-skeleton, stored as they are
+        k = object.__new__(cls)
+        k.__dict__.update(n=n, facets=facets, _skeleton=skeleton)
         return k
 
     @property
@@ -150,10 +114,10 @@ class SimplicialComplex(_Value):
         return maximal_cliques_are_facets(self)
 
     def one_skeleton(self):
-        """The underlying Graph on the same vertex set, built once: kept
-        from the rows that `_of_facets` built to reduce a facet list, or
-        from the facets when first asked for."""
-        return self._one_skeleton
+        """The underlying Graph on the same vertex set, kept from
+        construction: the rows that reduced the facets, or the graph of a
+        clique complex."""
+        return self._skeleton
 
     def support_skeleton(self):
         """The 1-skeleton induced on the vertices that lie in some facet.
@@ -173,25 +137,59 @@ class SimplicialComplex(_Value):
         used = set(chain.from_iterable(self.facets))
         return g if len(used) == g.n else g.induced(used)[0]
 
-    @cached_property
-    def _one_skeleton(self):
-        return Graph._of_rows(self.n, tuple(_skeleton_rows(self.n, self.facets)))
 
+def _reduced(n, facets):
+    """The facets, sorted tuples within 0..n-1 and DIMENSION_CAP, with
+    duplicates and the facets that lie inside larger ones dropped, the
+    rest in sorted order, and the 1-skeleton of all of them.
 
-def _skeleton_rows(n, facets):
-    """Row v is the OR of the vertex masks of the facets through v, with
-    v's own bit cleared: the adjacency rows of the facets' 1-skeleton."""
+    A facet lies only in a larger one whose other vertices are its
+    common neighbours, so one whose rows AND to 0 is kept unscanned, as
+    every facet of a flag complex is.  Else it is grown into a maximal
+    clique by its least common neighbour, over and over, and dropped if
+    that clique is listed, as every such facet of a flag complex is.
+    Only the rest are compared, by a subset test, with the facets through
+    their least frequent vertex: on a cone that is not the apex, which
+    lies in every facet.
+    """
+    unique = dict.fromkeys(facets)  # keeps the input order: sorted() below is linear on sorted input
     rows = [0] * n
-    for fs in facets:
+    for fs in unique:
         mask = 0
         for v in fs:
             mask |= 1 << v
         for v in fs:
             rows[v] |= mask
-    for v, row in enumerate(rows):
+    for v, row in enumerate(rows):  # row v: the OR of the facets through v, less v
         if row:
             rows[v] = row ^ (1 << v)
-    return rows
+    top = max(map(len, unique), default=0)
+    through = None
+    for fs in [fs for fs in unique if len(fs) < top]:
+        if not fs:  # () lies in every facet
+            del unique[fs]
+            continue
+        common = _common_neighbours(rows, fs)
+        if not common:
+            continue
+        clique = list(fs)
+        while common:
+            w = (common & -common).bit_length() - 1
+            clique.append(w)
+            common &= rows[w]
+        if tuple(sorted(clique)) in unique:
+            del unique[fs]
+            continue
+        if through is None:  # every facet dropped so far lies in one still listed
+            through = [[] for _ in range(n)]
+            for other in unique:
+                for v in other:
+                    through[v].append(other)
+        vertices = set(fs)
+        if any(len(other) > len(fs) and vertices.issubset(other)
+               for other in min(map(through.__getitem__, fs), key=len)):
+            del unique[fs]
+    return tuple(sorted(unique)), Graph._of_rows(n, tuple(rows))
 
 
 def _common_neighbours(rows, clique):
@@ -203,8 +201,9 @@ def _common_neighbours(rows, clique):
 
 
 def clique_complex(g):
-    """The complex whose faces are the cliques of g; flag by construction."""
-    return SimplicialComplex(g.n, g.maximal_cliques())
+    """The complex whose faces are the cliques of g; flag by construction.
+    Its facets are g's maximal cliques, and g itself is its 1-skeleton."""
+    return SimplicialComplex._of_skeleton(g.n, g.maximal_cliques(), g)
 
 
 def flag_clique_cap(k):

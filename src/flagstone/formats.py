@@ -22,7 +22,7 @@ sets of rows are symmetric, irreflexive and in range once these checks
 pass, so the graph is built without the constructor's scan.  Likewise
 each line of a facet list is checked into a sorted, in-range facet under
 DIMENSION_CAP, and the list is reduced once, by
-`SimplicialComplex._of_facets`, without `from_facets`'s second pass.
+`SimplicialComplex._of_facets`, without the constructor's second check.
 """
 
 from .complexes import DIMENSION_CAP, EDGE_LIMIT, VERTEX_LIMIT, SimplicialComplex

@@ -74,19 +74,21 @@ class Graph(_Value):
     computed at most once per graph and kept in its `__dict__` as
     immutable values.
 
-    The public constructor `Graph(n, masks)` checks the rows in one plain
-    pass: first each row's range and self-loop bit, row by row, then the
-    mirror of each edge in scan order, so the first unmirrored pair is the
-    one named.  The package's own builders skip it: the parsers after
-    their own checks, the generators, `from_edges`, the derived graphs,
-    joins and unions, 1-skeletons of complexes and graphs decoded from
-    canonical keys make rows that are symmetric, irreflexive and in range
-    by construction, and store them through `_of_rows`.
+    The public constructor `Graph(n, masks)` stores the rows as a tuple
+    and checks them in one plain pass: first each row's range and
+    self-loop bit, row by row, then the mirror of each edge in scan order,
+    so the first unmirrored pair is the one named.  The package's own
+    builders skip it: the parsers after their own checks, the generators,
+    `from_edges`, the derived graphs, joins and unions, 1-skeletons of
+    complexes and graphs decoded from canonical keys make rows that are
+    symmetric, irreflexive and in range by construction, and store them
+    through `_of_rows`.
     """
 
     _fields = ("n", "masks")
 
     def __init__(self, n, masks):
+        masks = tuple(masks)
         self.__dict__.update(n=n, masks=masks)
         if n < 0:
             raise InvalidParameter("vertex count must be nonnegative")

@@ -244,12 +244,15 @@ def _peel_exceptional(g, t, part_of, eta):
                 alive[part_of[v]] &= ~(1 << v)
 
 
-def extract_partition(g, t, eta, seed_parts=None, seed=0, restarts=3):
+_RESTARTS = 3  # the balanced random starts extract_partition tries
+
+
+def extract_partition(g, t, eta, seed_parts=None, seed=0):
     """Heuristic search for an almost-join partition at target eta.
 
     Candidate parts come from iterated cross-degree reassignment (from the
     given seed_parts, or from a common-neighborhood merge start plus
-    balanced random starts derived from seed);
+    _RESTARTS balanced random starts derived from seed);
     vertices whose degree into some other part S_j is at most
     |S_j| (1 - eta/2), measured against that part's own size as in
     verify_type_partition's |S_j| (1 - eta) floor, become the exceptional
@@ -275,7 +278,7 @@ def extract_partition(g, t, eta, seed_parts=None, seed=0, restarts=3):
         starts = [start]
     else:
         starts = [_similarity_start(g, t)]
-        for r in range(max(1, restarts)):
+        for r in range(_RESTARTS):
             rng = random.Random(1000003 * seed + r)
             order = list(range(g.n))
             rng.shuffle(order)
@@ -358,13 +361,7 @@ def restrict_witness(g, w, subsets):
             raise InvalidParameter("each T_i must be a nonempty subset of S_i")
         ratio = Fraction(len(sub), len(part))
         beta = ratio if beta is None else min(beta, ratio)
-    keep = sorted(set(v for s in subsets for v in s) | set(w.X))
-    sub_g, vmap = g.induced(keep)
-    new_index = {old: new for new, old in enumerate(vmap)}
-    new_parts = tuple(tuple(new_index[v] for v in s) for s in subsets)
-    new_x = tuple(new_index[v] for v in w.X)
-    new_eta = w.eta / beta
-    return sub_g, PartitionWitness(t=w.t, eta=new_eta, C=w.C, parts=new_parts, X=new_x)
+    return _induced_witness(g, subsets, w.X, w.eta / beta, w.C)
 
 
 def witness_link(g, w, sigma):
@@ -398,15 +395,17 @@ def witness_link(g, w, sigma):
         if i not in touched
     ]
     keep_x = tuple(v for v in w.X if (common >> v) & 1)
-    keep = sorted({v for p in keep_parts for v in p} | set(keep_x))
-    lk, vmap = g.induced(keep)
+    return _induced_witness(g, keep_parts, keep_x, w.eta / (1 - w.eta * len(sigma)), w.C)
+
+
+def _induced_witness(g, parts, x, eta, c):
+    """Induce g on the parts and X, and relabel the witness on them to the
+    induced graph's labels.  Returns (induced graph, witness)."""
+    sub_g, vmap = g.induced(sorted({v for p in parts for v in p} | set(x)))
     new_index = {old: new for new, old in enumerate(vmap)}
-    new_parts = tuple(tuple(new_index[v] for v in p) for p in keep_parts)
-    new_x = tuple(new_index[v] for v in keep_x)
-    new_eta = w.eta / (1 - w.eta * len(sigma))
-    return lk, PartitionWitness(
-        t=w.t - len(touched), eta=new_eta, C=w.C, parts=new_parts, X=new_x
-    )
+    new_parts = tuple(tuple(new_index[v] for v in p) for p in parts)
+    new_x = tuple(new_index[v] for v in x)
+    return sub_g, PartitionWitness(t=len(parts), eta=eta, C=c, parts=new_parts, X=new_x)
 
 
 # -- independent sets and clique density --------------------------------

@@ -13,6 +13,8 @@ import pytest
 from flagstone import (
     BudgetExceeded,
     DimensionMismatch,
+    FlagstoneError,
+    Graph,
     InvalidComplex,
     InvalidParameter,
     NotPalindromic,
@@ -27,10 +29,14 @@ from flagstone import (
     gen_suspension_sphere,
     graph_f_vector,
     h_vector,
+    is_flag,
+    is_weak_pseudomanifold,
     join,
     kernels,
     sphere_euler_characteristic,
 )
+from flagstone.formats import dump_facet_list, parse_facet_list
+from flagstone.search import check_instance
 from helpers import (
     brute_faces,
     brute_maximal_facets,
@@ -225,3 +231,74 @@ def test_flag_complex_of_triangle_free_graph_is_graph():
         k = clique_complex(g)
         assert k.dimension <= 1
         assert f_vector(k) == graph_f_vector(g)
+
+
+@pytest.mark.parametrize("n, facets, reduced, flag, pseudomanifold, f", [
+    # a doubled edge is one edge, whose ends lie in one facet each
+    (4, ((0, 1), (0, 1)), ((0, 1),), True, False, (1, 2, 1)),
+    # a repeated edge of the hollow triangle changes neither its faces nor its verdicts
+    (3, ((0, 1), (1, 2), (0, 2), (1, 0)), ((0, 1), (0, 2), (1, 2)), False, True, (1, 3, 3)),
+    # an edge inside a listed triangle is no facet
+    (3, ((0, 1, 2), (0, 1)), ((0, 1, 2),), True, False, (1, 3, 3, 1)),
+])
+def test_constructor_checks_and_reduces_like_from_facets(n, facets, reduced, flag, pseudomanifold, f):
+    k = SimplicialComplex(n, facets)
+    assert k == SimplicialComplex.from_facets(n, facets) and k.facets == reduced
+    assert k.one_skeleton() == SimplicialComplex.from_facets(n, facets).one_skeleton()
+    assert is_flag(k)[0] is flag and is_weak_pseudomanifold(k, k.dimension)[0] is pseudomanifold
+    assert f_vector(k) == f
+    entry = check_instance("k", k)
+    assert entry["f"] == list(f) and entry["pseudomanifold"] is pseudomanifold
+    assert entry["facets"] == len(reduced) and entry["flag"]["verdict"] is flag
+
+
+@pytest.mark.parametrize("n, facets, error, message", [
+    (3, ((0, 3),), InvalidComplex, "facet (0, 3) out of range for n=3"),
+    (3, ((-1, 0),), InvalidComplex, "facet (-1, 0) out of range for n=3"),
+    (26, (tuple(range(26)),), InvalidComplex, "facet of dimension 25 exceeds cap 24"),
+    (-2, (), InvalidParameter, "vertex count must be nonnegative"),
+])
+def test_constructor_refuses_what_from_facets_refuses(n, facets, error, message):
+    for build in (SimplicialComplex, SimplicialComplex.from_facets):
+        with pytest.raises(error) as caught:
+            build(n, facets)
+        assert str(caught.value) == message and isinstance(caught.value, FlagstoneError)
+
+
+def test_constructor_equals_from_facets_and_the_parser_on_messy_lists():
+    rng = random.Random(35)
+    for _ in range(300):
+        n = rng.randrange(1, 10)
+        tops = [rng.sample(range(n), rng.randrange(1, n + 1)) for _ in range(rng.randrange(1, 6))]
+        facets = []
+        for top in tops:
+            facets.append(rng.sample(top, len(top)))  # shuffled vertex order
+            if rng.random() < 0.3:
+                facets.append(top + top[:1])  # a vertex twice
+            for _ in range(rng.randrange(3)):  # duplicates and contained faces
+                facets.append(rng.sample(top, rng.randrange(len(top) + 1)))
+        rng.shuffle(facets)
+        k = SimplicialComplex(n, facets)
+        parsed = parse_facet_list(dump_facet_list(k))
+        assert k == SimplicialComplex.from_facets(n, facets) == parsed, facets
+        assert k.facets == brute_maximal_facets(facets)
+        edges = {pair for fs in k.facets for pair in itertools.combinations(fs, 2)}
+        assert k.one_skeleton() == parsed.one_skeleton() == Graph.from_edges(n, edges), facets
+        assert check_instance("k", k) == check_instance("k", parsed)
+
+
+def test_clique_complex_keeps_its_graph():
+    rng = random.Random(36)
+    for _ in range(60):
+        g = random_graph(rng.randrange(0, 9), rng.random(), rng)
+        k = clique_complex(g)
+        assert k == SimplicialComplex.from_facets(g.n, g.maximal_cliques())
+        assert k.one_skeleton() is g and f_vector(k) == graph_f_vector(g)
+
+
+def test_graph_stores_its_rows_as_a_tuple():
+    rows = [2, 1]
+    g = Graph(2, rows)
+    assert g == Graph(2, (2, 1)) and hash(g) == hash(Graph(2, (2, 1))) and g.masks == (2, 1)
+    rows[0] = 0
+    assert g.masks == (2, 1) and g.has_edge(0, 1)

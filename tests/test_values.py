@@ -71,7 +71,7 @@ def test_value_semantics(cls, args, other, field, text):
 
 def test_graph_is_equal_only_to_graphs():
     g = Graph(2, (0, 0))
-    assert g != (2, (0, 0)) and g != SimplicialComplex(2, (0, 0))
+    assert g != (2, (0, 0)) and g != SimplicialComplex(2, ((0,), (1,)))
     assert len({g, Graph(2, (0, 0)), Graph(2, (2, 1))}) == 2
 
 
